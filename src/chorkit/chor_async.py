@@ -26,7 +26,7 @@ from .terms import (
     Tag,
     TagSupply,
     head_pn,
-    pn,
+    replace_cont,
 )
 from .sync import Configuration, enabled, gc
 from .values import eval_expr
@@ -233,7 +233,7 @@ def _rewrite_once(c):
         carries_tag = isinstance(nxt, RtRecv) and nxt.payload == c.tag
         if not carries_tag and not (head_pn(c) & head_pn(nxt)):
             if _tag_ahead(c.tag, nxt.cont):
-                return replace(nxt, cont=replace(c, cont=nxt.cont))
+                return replace_cont(nxt, replace_cont(c, nxt.cont))
     # Move a tag-carrying receive rightward toward its send (the pair may
     # have been swapped past each other: their names are disjoint).
     if isinstance(c, RtRecv) and isinstance(c.payload, Tag) \
@@ -242,16 +242,16 @@ def _rewrite_once(c):
         is_match = isinstance(nxt, RtSend) and nxt.tag == c.payload
         if not is_match and not (head_pn(c) & head_pn(nxt)):
             if _tag_ahead(c.payload, nxt.cont):
-                return replace(nxt, cont=replace(c, cont=nxt.cont))
+                return replace_cont(nxt, replace_cont(c, nxt.cont))
     # Otherwise recurse into the first child that rewrites.
     if isinstance(c, (Com, RtSend, RtRecv, Def)):
         new = _rewrite_once(c.cont)
         if new is not None:
-            return replace(c, cont=new)
+            return replace_cont(c, new)
         if isinstance(c, Def):
             new_body = _rewrite_once(c.body)
             if new_body is not None:
-                return replace(c, body=new_body)
+                return Def(c.var, new_body, c.cont)
         return None
     if isinstance(c, Cond):
         new = _rewrite_once(c.then)
@@ -342,9 +342,4 @@ def check_abstract_async(corpus, sigma_for) -> list:
 
 
 def _has_successor(start: Configuration, want: Configuration) -> bool:
-    return any(succ.key() == want.key()
-               for _, succ in enabled_async(start))
-
-
-def run_async_preserves_names(c) -> frozenset:
-    return pn(c)
+    return any(succ == want for _, succ in enabled_async(start))

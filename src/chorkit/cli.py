@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 parse error, 2 not projectable, 3 ill-formed,
-4 verification failure, 64 usage error.
+4 verification failure, 64 usage error (a bad flag, or a ``--state`` that
+is not a JSON object mapping the program's process names to storable
+values).
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import sys
 
 from .chor_async import well_formed
 from .congruence import canonical
-from .errors import ChorError, IllFormed, NotProjectable, ParseError
+from .errors import ChorError, IllFormed, NotProjectable, ParseError, \
+    UnknownProcess
 from .network import classify
 from .parse import parse_choreography, parse_network
 from .project import epp_async, epp_sync
@@ -40,6 +43,10 @@ EXIT_VERIFY = 4
 EXIT_USAGE = 64
 
 
+class UsageError(Exception):
+    """A command-line input that parses as flags but cannot be used."""
+
+
 def _load_choreography(path: str):
     with open(path) as fh:
         return parse_choreography(fh.read())
@@ -54,7 +61,12 @@ def _initial_state(program, spec: str | None) -> GlobalState:
     names = sorted(pn(program))
     if spec is None:
         return GlobalState.uniform(names)
-    cells = json.loads(spec)
+    try:
+        cells = json.loads(spec)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--state is not valid JSON: {exc}") from None
+    if not isinstance(cells, dict):
+        raise UsageError("--state must be a JSON object of cell values")
     base = GlobalState.uniform(names)
     for name, raw in cells.items():
         if isinstance(raw, bool):
@@ -64,8 +76,13 @@ def _initial_state(program, spec: str | None) -> GlobalState:
         elif raw == "err":
             value = ERR
         else:
-            raise ValueError(f"not a storable value: {raw!r}")
-        base = base.update(name, value)
+            raise UsageError(f"--state: not a storable value for "
+                             f"{json.dumps(name)}: {json.dumps(raw)}")
+        try:
+            base = base.update(name, value)
+        except UnknownProcess:
+            raise UsageError(f"--state: no process {json.dumps(name)} in "
+                             f"the program") from None
     return base
 
 
@@ -252,6 +269,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -239,10 +239,10 @@ def _has_bdef(b) -> bool:
 
 def behaviour_equiv(b1, b2, unfold_budget: int = 0):
     b1, b2 = gc_behaviour(b1), gc_behaviour(b2)
+    if b1 == b2:
+        return True
     left = {b1}
     right = {b2}
-    if left & right:
-        return True
     for _ in range(unfold_budget):
         left |= {gc_behaviour(v) for b in left for v in _unfold_bvariants(b)}
         right |= {gc_behaviour(v) for b in right for v in _unfold_bvariants(b)}

@@ -11,7 +11,7 @@ process would disable a send that the precongruence keeps enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GuardNotBoolean, NonEmptyQueue
@@ -33,6 +33,7 @@ from .terms import (
     Queue,
     Value,
     behaviour_seq,
+    replace_cont,
 )
 from .values import eval_with_cell
 
@@ -75,7 +76,7 @@ def expose_head(behaviour, env=None, unfolded=frozenset()) -> Optional[_Head]:
             return None
         outer = behaviour
         return _Head(head.node,
-                     lambda b, h=head: replace(outer, cont=h.rebuild(b)))
+                     lambda b, h=head: replace_cont(outer, h.rebuild(b)))
     if isinstance(behaviour, BCall):
         if behaviour.var in unfolded or behaviour.var not in env:
             return None
@@ -117,19 +118,27 @@ def _inert(b, bound=frozenset()) -> bool:
 
 
 def gc_behaviour(b):
-    if _inert(b):
-        return BNIL
+    """The behaviour counterpart of :func:`chorkit.sync.gc`; a behaviour
+    with nothing to collect is returned as it is."""
     if isinstance(b, (BSend, BRecv)):
-        return replace(b, cont=gc_behaviour(b.cont))
+        return replace_cont(b, gc_behaviour(b.cont))
     if isinstance(b, BCond):
-        return BCond(b.expr, gc_behaviour(b.then), gc_behaviour(b.orelse),
-                     gc_behaviour(b.cont))
+        then, orelse = gc_behaviour(b.then), gc_behaviour(b.orelse)
+        cont = gc_behaviour(b.cont)
+        if then is b.then and orelse is b.orelse and cont is b.cont:
+            return b
+        return BCond(b.expr, then, orelse, cont)
     if isinstance(b, BDef):
+        if _inert(b):
+            return BNIL
         cont = gc_behaviour(b.cont)
         if isinstance(cont, BNil):
             return BNIL
-        return BDef(b.var, gc_behaviour(b.body), cont)
-    return b
+        body = gc_behaviour(b.body)
+        if body is b.body and cont is b.cont:
+            return b
+        return BDef(b.var, body, cont)
+    return b  # BNil, or a call that no definition encloses
 
 
 def _partners(b, acc):
@@ -149,15 +158,25 @@ def _partners(b, acc):
 
 
 def normalize_network(n: Network) -> Network:
-    procs = {name: replace(p, behaviour=gc_behaviour(p.behaviour))
-             for name, p in n.procs}
+    """Collect every behaviour and drop the processes that are done; a
+    network with nothing to normalize is returned as it is."""
+    procs = []
+    for entry in n.procs:
+        name, p = entry
+        b = gc_behaviour(p.behaviour)
+        procs.append(entry if b is p.behaviour
+                     else (name, Process(p.state, p.queue, b)))
     referenced = set()
-    for p in procs.values():
+    for _, p in procs:
         _partners(p.behaviour, referenced)
-    keep = {name: p for name, p in procs.items()
-            if not (isinstance(p.behaviour, BNil) and p.queue.is_empty()
-                    and name not in referenced)}
-    return Network.of(keep)
+    keep = tuple(entry for entry in procs
+                 if not (isinstance(entry[1].behaviour, BNil)
+                         and entry[1].queue.is_empty()
+                         and entry[0] not in referenced))
+    if len(keep) == len(n.procs) and all(
+            a is b for a, b in zip(keep, n.procs)):
+        return n
+    return Network(keep)
 
 
 def network_key(n: Network):
@@ -197,8 +216,8 @@ def enabled_sp(n: Network):
                     and other.node.src == name:
                 v = eval_with_cell(node.expr, procs[name].state)
                 new = dict(procs)
-                new[name] = replace(procs[name],
-                                    behaviour=head.rebuild(node.cont))
+                new[name] = Process(procs[name].state, procs[name].queue,
+                                    head.rebuild(node.cont))
                 new[node.dst] = Process(v, procs[node.dst].queue,
                                         other.rebuild(other.node.cont))
                 label = StepLabel("Com", (name, node.dst), (name,),
@@ -207,7 +226,7 @@ def enabled_sp(n: Network):
         elif isinstance(node, BCond):
             succ_b, rule = _advance(head, procs[name].state)
             new = dict(procs)
-            new[name] = replace(procs[name], behaviour=succ_b)
+            new[name] = Process(procs[name].state, procs[name].queue, succ_b)
             label = StepLabel(rule, (name,), (name,),
                               expr_src=render_expr(node.expr))
             steps.append((label, normalize_network(Network.of(new))))
@@ -229,10 +248,11 @@ def enabled_asp(n: Network):
                 continue  # no such process: the send blocks forever
             v = eval_with_cell(node.expr, p.state)
             new = dict(procs)
-            new[name] = replace(p, behaviour=head.rebuild(node.cont))
+            new[name] = Process(p.state, p.queue, head.rebuild(node.cont))
             target = procs[node.dst]
-            new[node.dst] = replace(
-                target, queue=target.queue.enqueue(Message(name, v)))
+            new[node.dst] = Process(target.state,
+                                    target.queue.enqueue(Message(name, v)),
+                                    target.behaviour)
             label = StepLabel("ComS", (name, node.dst), (name,),
                               value=v, expr_src=render_expr(node.expr))
             steps.append((label, normalize_network(Network.of(new))))
@@ -248,7 +268,7 @@ def enabled_asp(n: Network):
         elif isinstance(node, BCond):
             succ_b, rule = _advance(head, p.state)
             new = dict(procs)
-            new[name] = replace(p, behaviour=succ_b)
+            new[name] = Process(p.state, p.queue, succ_b)
             label = StepLabel(rule, (name,), (name,),
                               expr_src=render_expr(node.expr))
             steps.append((label, normalize_network(Network.of(new))))

@@ -105,10 +105,6 @@ def run_network(n: Network, mode: str, scheduler,
     return Trace(tuple(steps), "budget" if outcome == "running" else outcome)
 
 
-def enabled_steps(n: Network, mode: str):
-    return enabled_sp(n) if mode == "sync" else enabled_asp(n)
-
-
 def _state_of(result) -> str:
     if isinstance(result, Configuration):
         sigma = {name: render_value(v) for name, v in result.state.cells}

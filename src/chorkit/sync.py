@@ -11,7 +11,7 @@ lives in the test suite, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GuardNotBoolean, NotEnabled
@@ -27,23 +27,28 @@ from .terms import (
     RtRecv,
     RtSend,
     Tag,
+    Term,
     Value,
     head_pn,
+    replace_cont,
+    term,
 )
 from .values import GlobalState, eval_expr
 
 
-@dataclass(frozen=True)
-class Configuration:
+@term
+class Configuration(Term):
     chor: object
     state: GlobalState
 
     def key(self):
+        """The rendered form, for messages; configurations themselves are
+        the state keys."""
         return (render_choreography(self.chor), self.state.cells)
 
 
-@dataclass(frozen=True)
-class StepLabel:
+@term
+class StepLabel(Term):
     rule: str  # Com | Then | Else | ComS | ComR
     subjects: tuple  # sorted process names
     path: tuple
@@ -57,10 +62,11 @@ class StepLabel:
                 self.expr_src)
 
     def with_tag(self, tag_id: int) -> "StepLabel":
-        return replace(self, tag_id=tag_id)
+        return StepLabel(self.rule, self.subjects, self.path, self.value,
+                         tag_id, self.expr_src)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Step:
     label: StepLabel
     chor: object
@@ -110,7 +116,8 @@ def _walk(c, sigma, mode, env, unfolded, blocked, path):
         inner = _walk(c.cont, sigma, mode, env, unfolded,
                       blocked | subjects, path + ("cont",))
         for s in inner:
-            steps.append(replace(s, chor=_replace_cont(c, s.chor)))
+            steps.append(_Step(s.label, replace_cont(c, s.chor), s.state,
+                               s.subst))
         return steps
 
     if isinstance(c, Cond):
@@ -136,7 +143,8 @@ def _walk(c, sigma, mode, env, unfolded, blocked, path):
         env[c.var] = c.body
         inner = _walk(c.cont, sigma, mode, env, unfolded, blocked,
                       path + ("in",))
-        return [replace(s, chor=Def(c.var, c.body, s.chor)) for s in inner]
+        return [_Step(s.label, Def(c.var, c.body, s.chor), s.state, s.subst)
+                for s in inner]
 
     if isinstance(c, Call):
         if c.var in unfolded or c.var not in env:
@@ -146,10 +154,6 @@ def _walk(c, sigma, mode, env, unfolded, blocked, path):
                      blocked, path + ("unfold",))
 
     return []  # Nil
-
-
-def _replace_cont(node, new_cont):
-    return replace(node, cont=new_cont)
 
 
 def _match_by_key(left, right):
@@ -167,17 +171,24 @@ def _match_by_key(left, right):
 
 
 def subst_tag(c, tag: Tag, value: Value):
-    """Replace the (single, by linearity) receive carrying ``tag``."""
+    """Replace the (single, by linearity) receive carrying ``tag``; nodes
+    off its path are returned as they are."""
     if isinstance(c, RtRecv) and c.payload == tag:
         return RtRecv(c.src, value, c.dst, subst_tag(c.cont, tag, value))
     if isinstance(c, (Com, RtSend, RtRecv)):
-        return _replace_cont(c, subst_tag(c.cont, tag, value))
+        return replace_cont(c, subst_tag(c.cont, tag, value))
     if isinstance(c, Cond):
-        return Cond(c.decider, c.expr, subst_tag(c.then, tag, value),
-                    subst_tag(c.orelse, tag, value))
+        then = subst_tag(c.then, tag, value)
+        orelse = subst_tag(c.orelse, tag, value)
+        if then is c.then and orelse is c.orelse:
+            return c
+        return Cond(c.decider, c.expr, then, orelse)
     if isinstance(c, Def):
-        return Def(c.var, subst_tag(c.body, tag, value),
-                   subst_tag(c.cont, tag, value))
+        body = subst_tag(c.body, tag, value)
+        cont = subst_tag(c.cont, tag, value)
+        if body is c.body and cont is c.cont:
+            return c
+        return Def(c.var, body, cont)
     return c
 
 
@@ -196,19 +207,25 @@ def _inert(c, bound=frozenset()) -> bool:
 
 def gc(c):
     """Garbage-collect: fold recursion wrappers over 0 and drop inert
-    subterms."""
-    if _inert(c):
-        return NIL
+    subterms.  A term with nothing to collect is returned as it is."""
     if isinstance(c, (Com, RtSend, RtRecv)):
-        return _replace_cont(c, gc(c.cont))
+        return replace_cont(c, gc(c.cont))
     if isinstance(c, Cond):
-        return Cond(c.decider, c.expr, gc(c.then), gc(c.orelse))
+        then, orelse = gc(c.then), gc(c.orelse)
+        if then is c.then and orelse is c.orelse:
+            return c
+        return Cond(c.decider, c.expr, then, orelse)
     if isinstance(c, Def):
-        body, cont = gc(c.body), gc(c.cont)
+        if _inert(c):
+            return NIL
+        cont = gc(c.cont)
         if isinstance(cont, Nil):
             return NIL
+        body = gc(c.body)
+        if body is c.body and cont is c.cont:
+            return c
         return Def(c.var, body, cont)
-    return c
+    return c  # Nil, or a call that no definition encloses
 
 
 def terminated(c) -> bool:

@@ -1,8 +1,10 @@
 """Abstract syntax for choreographies, behaviours, networks and expressions.
 
-All nodes are frozen dataclasses: terms are immutable after construction and
-safe to share between concurrent explorations.  The only mutable object in
-this module is :class:`TagSupply`.
+All nodes are frozen, slotted dataclasses: terms are immutable after
+construction, so subterms are shared freely between successors, and each
+node computes its structural hash once.  Terms therefore serve directly as
+keys of state sets.  The only mutable object in this module is
+:class:`TagSupply`.
 """
 
 from __future__ import annotations
@@ -10,22 +12,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+
+class Term:
+    """Base of every frozen term: equality is structural, and the structural
+    hash is kept in the ``_h`` slot after its first use."""
+
+    __slots__ = ("_h",)
+
+    def __hash__(self):
+        try:
+            return self._h
+        except AttributeError:
+            h = hash((type(self), *[getattr(self, f) for f in self.__slots__]))
+            object.__setattr__(self, "_h", h)
+            return h
+
+
+def term(cls):
+    """Make ``cls`` (a :class:`Term` subclass) a frozen, slotted dataclass
+    that keeps the cached hash."""
+    cls.__hash__ = Term.__hash__  # explicit, so dataclass keeps it
+    return dataclass(frozen=True, slots=True)(cls)
+
+
 # ---------------------------------------------------------------------------
 # Values
 
 
-@dataclass(frozen=True)
-class IntV:
+@term
+class IntV(Term):
     n: int
 
 
-@dataclass(frozen=True)
-class BoolV:
+@term
+class BoolV(Term):
     b: bool
 
 
-@dataclass(frozen=True)
-class ErrV:
+@term
+class ErrV(Term):
     """Distinguished error value.  First-class and storable."""
 
 
@@ -38,25 +63,25 @@ Value = Union[IntV, BoolV, ErrV]
 # Expressions
 
 
-@dataclass(frozen=True)
-class Lit:
+@term
+class Lit(Term):
     value: Value
 
 
-@dataclass(frozen=True)
-class Cell:
+@term
+class Cell(Term):
     """The running process's own memory cell, written ``@``."""
 
 
-@dataclass(frozen=True)
-class BinOp:
+@term
+class BinOp(Term):
     op: str  # one of + - * = < and or
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Not:
+@term
+class Not(Term):
     arg: "Expr"
 
 
@@ -66,19 +91,15 @@ Expr = Union[Lit, Cell, BinOp, Not]
 # ---------------------------------------------------------------------------
 # Tags
 
-@dataclass(frozen=True)
-class Tag:
+@term
+class Tag(Term):
     """Globally unique marker linking a detached send to its receive."""
 
     id: int
 
 
 class TagSupply:
-    """Monotonic source of fresh tags.
-
-    Confined to a single execution context; see the concurrency notes in the
-    module docstring.
-    """
+    """Monotonic source of fresh tags, owned by one run at a time."""
 
     def __init__(self, start: int = 0):
         self._next = start
@@ -106,44 +127,44 @@ class TagSupply:
 # Choreographies
 
 
-@dataclass(frozen=True)
-class Com:
+@term
+class Com(Term):
     src: str
     expr: Expr
     dst: str
     cont: "Chor"
 
 
-@dataclass(frozen=True)
-class Cond:
+@term
+class Cond(Term):
     decider: str
     expr: Expr
     then: "Chor"
     orelse: "Chor"
 
 
-@dataclass(frozen=True)
-class Def:
+@term
+class Def(Term):
     var: str
     body: "Chor"
     cont: "Chor"
 
 
-@dataclass(frozen=True)
-class Call:
+@term
+class Call(Term):
     var: str
 
 
-@dataclass(frozen=True)
-class Nil:
+@term
+class Nil(Term):
     pass
 
 
 NIL = Nil()
 
 
-@dataclass(frozen=True)
-class RtSend:
+@term
+class RtSend(Term):
     """Detached send: the message from ``src`` is in transit under ``tag``."""
 
     src: str
@@ -152,8 +173,8 @@ class RtSend:
     cont: "Chor"
 
 
-@dataclass(frozen=True)
-class RtRecv:
+@term
+class RtRecv(Term):
     """Detached receive at ``dst``, annotated with the sender name.
 
     ``payload`` is either a :class:`Tag` (uninstantiated: the matching send
@@ -173,41 +194,41 @@ Chor = Union[Com, Cond, Def, Call, Nil, RtSend, RtRecv]
 # Behaviours
 
 
-@dataclass(frozen=True)
-class BSend:
+@term
+class BSend(Term):
     dst: str
     expr: Expr
     cont: "Behaviour"
 
 
-@dataclass(frozen=True)
-class BRecv:
+@term
+class BRecv(Term):
     src: str
     cont: "Behaviour"
 
 
-@dataclass(frozen=True)
-class BCond:
+@term
+class BCond(Term):
     expr: Expr
     then: "Behaviour"
     orelse: "Behaviour"
     cont: "Behaviour"
 
 
-@dataclass(frozen=True)
-class BDef:
+@term
+class BDef(Term):
     var: str
     body: "Behaviour"
     cont: "Behaviour"
 
 
-@dataclass(frozen=True)
-class BCall:
+@term
+class BCall(Term):
     var: str
 
 
-@dataclass(frozen=True)
-class BNil:
+@term
+class BNil(Term):
     pass
 
 
@@ -220,14 +241,14 @@ Behaviour = Union[BSend, BRecv, BCond, BDef, BCall, BNil]
 # Networks
 
 
-@dataclass(frozen=True)
-class Message:
+@term
+class Message(Term):
     sender: str
     payload: Value
 
 
-@dataclass(frozen=True)
-class Queue:
+@term
+class Queue(Term):
     """Incoming messages, one FIFO lane per sender.
 
     The lane decomposition is the canonical form of the congruence that lets
@@ -279,15 +300,15 @@ class Queue:
         return [Message(s, v) for s, lane in self.lanes for v in lane]
 
 
-@dataclass(frozen=True)
-class Process:
+@term
+class Process(Term):
     state: Value
     queue: Queue
     behaviour: Behaviour
 
 
-@dataclass(frozen=True)
-class Network:
+@term
+class Network(Term):
     """Finite composition of named processes, kept name-sorted.
 
     The sorted-map representation makes parallel composition associative,
@@ -412,7 +433,7 @@ def check_tag_linearity(term) -> None:
             stack.extend((t.body, t.cont))
 
 
-def check_bound(term, bound=frozenset(), _behaviour=False) -> None:
+def check_bound(term, bound=frozenset()) -> None:
     """Raise BindError on any recursion call outside its definition."""
     from .errors import BindError
 
@@ -450,7 +471,7 @@ def chor_seq(first: Chor, cont: Chor) -> Chor:
     if isinstance(first, Nil):
         return cont
     if isinstance(first, (Com, RtSend, RtRecv, Def)):
-        return _replace_cont(first, chor_seq(first.cont, cont))
+        return replace_cont(first, chor_seq(first.cont, cont))
     if isinstance(first, Cond):
         return Cond(first.decider, first.expr,
                     chor_seq(first.then, cont), chor_seq(first.orelse, cont))
@@ -463,14 +484,33 @@ def behaviour_seq(first: Behaviour, cont: Behaviour) -> Behaviour:
     if isinstance(first, BNil):
         return cont
     if isinstance(first, (BSend, BRecv, BDef)):
-        return _replace_cont(first, behaviour_seq(first.cont, cont))
+        return replace_cont(first, behaviour_seq(first.cont, cont))
     if isinstance(first, BCond):
         return BCond(first.expr, first.then, first.orelse,
                      behaviour_seq(first.cont, cont))
     return first  # BCall
 
 
-def _replace_cont(node, new_cont):
-    from dataclasses import replace
-
-    return replace(node, cont=new_cont)
+def replace_cont(node, cont):
+    """``node`` with its continuation swapped for ``cont``; ``node`` itself
+    when ``cont`` is already its continuation."""
+    if cont is node.cont:
+        return node
+    kind = type(node)
+    if kind is Com:
+        return Com(node.src, node.expr, node.dst, cont)
+    if kind is RtSend:
+        return RtSend(node.src, node.expr, node.tag, cont)
+    if kind is RtRecv:
+        return RtRecv(node.src, node.payload, node.dst, cont)
+    if kind is Def:
+        return Def(node.var, node.body, cont)
+    if kind is BSend:
+        return BSend(node.dst, node.expr, cont)
+    if kind is BRecv:
+        return BRecv(node.src, cont)
+    if kind is BCond:
+        return BCond(node.expr, node.then, node.orelse, cont)
+    if kind is BDef:
+        return BDef(node.var, node.body, cont)
+    raise TypeError(f"no continuation: {node!r}")

@@ -7,10 +7,9 @@ error value instead of failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UnknownProcess
-from .terms import ERR, BinOp, BoolV, Cell, IntV, Lit, Not, Value
+from .terms import ERR, BinOp, BoolV, Cell, IntV, Lit, Not, Term, Value, \
+    term
 
 _INT64_MASK = (1 << 64) - 1
 
@@ -21,8 +20,8 @@ def _wrap64(n: int) -> int:
     return n - (1 << 64) if n >= (1 << 63) else n
 
 
-@dataclass(frozen=True)
-class GlobalState:
+@term
+class GlobalState(Term):
     """Total finite map from process names to memory values."""
 
     cells: tuple  # tuple[(name, Value), ...], sorted by name

@@ -259,3 +259,11 @@ def test_criterion_10_well_formedness_preservation(corpus_run):
     _all_pass(reports, "well-formedness-preservation")
     print("criterion 10: PASS (well-formedness preserved at every "
           "reachable configuration)")
+
+
+def test_criterion_11_explored_state_count(corpus_run):
+    # The checks share one state store per program; sharing must not change
+    # what each check explores.
+    reports, _ = corpus_run
+    assert len(reports) == 481
+    assert sum(r.states for _, r in reports) == 15_883

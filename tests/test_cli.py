@@ -131,3 +131,29 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["check", "--bogus"]) == EXIT_USAGE
+
+
+class TestInitialState:
+    """A ``--state`` that cannot be used is a usage error with a one-line
+    message, never a traceback or the parse-error code."""
+
+    BAD = ["{bad", "[1]", '{"p": 1.5}', '{"z": 1}', '{"p": null}',
+           '{"p": "x\\ny"}', '{"p\\nq": 1}']
+
+    @pytest.mark.parametrize("command", ["run", "project"])
+    @pytest.mark.parametrize("state", BAD)
+    def test_bad_state_is_a_usage_error(self, write, capsys, command, state):
+        path = write("s.mc", "p.@ -> q; 0")
+        assert main([command, path, "--state", state]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("usage error: --state")
+        assert "\n" not in err
+
+    @pytest.mark.parametrize("command", ["run", "project"])
+    def test_good_state_still_accepted(self, write, capsys, command):
+        path = write("s.mc", "p.@ -> q; 0")
+        state = '{"p": 9, "q": true}'
+        assert main([command, path, "--state", state]) == 0
+        assert "9" in capsys.readouterr().out

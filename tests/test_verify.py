@@ -1,6 +1,8 @@
 """The metatheory harness itself: corpus generation and the ability of each
 check to detect genuine violations (negative controls)."""
 
+import pytest
+
 from chorkit import (
     GlobalState,
     check_deadlock_freedom,
@@ -13,12 +15,14 @@ from chorkit import (
     projectable,
     render_choreography,
 )
+import chorkit.verify as verify
 from chorkit.verify import (
     CorpusSpec,
     check_async_equivalence,
     check_diamond,
     check_well_formedness_preservation,
     default_state,
+    verify_corpus,
 )
 
 
@@ -101,3 +105,35 @@ class TestNegativeControls:
             c, GlobalState.uniform(["p", "q"]), 4)
         assert report.verdict == "fail"
         assert report.counterexample
+
+
+class TestUnknownEquivalence:
+    """Network equivalence may answer "unknown" when recursion unfolding
+    runs out of budget; the checks retry at a larger budget and never turn
+    an answer that stays unknown into a failure."""
+
+    def test_retry_settles_seed_102(self):
+        # prog020 of this corpus needs more than two unfoldings to match
+        # the projection of a successor with a network step.
+        reports = verify_corpus({"t2", "t8"}, CorpusSpec(seed=102), depth=4)
+        bad = [(pid, r.theorem, r.verdict) for pid, r in reports
+               if r.verdict != "pass"]
+        assert not bad
+
+    @pytest.mark.parametrize("answer, verdict",
+                             [(None, "budget-exceeded"), (False, "fail")])
+    def test_lockstep_verdicts(self, monkeypatch, answer, verdict):
+        monkeypatch.setattr(verify, "network_equiv",
+                            lambda *args: answer)
+        c = parse_choreography("p.1 -> q; q.2 -> r; 0")
+        sigma = default_state(c)
+        assert check_epp_sync(c, sigma, 4).verdict == verdict
+        assert verify.check_epp_async(c, sigma, 4).verdict == verdict
+
+    @pytest.mark.parametrize("answer, verdict",
+                             [(None, "budget-exceeded"), (False, "fail")])
+    def test_simulation_verdicts(self, monkeypatch, answer, verdict):
+        monkeypatch.setattr(verify, "network_equiv",
+                            lambda *args: answer)
+        n = parse_network("p[0]{ q!1; 0 } | q[0]{ p?; 0 }")
+        assert check_sp_asp_simulation(n, 4).verdict == verdict
