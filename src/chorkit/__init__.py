@@ -40,6 +40,7 @@ from .terms import (
     Cond,
     Def,
     ErrV,
+    Hole,
     IntV,
     Lit,
     Message,
@@ -53,12 +54,12 @@ from .terms import (
     Tag,
     TagSupply,
     Value,
-    behaviour_seq,
-    chor_seq,
+    gc,
     head_pn,
     pn,
+    seq,
 )
-from .values import GlobalState, eval_expr, eval_with_cell, update_state
+from .values import GlobalState, eval_expr, eval_with_cell
 from .parse import parse_choreography, parse_expr, parse_network
 from .render import (
     render,
@@ -72,13 +73,11 @@ from .sync import (
     Configuration,
     StepLabel,
     enabled_sync,
-    gc,
     step_com,
     step_cond,
     terminated,
 )
 from .chor_async import (
-    Hole,
     NextVerdict,
     check_abstract_async,
     enabled_async,
@@ -90,10 +89,8 @@ from .chor_async import (
 )
 from .network import (
     classify,
-    dequeue_from,
     enabled_asp,
     enabled_sp,
-    enqueue,
     lift_to_async,
     normalize_network,
 )
@@ -113,10 +110,8 @@ from .run import (
     TraceStep,
     format_trace,
     make_scheduler,
-    run_async,
     run_chor,
     run_network,
-    run_sync,
 )
 from .verify import (
     CorpusSpec,

@@ -10,8 +10,7 @@ sender and detached receives only the receiver.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from .errors import NotACom
 from .terms import (
@@ -20,13 +19,20 @@ from .terms import (
     Com,
     Cond,
     Def,
+    Hole,
     Nil,
     RtRecv,
     RtSend,
     Tag,
     TagSupply,
     head_pn,
+    kids,
     replace_cont,
+    replace_kid,
+    rewrite_all,
+    runtime_free,
+    subst_call,
+    transform,
 )
 from .sync import Configuration, enabled, gc
 from .values import eval_expr
@@ -39,6 +45,11 @@ def enabled_async(cfg: Configuration):
     return enabled(cfg, "async")
 
 
+# The subterm a path step enters, by step and constructor.
+_PATH_STEPS = {("cont", Com): 0, ("cont", RtSend): 0, ("cont", RtRecv): 0,
+               ("then", Cond): 0, ("else", Cond): 1, ("in", Def): 1}
+
+
 def unfold_com(c, at: tuple, supply: TagSupply):
     """Expand the communication at path ``at`` into an explicit detached
     send/receive pair with a fresh tag."""
@@ -47,25 +58,14 @@ def unfold_com(c, at: tuple, supply: TagSupply):
             raise NotACom(f"no communication at this position: {c!r}")
         x = supply.fresh()
         return RtSend(c.src, c.expr, x, RtRecv(c.src, x, c.dst, c.cont))
-    step, rest = at[0], at[1:]
-    if step == "cont" and isinstance(c, (Com, RtSend, RtRecv)):
-        return replace(c, cont=unfold_com(c.cont, rest, supply))
-    if step == "then" and isinstance(c, Cond):
-        return replace(c, then=unfold_com(c.then, rest, supply))
-    if step == "else" and isinstance(c, Cond):
-        return replace(c, orelse=unfold_com(c.orelse, rest, supply))
-    if step == "in" and isinstance(c, Def):
-        return replace(c, cont=unfold_com(c.cont, rest, supply))
-    raise NotACom(f"path step {step!r} does not fit {type(c).__name__}")
+    i = _PATH_STEPS.get((at[0], type(c)))
+    if i is None:
+        raise NotACom(f"path step {at[0]!r} does not fit {type(c).__name__}")
+    return replace_kid(c, i, unfold_com(kids(c)[i], at[1:], supply))
 
 
 # ---------------------------------------------------------------------------
 # Contexts and the next-action function
-
-
-@dataclass(frozen=True)
-class Hole:
-    cont: object
 
 
 class NextVerdict(enum.Enum):
@@ -97,50 +97,22 @@ def next_action(ctx, r: str) -> NextVerdict:
         right = next_action(ctx.orelse, r)
         return left if left == right else NextVerdict.UNDEFINED
     if isinstance(ctx, Def):
-        return next_action(_subst_call(ctx.cont, ctx.var, ctx.body), r)
+        return next_action(subst_call(ctx.cont, ctx.var, ctx.body), r)
     raise TypeError(f"not a context: {ctx!r}")
-
-
-def _subst_call(term, var: str, body):
-    """Replace ``Call(var)`` occurrences by ``body`` (one unfolding: calls
-    inside the substituted body are left alone)."""
-    if isinstance(term, Call):
-        return body if term.var == var else term
-    if isinstance(term, (Com, RtSend, RtRecv, Hole)):
-        return replace(term, cont=_subst_call(term.cont, var, body))
-    if isinstance(term, Cond):
-        return Cond(term.decider, term.expr,
-                    _subst_call(term.then, var, body),
-                    _subst_call(term.orelse, var, body))
-    if isinstance(term, Def):
-        if term.var == var:  # shadowed
-            return term
-        return Def(term.var, _subst_call(term.body, var, body),
-                   _subst_call(term.cont, var, body))
-    return term
 
 
 def plug(ctx, stmt):
     """Replace every hole by ``stmt`` (a prefix node whose cont is ignored),
     or splice the holes away when ``stmt`` is None."""
-    if isinstance(ctx, Hole):
-        if stmt is None:
-            return ctx.cont
-        return replace(stmt, cont=ctx.cont)
-    if isinstance(ctx, (Com, RtSend, RtRecv)):
-        return replace(ctx, cont=plug(ctx.cont, stmt))
-    if isinstance(ctx, Cond):
-        return Cond(ctx.decider, ctx.expr, plug(ctx.then, stmt),
-                    plug(ctx.orelse, stmt))
-    if isinstance(ctx, Def):
-        return Def(ctx.var, ctx.body, plug(ctx.cont, stmt))
-    return ctx
+    def fill(t):
+        if type(t) is not Hole:
+            return t
+        return t.cont if stmt is None else replace_cont(stmt, t.cont)
+    return transform(ctx, fill)
 
 
 # ---------------------------------------------------------------------------
 # Well-formedness
-
-_MAX_REWRITE_ROUNDS = 10_000
 
 
 def well_formed(c):
@@ -153,65 +125,38 @@ def well_formed(c):
     sitting behind one would be delivered out of FIFO order by any queue
     implementation.  Returns ``(True, canonical_form)`` or ``(False, None)``.
     """
-    term = gc(c)
-    for _ in range(_MAX_REWRITE_ROUNDS):
-        new = _rewrite_once(term)
-        if new is None:
-            break
-        term = new
-    if _unmatched_runtime(term) or not _lanes_ok(term, frozenset()):
+    term = rewrite_all(gc(c), _fold_here)
+    if not _settled(term, frozenset()):
         return False, None
     return True, term
 
 
-def _unmatched_runtime(c) -> bool:
-    """A detached send, a tag-carrying receive, or any runtime term inside
-    a recursion body (execution never puts one there)."""
-    if isinstance(c, RtSend):
-        return True
-    if isinstance(c, RtRecv):
-        return isinstance(c.payload, Tag) or _unmatched_runtime(c.cont)
-    if isinstance(c, Com):
-        return _unmatched_runtime(c.cont)
-    if isinstance(c, Cond):
-        return _unmatched_runtime(c.then) or _unmatched_runtime(c.orelse)
-    if isinstance(c, Def):
-        return not _runtime_free(c.body) or _unmatched_runtime(c.cont)
-    return False
+def _settled(c, closed: frozenset) -> bool:
+    """No detached send, no tag-carrying receive, no runtime term inside a
+    recursion body (execution never puts one there), and no in-transit
+    message on a lane that an earlier communication on the same lane has
+    already closed, along any branch."""
+    while True:
+        kind = type(c)
+        if kind is Com:
+            closed = closed | {(c.src, c.dst)}
+        elif kind is RtRecv:
+            if type(c.payload) is Tag or (c.src, c.dst) in closed:
+                return False
+        elif kind is Cond:
+            return _settled(c.then, closed) and _settled(c.orelse, closed)
+        elif kind is Def:
+            # A runtime-free body runs only after a call, which nothing
+            # follows, so only the continuation needs the lane scan.
+            if not runtime_free(c.body):
+                return False
+        else:
+            return kind is not RtSend
+        c = c.cont
 
 
-def _lanes_ok(c, closed: frozenset) -> bool:
-    """No in-transit message on a lane that an earlier communication on the
-    same lane has already closed, along any branch."""
-    if isinstance(c, Com):
-        return _lanes_ok(c.cont, closed | {(c.src, c.dst)})
-    if isinstance(c, RtRecv):
-        if (c.src, c.dst) in closed:
-            return False
-        return _lanes_ok(c.cont, closed)
-    if isinstance(c, Cond):
-        return _lanes_ok(c.then, closed) and _lanes_ok(c.orelse, closed)
-    if isinstance(c, Def):
-        # Recursion bodies are runtime-free here and only run after a call,
-        # which nothing follows, so only the continuation needs the scan.
-        return _lanes_ok(c.cont, closed)
-    return True
-
-
-def _runtime_free(c) -> bool:
-    if isinstance(c, (RtSend, RtRecv)):
-        return False
-    if isinstance(c, Com):
-        return _runtime_free(c.cont)
-    if isinstance(c, Cond):
-        return _runtime_free(c.then) and _runtime_free(c.orelse)
-    if isinstance(c, Def):
-        return _runtime_free(c.body) and _runtime_free(c.cont)
-    return True
-
-
-def _rewrite_once(c):
-    """One folding rewrite, or None at fixpoint.
+def _fold_here(c):
+    """One folding rewrite at the top of ``c``, or None.
 
     Only matched send/receive pairs are folded back into communications;
     instantiated receives stay exactly where execution put them, so the
@@ -243,24 +188,6 @@ def _rewrite_once(c):
         if not is_match and not (head_pn(c) & head_pn(nxt)):
             if _tag_ahead(c.payload, nxt.cont):
                 return replace_cont(nxt, replace_cont(c, nxt.cont))
-    # Otherwise recurse into the first child that rewrites.
-    if isinstance(c, (Com, RtSend, RtRecv, Def)):
-        new = _rewrite_once(c.cont)
-        if new is not None:
-            return replace_cont(c, new)
-        if isinstance(c, Def):
-            new_body = _rewrite_once(c.body)
-            if new_body is not None:
-                return Def(c.var, new_body, c.cont)
-        return None
-    if isinstance(c, Cond):
-        new = _rewrite_once(c.then)
-        if new is not None:
-            return Cond(c.decider, c.expr, new, c.orelse)
-        new = _rewrite_once(c.orelse)
-        if new is not None:
-            return Cond(c.decider, c.expr, c.then, new)
-        return None
     return None
 
 
@@ -293,19 +220,16 @@ def harvest_contexts(c):
     matching position of both branches."""
     out = []
     if isinstance(c, Com):
-        out.append((Hole(c.cont), replace(c, cont=NIL)))
-    if isinstance(c, (Com, RtSend, RtRecv)):
-        for ctx, com in harvest_contexts(c.cont):
-            out.append((replace(c, cont=ctx), com))
-    elif isinstance(c, Cond):
+        out.append((Hole(c.cont), replace_cont(c, NIL)))
+    if isinstance(c, Cond):
         left = harvest_contexts(c.then)
         right = harvest_contexts(c.orelse)
         for (ctx_a, com_a), (ctx_b, com_b) in zip(left, right):
             if com_a == com_b:
                 out.append((Cond(c.decider, c.expr, ctx_a, ctx_b), com_a))
-    elif isinstance(c, Def):
+    elif isinstance(c, (Com, RtSend, RtRecv, Def)):
         for ctx, com in harvest_contexts(c.cont):
-            out.append((Def(c.var, c.body, ctx), com))
+            out.append((replace_cont(c, ctx), com))
     return out
 
 
@@ -320,26 +244,20 @@ def check_abstract_async(corpus, sigma_for) -> list:
         for ctx, com in harvest_contexts(program):
             p, q = com.src, com.dst
             v = eval_expr(com.expr, sigma, p)
-            ctx_text = render_choreography(plug(ctx, com))
-            if next_action(ctx, p) == NextVerdict.HOLE:
-                start = Configuration(gc(plug(ctx, com)), sigma)
-                want = Configuration(
-                    gc(plug(ctx, RtRecv(p, v, q, NIL))), sigma)
-                if not _has_successor(start, want):
+            sent = plug(ctx, RtRecv(p, v, q, NIL))
+            # (process, clause, term before, term and state after, what)
+            clauses = (
+                (p, "send", plug(ctx, com), sent, sigma,
+                 "detached send not among enabled steps"),
+                (q, "receive", sent, plug(ctx, None), sigma.update(q, v),
+                 "receive commit not among enabled steps"))
+            for r, clause, before, after, sigma_after, what in clauses:
+                if next_action(ctx, r) != NextVerdict.HOLE:
+                    continue
+                want = Configuration(gc(after), sigma_after)
+                start = Configuration(gc(before), sigma)
+                if not any(s == want for _, s in enabled_async(start)):
                     violations.append(Violation(
-                        ctx_text, p, "send",
-                        "detached send not among enabled steps"))
-            recv_ctx = plug(ctx, RtRecv(p, v, q, NIL))
-            if next_action(ctx, q) == NextVerdict.HOLE:
-                start = Configuration(gc(recv_ctx), sigma)
-                want = Configuration(gc(plug(ctx, None)),
-                                     sigma.update(q, v))
-                if not _has_successor(start, want):
-                    violations.append(Violation(
-                        ctx_text, q, "receive",
-                        "receive commit not among enabled steps"))
+                        render_choreography(plug(ctx, com)), r, clause,
+                        what))
     return violations
-
-
-def _has_successor(start: Configuration, want: Configuration) -> bool:
-    return any(succ == want for _, succ in enabled_async(start))

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 parse error, 2 not projectable, 3 ill-formed,
-4 verification failure, 64 usage error (a bad flag, or a ``--state`` that
-is not a JSON object mapping the program's process names to storable
-values).
+4 verification failure, 5 runtime error (a guard that is not boolean, a
+state lookup outside the program, queued messages under the synchronous
+network semantics, or a step that is not enabled), 64 usage error (a bad
+flag, a file that cannot be read or written, or a ``--state`` that is not
+a JSON object mapping the program's process names to storable values).
 """
 
 from __future__ import annotations
@@ -14,24 +16,14 @@ import sys
 
 from .chor_async import well_formed
 from .congruence import canonical
-from .errors import ChorError, IllFormed, NotProjectable, ParseError, \
-    UnknownProcess
-from .network import classify
+from .errors import ChorError, GuardNotBoolean, IllFormed, NonEmptyQueue, \
+    NotEnabled, NotProjectable, ParseError, UnknownProcess
+from .network import normalize_network
 from .parse import parse_choreography, parse_network
 from .project import epp_async, epp_sync
-from .render import render_choreography, render_network
-from .run import (
-    Trace,
-    TraceStep,
-    format_step_human,
-    format_trace,
-    make_scheduler,
-    run_chor,
-    run_network,
-)
-from .sync import Configuration, enabled_sync, terminated
-from .chor_async import enabled_async
-from .network import enabled_asp, enabled_sp, normalize_network
+from .render import render_choreography, render_network, render_value
+from .run import format_trace, make_scheduler, run_chor, run_network
+from .sync import Configuration
 from .terms import ERR, BoolV, IntV, TagSupply, pn
 from .values import GlobalState
 from .verify import THEOREMS, CorpusSpec, verify_corpus
@@ -40,21 +32,38 @@ EXIT_PARSE = 1
 EXIT_NOT_PROJECTABLE = 2
 EXIT_ILL_FORMED = 3
 EXIT_VERIFY = 4
+EXIT_RUNTIME = 5
 EXIT_USAGE = 64
+
+RUNTIME_ERRORS = (GuardNotBoolean, UnknownProcess, NonEmptyQueue, NotEnabled)
 
 
 class UsageError(Exception):
     """A command-line input that parses as flags but cannot be used."""
 
 
-def _load_choreography(path: str):
-    with open(path) as fh:
-        return parse_choreography(fh.read())
+def _read(path: str) -> str:
+    """The text of ``path``; bytes that are not UTF-8 become U+FFFD, which
+    the parser rejects."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") \
+            from None
 
 
-def _load_network(path: str):
-    with open(path) as fh:
-        return parse_network(fh.read())
+def _output(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to standard output without one."""
+    if path is None:
+        print(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") \
+            from None
 
 
 def _initial_state(program, spec: str | None) -> GlobalState:
@@ -87,17 +96,13 @@ def _initial_state(program, spec: str | None) -> GlobalState:
 
 
 def cmd_check(args) -> int:
-    program = _load_choreography(args.file)
+    program = parse_choreography(_read(args.file))
     ok, canon = well_formed(program)
     if not ok:
         print("ill-formed: a pending message outruns what its receiver "
               "is committed to take next", file=sys.stderr)
         return EXIT_ILL_FORMED
-    try:
-        epp_async(program, _initial_state(program, None))
-    except NotProjectable as exc:
-        print(f"not projectable: {exc}", file=sys.stderr)
-        return EXIT_NOT_PROJECTABLE
+    epp_async(program, _initial_state(program, None))
     if args.canonical:
         print(render_choreography(canonical(canon)))
     else:
@@ -105,75 +110,54 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _interactive(cfg, mode, max_steps, supply):
-    steps = []
-    for index in range(max_steps):
-        options = enabled_sync(cfg) if mode == "sync" else enabled_async(cfg)
-        if not options:
-            outcome = "terminated" if terminated(cfg.chor) else "deadlocked"
-            return Trace(tuple(steps), outcome)
-        options.sort(key=lambda s: (s[0].path, s[0].key()))
-        print(f"\nstate: {render_choreography(cfg.chor)}")
-        for i, (label, _) in enumerate(options, 1):
-            extra = "" if label.value is None else f" v={label.value!r}"
-            print(f"  {i}. {label.rule} {','.join(label.subjects)}{extra}")
-        raw = input(f"step [1-{len(options)}, q to quit]: ").strip()
-        if raw.lower() in ("q", "quit", ""):
-            return Trace(tuple(steps), "interrupted")
-        try:
-            choice = int(raw)
-            label, cfg = options[choice - 1]
-        except (ValueError, IndexError):
+class InteractiveScheduler:
+    """Lists the steps with where each leads and asks on standard input
+    which to take; picks no step (so the run ends ``interrupted``) when the
+    user quits."""
+
+    def pick(self, steps):
+        options = sorted(steps, key=lambda s: (s[0].path, s[0].key()))
+        print()
+        for i, (label, succ) in enumerate(options, 1):
+            extra = ("" if label.value is None
+                     else f" v={render_value(label.value)}")
+            print(f"  {i}. {label.rule} {','.join(label.subjects)}{extra} "
+                  f":: {render_choreography(succ.chor)}")
+        while True:
+            try:
+                raw = input(f"step [1-{len(options)}, q to quit]: ").strip()
+            except EOFError:
+                return None
+            if raw.lower() in ("q", "quit", ""):
+                return None
+            if raw.isdecimal() and 1 <= int(raw) <= len(options):
+                return options[int(raw) - 1]
             print("invalid choice", file=sys.stderr)
-            continue
-        if label.rule == "ComS" and label.tag_id is None:
-            label = label.with_tag(supply.fresh().id)
-        steps.append(TraceStep(index, label, cfg))
-        print(format_step_human(steps[-1]))
-    return Trace(tuple(steps), "budget")
 
 
 def cmd_run(args) -> int:
-    program = _load_choreography(args.file)
+    program = parse_choreography(_read(args.file))
     cfg = Configuration(program, _initial_state(program, args.state))
-    supply = TagSupply.above(program)
     if args.interactive:
-        trace = _interactive(cfg, args.mode, args.steps, supply)
+        scheduler = InteractiveScheduler()
     else:
         scheduler = make_scheduler(args.scheduler, args.seed)
-        trace = run_chor(cfg, args.mode, scheduler, args.steps, supply)
-        print(format_trace(trace, args.trace))
-    if not args.interactive:
-        return 0
-    print(f"-- {trace.outcome}")
+    trace = run_chor(cfg, args.mode, scheduler, args.steps,
+                     TagSupply.above(program))
+    print(format_trace(trace, args.trace))
     return 0
 
 
 def cmd_project(args) -> int:
-    program = _load_choreography(args.file)
+    program = parse_choreography(_read(args.file))
     sigma = _initial_state(program, args.state)
-    try:
-        if args.mode == "sync":
-            net = epp_sync(program, sigma)
-        else:
-            net = epp_async(program, sigma)
-    except NotProjectable as exc:
-        print(f"not projectable: {exc}", file=sys.stderr)
-        return EXIT_NOT_PROJECTABLE
-    except IllFormed as exc:
-        print(f"ill-formed: {exc}", file=sys.stderr)
-        return EXIT_ILL_FORMED
-    text = render_network(net)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    project = epp_sync if args.mode == "sync" else epp_async
+    _output(args.out, render_network(project(program, sigma)))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    net = normalize_network(_load_network(args.file))
+    net = normalize_network(parse_network(_read(args.file)))
     scheduler = make_scheduler(args.scheduler, args.seed)
     trace = run_network(net, args.mode, scheduler, args.steps)
     print(format_trace(trace, args.trace))
@@ -193,12 +177,7 @@ def cmd_verify(args) -> int:
             failed = True
             for ce in report.counterexample:
                 lines.append(f"  counterexample: {ce}")
-    summary = "\n".join(lines)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(summary + "\n")
-    else:
-        print(summary)
+    _output(args.report, "\n".join(lines))
     by_theorem = {}
     for _, report in reports:
         agg = by_theorem.setdefault(report.theorem, [0, 0, 0])
@@ -215,24 +194,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Choreographic programming toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def executor(name, what, func):
+        """A subcommand that runs a program under a scheduler."""
+        p = sub.add_parser(name, help=what)
+        p.add_argument("file")
+        p.add_argument("--mode", choices=("sync", "async"), default="sync")
+        p.add_argument("--scheduler", choices=("leftmost", "random"),
+                       default="leftmost")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--steps", type=int, default=1000)
+        p.add_argument("--trace", choices=("human", "records"),
+                       default="human")
+        p.set_defaults(func=func)
+        return p
+
     p = sub.add_parser("check", help="parse and validate a choreography")
     p.add_argument("file")
     p.add_argument("--canonical", action="store_true",
                    help="print the receives-first canonical form")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("run", help="execute a choreography")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=("sync", "async"), default="sync")
-    p.add_argument("--scheduler", choices=("leftmost", "random"),
-                   default="leftmost")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--trace", choices=("human", "records"), default="human")
+    p = executor("run", "execute a choreography", cmd_run)
     p.add_argument("--state", help="JSON object of initial cell values")
     p.add_argument("--interactive", action="store_true",
                    help="choose each step by hand")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("project", help="compile to a process network")
     p.add_argument("file")
@@ -241,19 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the network here instead of stdout")
     p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("simulate", help="execute a process network")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=("sync", "async"), default="sync")
-    p.add_argument("--scheduler", choices=("leftmost", "random"),
-                   default="leftmost")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--trace", choices=("human", "records"), default="human")
-    p.set_defaults(func=cmd_simulate)
+    executor("simulate", "execute a process network", cmd_simulate)
 
     p = sub.add_parser("verify", help="check the metatheory on a corpus")
     p.add_argument("--theorem", default="all",
-                   choices=("all",) + THEOREMS)
+                   choices=("all",) + THEOREMS + ("wf",))
     p.add_argument("--corpus-seed", type=int, default=42)
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--report", help="write the per-program report here")
@@ -281,6 +258,9 @@ def main(argv=None) -> int:
     except IllFormed as exc:
         print(f"ill-formed: {exc}", file=sys.stderr)
         return EXIT_ILL_FORMED
+    except RUNTIME_ERRORS as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except ChorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

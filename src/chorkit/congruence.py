@@ -9,19 +9,11 @@ definitions still present yields "unknown" (None), distinct from False.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .network import gc_behaviour, normalize_network
+from .network import normalize_network
 from .render import render_expr, render_value
-from .sync import gc
 from .terms import (
-    BCall,
-    BCond,
     BDef,
     BNil,
-    BRecv,
-    BSend,
-    Call,
     Com,
     Cond,
     Def,
@@ -30,10 +22,16 @@ from .terms import (
     RtRecv,
     RtSend,
     Tag,
+    gc,
     head_pn,
+    kids,
+    rebuild,
+    replace_cont,
+    replace_kid,
+    rewrite_all,
+    subst_call,
+    subterms,
 )
-
-_MAX_CANON_ROUNDS = 10_000
 
 
 def _head_key(node):
@@ -50,33 +48,26 @@ def _head_key(node):
 
 def canonical(c):
     """Normal form under garbage collection and the swap rules."""
-    c = gc(c)
-    for _ in range(_MAX_CANON_ROUNDS):
-        new = _canon_once(c)
-        if new is None:
-            return c
-        c = new
-    return c
+    return rewrite_all(gc(c), _canon_here)
 
 
-def _canon_once(c):
+def _canon_here(c):
+    """One swap, hoist or reordering at the top of ``c``, or None."""
     if isinstance(c, (Com, RtSend, RtRecv)):
         nxt = c.cont
         # Sort adjacent independent actions.
         if isinstance(nxt, (Com, RtSend, RtRecv)) \
                 and not (head_pn(c) & head_pn(nxt)) \
                 and _head_key(nxt) < _head_key(c):
-            return replace(nxt, cont=replace(c, cont=nxt.cont))
-        new = _canon_once(c.cont)
-        return replace(c, cont=new) if new is not None else None
-    if isinstance(c, Cond):
+            return replace_cont(nxt, replace_cont(c, nxt.cont))
+    elif isinstance(c, Cond):
         # Hoist a head common to both branches and independent of the guard.
         if isinstance(c.then, (Com, RtSend, RtRecv)) \
                 and type(c.then) is type(c.orelse) \
-                and replace(c.then, cont=NIL) == replace(c.orelse, cont=NIL) \
+                and replace_cont(c.then, NIL) == replace_cont(c.orelse, NIL) \
                 and c.decider not in head_pn(c.then):
-            return replace(c.then, cont=Cond(c.decider, c.expr,
-                                             c.then.cont, c.orelse.cont))
+            return replace_cont(c.then, Cond(c.decider, c.expr,
+                                              c.then.cont, c.orelse.cont))
         # Order independent nested conditionals by decider name.
         if isinstance(c.then, Cond) and isinstance(c.orelse, Cond):
             a, b = c.then, c.orelse
@@ -85,67 +76,22 @@ def _canon_once(c):
                 return Cond(a.decider, a.expr,
                             Cond(c.decider, c.expr, a.then, b.then),
                             Cond(c.decider, c.expr, a.orelse, b.orelse))
-        new = _canon_once(c.then)
-        if new is not None:
-            return Cond(c.decider, c.expr, new, c.orelse)
-        new = _canon_once(c.orelse)
-        if new is not None:
-            return Cond(c.decider, c.expr, c.then, new)
-        return None
-    if isinstance(c, Def):
-        new = _canon_once(c.body)
-        if new is not None:
-            return Def(c.var, new, c.cont)
-        new = _canon_once(c.cont)
-        if new is not None:
-            return Def(c.var, c.body, new)
-        return None
     return None
 
 
-def _subst_chor_call(term, var, body):
-    if isinstance(term, Call):
-        return body if term.var == var else term
-    if isinstance(term, (Com, RtSend, RtRecv)):
-        return replace(term, cont=_subst_chor_call(term.cont, var, body))
-    if isinstance(term, Cond):
-        return Cond(term.decider, term.expr,
-                    _subst_chor_call(term.then, var, body),
-                    _subst_chor_call(term.orelse, var, body))
-    if isinstance(term, Def):
-        if term.var == var:
-            return term
-        return Def(term.var, _subst_chor_call(term.body, var, body),
-                   _subst_chor_call(term.cont, var, body))
-    return term
-
-
-def _unfold_variants(c):
-    """All terms reachable by one recursion unfolding somewhere in ``c``."""
+def unfold_variants(t):
+    """All terms reachable by one recursion unfolding somewhere in ``t``, a
+    choreography or a behaviour."""
     out = []
-    if isinstance(c, Def):
-        out.append(Def(c.var, c.body,
-                       _subst_chor_call(c.cont, c.var, c.body)))
-        out.extend(Def(c.var, b, c.cont) for b in _unfold_variants(c.body))
-        out.extend(Def(c.var, c.body, k) for k in _unfold_variants(c.cont))
-    elif isinstance(c, (Com, RtSend, RtRecv)):
-        out.extend(replace(c, cont=k) for k in _unfold_variants(c.cont))
-    elif isinstance(c, Cond):
-        out.extend(Cond(c.decider, c.expr, t, c.orelse)
-                   for t in _unfold_variants(c.then))
-        out.extend(Cond(c.decider, c.expr, c.then, e)
-                   for e in _unfold_variants(c.orelse))
+    if type(t) in (Def, BDef):
+        out.append(rebuild(t, (t.body, subst_call(t.cont, t.var, t.body))))
+    for i, k in enumerate(kids(t)):
+        out.extend(replace_kid(t, i, v) for v in unfold_variants(k))
     return out
 
 
-def _has_def(c) -> bool:
-    if isinstance(c, Def):
-        return True
-    if isinstance(c, (Com, RtSend, RtRecv)):
-        return _has_def(c.cont)
-    if isinstance(c, Cond):
-        return _has_def(c.then) or _has_def(c.orelse)
-    return False
+def _has_def(t) -> bool:
+    return any(type(s) in (Def, BDef) for s in subterms(t))
 
 
 def precongruent(c1, c2, unfold_budget: int = 0):
@@ -165,7 +111,7 @@ def precongruent(c1, c2, unfold_budget: int = 0):
             if marker in seen:
                 continue
             seen.add(marker)
-            nxt.extend(_unfold_variants(c))
+            nxt.extend(unfold_variants(c))
         frontier = nxt
         if not frontier:
             return False
@@ -191,64 +137,18 @@ def chor_equiv(c1, c2, unfold_budget: int = 0):
 # Network equivalence
 
 
-def _subst_bcall(term, var, body):
-    if isinstance(term, BCall):
-        return body if term.var == var else term
-    if isinstance(term, (BSend, BRecv)):
-        return replace(term, cont=_subst_bcall(term.cont, var, body))
-    if isinstance(term, BCond):
-        return BCond(term.expr,
-                     _subst_bcall(term.then, var, body),
-                     _subst_bcall(term.orelse, var, body),
-                     _subst_bcall(term.cont, var, body))
-    if isinstance(term, BDef):
-        if term.var == var:
-            return term
-        return BDef(term.var, _subst_bcall(term.body, var, body),
-                    _subst_bcall(term.cont, var, body))
-    return term
-
-
-def _unfold_bvariants(b):
-    out = []
-    if isinstance(b, BDef):
-        out.append(BDef(b.var, b.body, _subst_bcall(b.cont, b.var, b.body)))
-        out.extend(BDef(b.var, nb, b.cont) for nb in _unfold_bvariants(b.body))
-        out.extend(BDef(b.var, b.body, k) for k in _unfold_bvariants(b.cont))
-    elif isinstance(b, (BSend, BRecv)):
-        out.extend(replace(b, cont=k) for k in _unfold_bvariants(b.cont))
-    elif isinstance(b, BCond):
-        out.extend(BCond(b.expr, t, b.orelse, b.cont)
-                   for t in _unfold_bvariants(b.then))
-        out.extend(BCond(b.expr, b.then, e, b.cont)
-                   for e in _unfold_bvariants(b.orelse))
-        out.extend(BCond(b.expr, b.then, b.orelse, k)
-                   for k in _unfold_bvariants(b.cont))
-    return out
-
-
-def _has_bdef(b) -> bool:
-    if isinstance(b, BDef):
-        return True
-    if isinstance(b, (BSend, BRecv)):
-        return _has_bdef(b.cont)
-    if isinstance(b, BCond):
-        return _has_bdef(b.then) or _has_bdef(b.orelse) or _has_bdef(b.cont)
-    return False
-
-
 def behaviour_equiv(b1, b2, unfold_budget: int = 0):
-    b1, b2 = gc_behaviour(b1), gc_behaviour(b2)
+    b1, b2 = gc(b1), gc(b2)
     if b1 == b2:
         return True
     left = {b1}
     right = {b2}
     for _ in range(unfold_budget):
-        left |= {gc_behaviour(v) for b in left for v in _unfold_bvariants(b)}
-        right |= {gc_behaviour(v) for b in right for v in _unfold_bvariants(b)}
+        left |= {gc(v) for b in left for v in unfold_variants(b)}
+        right |= {gc(v) for b in right for v in unfold_variants(b)}
         if left & right:
             return True
-    if _has_bdef(b1) or _has_bdef(b2):
+    if _has_def(b1) or _has_def(b2):
         return None
     return False
 
@@ -260,7 +160,7 @@ def _drop_done(n: Network) -> Network:
     names them; for comparison they are inert either way.
     """
     keep = {name: p for name, p in n.procs
-            if not (isinstance(gc_behaviour(p.behaviour), BNil)
+            if not (isinstance(gc(p.behaviour), BNil)
                     and p.queue.is_empty())}
     return Network.of(keep)
 

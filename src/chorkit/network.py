@@ -18,8 +18,6 @@ from .errors import GuardNotBoolean, NonEmptyQueue
 from .render import render_expr, render_network, render_value
 from .sync import StepLabel
 from .terms import (
-    BNIL,
-    EMPTY_NETWORK,
     BCall,
     BCond,
     BDef,
@@ -30,26 +28,12 @@ from .terms import (
     Message,
     Network,
     Process,
-    Queue,
-    Value,
-    behaviour_seq,
+    SUBTERMS,
+    gc,
     replace_cont,
+    seq,
 )
 from .values import eval_with_cell
-
-
-# ---------------------------------------------------------------------------
-# Queue operations (thin wrappers over the canonical lane form)
-
-
-def enqueue(queue: Queue, msg: Message) -> Queue:
-    return queue.enqueue(msg)
-
-
-def dequeue_from(queue: Queue, sender: str):
-    """Head of ``sender``'s lane and the remaining queue, or None: absence
-    of the lane is exactly when the receive rule is disabled."""
-    return queue.dequeue_from(sender)
 
 
 # ---------------------------------------------------------------------------
@@ -85,76 +69,31 @@ def expose_head(behaviour, env=None, unfolded=frozenset()) -> Optional[_Head]:
     return None  # BNil
 
 
-def _advance(head: _Head, cell: Value):
-    """Behaviour after firing the exposed head; conditionals pick a branch
-    by the guard."""
-    node = head.node
-    if isinstance(node, (BSend, BRecv)):
-        return head.rebuild(node.cont), None
-    guard = eval_with_cell(node.expr, cell)
-    if not isinstance(guard, BoolV):
-        raise GuardNotBoolean(
-            f"guard evaluated to {render_value(guard)}")
-    branch = node.then if guard.b else node.orelse
-    rule = "Then" if guard.b else "Else"
-    return head.rebuild(behaviour_seq(branch, node.cont)), rule
-
-
 # ---------------------------------------------------------------------------
 # Normalization
 
 
-def _inert(b, bound=frozenset()) -> bool:
-    """No action anywhere and no free recursion call: such a behaviour can
-    never step, since unfolding only copies existing subterms."""
-    if isinstance(b, (BSend, BRecv, BCond)):
-        return False
-    if isinstance(b, BDef):
-        inner = bound | {b.var}
-        return _inert(b.body, inner) and _inert(b.cont, inner)
-    if isinstance(b, BCall):
-        return b.var in bound
-    return True  # BNil
-
-
-def gc_behaviour(b):
-    """The behaviour counterpart of :func:`chorkit.sync.gc`; a behaviour
-    with nothing to collect is returned as it is."""
-    if isinstance(b, (BSend, BRecv)):
-        return replace_cont(b, gc_behaviour(b.cont))
-    if isinstance(b, BCond):
-        then, orelse = gc_behaviour(b.then), gc_behaviour(b.orelse)
-        cont = gc_behaviour(b.cont)
-        if then is b.then and orelse is b.orelse and cont is b.cont:
-            return b
-        return BCond(b.expr, then, orelse, cont)
-    if isinstance(b, BDef):
-        if _inert(b):
-            return BNIL
-        cont = gc_behaviour(b.cont)
-        if isinstance(cont, BNil):
-            return BNIL
-        body = gc_behaviour(b.body)
-        if body is b.body and cont is b.cont:
-            return b
-        return BDef(b.var, body, cont)
-    return b  # BNil, or a call that no definition encloses
+# The behaviour collector is the one :func:`chorkit.terms.gc`; the name
+# stays because callers and the benchmark's tracer look it up here.
+gc_behaviour = gc
 
 
 def _partners(b, acc):
-    if isinstance(b, BSend):
-        acc.add(b.dst)
-        _partners(b.cont, acc)
-    elif isinstance(b, BRecv):
-        acc.add(b.src)
-        _partners(b.cont, acc)
-    elif isinstance(b, BCond):
-        _partners(b.then, acc)
-        _partners(b.orelse, acc)
-        _partners(b.cont, acc)
-    elif isinstance(b, BDef):
-        _partners(b.body, acc)
-        _partners(b.cont, acc)
+    """Add every process that ``b`` sends to or receives from."""
+    stack = [b]
+    while stack:
+        b = stack.pop()
+        while type(b) in SUBTERMS:  # every one ends with a continuation
+            kind = type(b)
+            if kind is BSend:
+                acc.add(b.dst)
+            elif kind is BRecv:
+                acc.add(b.src)
+            elif kind is BCond:
+                stack += (b.then, b.orelse)
+            else:  # BDef
+                stack.append(b.body)
+            b = b.cont
 
 
 def normalize_network(n: Network) -> Network:
@@ -163,7 +102,7 @@ def normalize_network(n: Network) -> Network:
     procs = []
     for entry in n.procs:
         name, p = entry
-        b = gc_behaviour(p.behaviour)
+        b = gc(p.behaviour)
         procs.append(entry if b is p.behaviour
                      else (name, Process(p.state, p.queue, b)))
     referenced = set()
@@ -198,6 +137,26 @@ def lift_to_async(n: Network) -> Network:
 # Step relations
 
 
+def _step(procs, label, changed):
+    """``label`` with the successor of ``procs`` in which the ``changed``
+    processes replace their old selves, normalized."""
+    return label, normalize_network(Network.of({**procs, **changed}))
+
+
+def _cond_step(procs, name, head):
+    """The step of process ``name`` whose exposed head is a conditional:
+    the guard picks a branch, followed by the conditional's continuation."""
+    p, node = procs[name], head.node
+    guard = eval_with_cell(node.expr, p.state)
+    if not isinstance(guard, BoolV):
+        raise GuardNotBoolean(f"guard evaluated to {render_value(guard)}")
+    branch = node.then if guard.b else node.orelse
+    label = StepLabel("Then" if guard.b else "Else", (name,), (name,),
+                      expr_src=render_expr(node.expr))
+    return _step(procs, label, {name: Process(
+        p.state, p.queue, head.rebuild(seq(branch, node.cont)))})
+
+
 def enabled_sp(n: Network):
     """Synchronous steps: a rendezvous for every send head matched by a
     receive head, plus a conditional step per exposed guard."""
@@ -214,22 +173,16 @@ def enabled_sp(n: Network):
             other = heads.get(node.dst)
             if other is not None and isinstance(other.node, BRecv) \
                     and other.node.src == name:
-                v = eval_with_cell(node.expr, procs[name].state)
-                new = dict(procs)
-                new[name] = Process(procs[name].state, procs[name].queue,
-                                    head.rebuild(node.cont))
-                new[node.dst] = Process(v, procs[node.dst].queue,
-                                        other.rebuild(other.node.cont))
+                p, q = procs[name], procs[node.dst]
+                v = eval_with_cell(node.expr, p.state)
                 label = StepLabel("Com", (name, node.dst), (name,),
                                   value=v, expr_src=render_expr(node.expr))
-                steps.append((label, normalize_network(Network.of(new))))
+                steps.append(_step(procs, label, {
+                    name: Process(p.state, p.queue, head.rebuild(node.cont)),
+                    node.dst: Process(v, q.queue,
+                                      other.rebuild(other.node.cont))}))
         elif isinstance(node, BCond):
-            succ_b, rule = _advance(head, procs[name].state)
-            new = dict(procs)
-            new[name] = Process(procs[name].state, procs[name].queue, succ_b)
-            label = StepLabel(rule, (name,), (name,),
-                              expr_src=render_expr(node.expr))
-            steps.append((label, normalize_network(Network.of(new))))
+            steps.append(_cond_step(procs, name, head))
     return steps
 
 
@@ -247,31 +200,24 @@ def enabled_asp(n: Network):
             if node.dst not in procs:
                 continue  # no such process: the send blocks forever
             v = eval_with_cell(node.expr, p.state)
-            new = dict(procs)
-            new[name] = Process(p.state, p.queue, head.rebuild(node.cont))
             target = procs[node.dst]
-            new[node.dst] = Process(target.state,
-                                    target.queue.enqueue(Message(name, v)),
-                                    target.behaviour)
             label = StepLabel("ComS", (name, node.dst), (name,),
                               value=v, expr_src=render_expr(node.expr))
-            steps.append((label, normalize_network(Network.of(new))))
+            steps.append(_step(procs, label, {
+                name: Process(p.state, p.queue, head.rebuild(node.cont)),
+                node.dst: Process(target.state,
+                                  target.queue.enqueue(Message(name, v)),
+                                  target.behaviour)}))
         elif isinstance(node, BRecv):
             popped = p.queue.dequeue_from(node.src)
             if popped is None:
                 continue
             v, rest = popped
-            new = dict(procs)
-            new[name] = Process(v, rest, head.rebuild(node.cont))
             label = StepLabel("ComR", (node.src, name), (name,), value=v)
-            steps.append((label, normalize_network(Network.of(new))))
+            steps.append(_step(procs, label, {
+                name: Process(v, rest, head.rebuild(node.cont))}))
         elif isinstance(node, BCond):
-            succ_b, rule = _advance(head, p.state)
-            new = dict(procs)
-            new[name] = Process(p.state, p.queue, succ_b)
-            label = StepLabel(rule, (name,), (name,),
-                              expr_src=render_expr(node.expr))
-            steps.append((label, normalize_network(Network.of(new))))
+            steps.append(_cond_step(procs, name, head))
     return steps
 
 
@@ -283,7 +229,7 @@ def classify(n: Network, mode: str) -> str:
     steps = enabled_sp(norm) if mode == "sync" else enabled_asp(norm)
     if steps:
         return "running"
-    done = all(isinstance(gc_behaviour(p.behaviour), BNil)
+    done = all(isinstance(gc(p.behaviour), BNil)
                for _, p in norm.procs)
     if done and any(not p.queue.is_empty() for _, p in norm.procs):
         return "orphaned-messages"

@@ -56,7 +56,7 @@ from .terms import (
     Tag,
     check_bound,
     check_tag_linearity,
-    chor_seq,
+    seq,
 )
 
 _TOKEN_RE = re.compile(r"""
@@ -67,6 +67,10 @@ _TOKEN_RE = re.compile(r"""
   | (?P<tag>\#\d+)
   | (?P<sym>[{}()\[\];,.|!?=+\-*<>@])
 """, re.VERBOSE)
+
+# Tokens that can start a term: after a conditional, one of them starts its
+# continuation.
+_TERM_START = ("if", "def", "ident", "int")
 
 _KEYWORDS = {"if", "then", "else", "def", "in", "true", "false", "err",
              "and", "or", "not"}
@@ -202,36 +206,63 @@ class _Parser:
             return Lit(self.value())
         self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
 
-    # -- choreographies
+    # -- terms (shared pieces)
+    #
+    # Interaction, definition and behaviour-conditional prefixes are read in
+    # a loop and folded right, so straight-line programs of any length parse
+    # without recursion.
 
-    def choreography(self):
+    def braced(self, term):
+        self.expect("{")
+        t = term()
+        self.expect("}")
+        return t
+
+    def definition(self, make, term):
+        self.expect("def")
+        var = self.ident()
+        self.expect("=")
+        body = self.braced(term)
+        self.expect("in")
+        return make, (var, body)
+
+    @staticmethod
+    def fold(prefixes, tail):
+        for make, args in reversed(prefixes):
+            tail = make(*args, tail)
+        return tail
+
+    def leaf(self, nil, call, what):
+        """A term without subterms: 0 or a recursion call."""
         tok = self.peek()
         if tok.kind == "int":
             if tok.text == "0":
                 self.next()
-                return NIL
-            self.fail("a choreography term cannot start with an integer")
-        if tok.kind == "if":
-            return self.chor_cond()
-        if tok.kind == "def":
-            self.next()
-            var = self.ident()
-            self.expect("=")
-            self.expect("{")
-            body = self.choreography()
-            self.expect("}")
-            self.expect("in")
-            cont = self.choreography()
-            return Def(var, body, cont)
+                return nil
+            self.fail(f"a {what} term cannot start with an integer")
         if tok.kind == "ident":
-            nxt = self.peek(1).kind
-            if nxt == ".":
-                return self.chor_interaction()
-            if nxt == "<~":
-                return self.chor_recv()
             self.next()
-            return Call(tok.text)
-        self.fail(f"expected a choreography term, found {tok.text or 'end of input'!r}")
+            return call(tok.text)
+        self.fail(f"expected a {what} term, found "
+                  f"{tok.text or 'end of input'!r}")
+
+    # -- choreographies
+
+    def choreography(self):
+        prefixes = []
+        while True:
+            kind, nxt = self.peek().kind, self.peek(1).kind
+            if kind == "ident" and nxt == ".":
+                prefixes.append(self.chor_interaction())
+            elif kind == "ident" and nxt == "<~":
+                prefixes.append(self.chor_recv())
+            elif kind == "def":
+                prefixes.append(self.definition(Def, self.choreography))
+            elif kind == "if":
+                return self.fold(prefixes, self.chor_cond())
+            else:
+                return self.fold(prefixes,
+                                 self.leaf(NIL, Call, "choreography"))
 
     def chor_cond(self):
         self.expect("if")
@@ -239,18 +270,14 @@ class _Parser:
         self.expect(".")
         guard = self.expr()
         self.expect("then")
-        self.expect("{")
-        then = self.choreography()
-        self.expect("}")
+        then = self.braced(self.choreography)
         self.expect("else")
-        self.expect("{")
-        orelse = self.choreography()
-        self.expect("}")
+        orelse = self.braced(self.choreography)
         self.eat(";")
         cont = NIL
-        if self.peek().kind in ("if", "def", "ident", "int"):
+        if self.peek().kind in _TERM_START:
             cont = self.choreography()
-        return Cond(decider, guard, chor_seq(then, cont), chor_seq(orelse, cont))
+        return Cond(decider, guard, seq(then, cont), seq(orelse, cont))
 
     def chor_interaction(self):
         src_tok = self.peek()
@@ -264,13 +291,13 @@ class _Parser:
                 self.fail(f"process {src!r} cannot communicate with itself",
                           src_tok)
             self.expect(";")
-            return Com(src, expr, dst, self.choreography())
+            return Com, (src, expr, dst)
         if arrow.kind == "~>":
             self.expect("[")
             tag = self.tag()
             self.expect("]")
             self.expect(";")
-            return RtSend(src, expr, tag, self.choreography())
+            return RtSend, (src, expr, tag)
         self.fail(f"expected '->' or '~>', found {arrow.text!r}", arrow)
 
     def chor_recv(self):
@@ -285,58 +312,42 @@ class _Parser:
         payload = self.tag() if self.at("tag") else self.value()
         self.expect(")")
         self.expect(";")
-        return RtRecv(src, payload, dst, self.choreography())
+        return RtRecv, (src, payload, dst)
 
     # -- behaviours
 
     def behaviour(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            if tok.text == "0":
-                self.next()
-                return BNIL
-            self.fail("a behaviour term cannot start with an integer")
-        if tok.kind == "if":
-            self.next()
-            guard = self.expr()
-            self.expect("then")
-            self.expect("{")
-            then = self.behaviour()
-            self.expect("}")
-            self.expect("else")
-            self.expect("{")
-            orelse = self.behaviour()
-            self.expect("}")
-            self.eat(";")
-            cont = BNIL
-            if self.peek().kind in ("if", "def", "ident", "int"):
-                cont = self.behaviour()
-            return BCond(guard, then, orelse, cont)
-        if tok.kind == "def":
-            self.next()
-            var = self.ident()
-            self.expect("=")
-            self.expect("{")
-            body = self.behaviour()
-            self.expect("}")
-            self.expect("in")
-            return BDef(var, body, self.behaviour())
-        if tok.kind == "ident":
-            nxt = self.peek(1).kind
-            if nxt == "!":
+        prefixes = []
+        tail = None
+        while tail is None:
+            kind, nxt = self.peek().kind, self.peek(1).kind
+            if kind == "ident" and nxt == "!":
                 dst = self.ident()
                 self.next()
                 expr = self.expr()
                 self.expect(";")
-                return BSend(dst, expr, self.behaviour())
-            if nxt == "?":
+                prefixes.append((BSend, (dst, expr)))
+            elif kind == "ident" and nxt == "?":
                 src = self.ident()
                 self.next()
                 self.expect(";")
-                return BRecv(src, self.behaviour())
-            self.next()
-            return BCall(tok.text)
-        self.fail(f"expected a behaviour term, found {tok.text or 'end of input'!r}")
+                prefixes.append((BRecv, (src,)))
+            elif kind == "def":
+                prefixes.append(self.definition(BDef, self.behaviour))
+            elif kind == "if":
+                self.next()
+                guard = self.expr()
+                self.expect("then")
+                then = self.braced(self.behaviour)
+                self.expect("else")
+                orelse = self.braced(self.behaviour)
+                self.eat(";")
+                prefixes.append((BCond, (guard, then, orelse)))
+                if self.peek().kind not in _TERM_START:
+                    tail = BNIL
+            else:
+                tail = self.leaf(BNIL, BCall, "behaviour")
+        return self.fold(prefixes, tail)
 
     # -- networks
 
@@ -368,10 +379,7 @@ class _Parser:
                         break
                 self.expect(">")
                 queue = Queue.of(messages)
-            self.expect("{")
-            behaviour = self.behaviour()
-            self.expect("}")
-            procs[name] = Process(state, queue, behaviour)
+            procs[name] = Process(state, queue, self.braced(self.behaviour))
             if not self.eat("|"):
                 break
         self.expect("eof")

@@ -12,7 +12,6 @@ from .errors import IllFormed, NotProjectable
 from .chor_async import well_formed
 from .terms import (
     BNIL,
-    EMPTY_NETWORK,
     BCall,
     BCond,
     BDef,
@@ -30,6 +29,7 @@ from .terms import (
     RtSend,
     Tag,
     pn,
+    runtime_free,
 )
 from .values import GlobalState
 
@@ -95,29 +95,13 @@ def project_queue(c, r: str) -> list:
     return []  # Nil, Call
 
 
-def _require_runtime_free(c):
-    if isinstance(c, (RtSend, RtRecv)):
-        raise IllFormed("synchronous projection requires a program "
-                        "without runtime terms")
-    if isinstance(c, Com):
-        _require_runtime_free(c.cont)
-    elif isinstance(c, Cond):
-        _require_runtime_free(c.then)
-        _require_runtime_free(c.orelse)
-    elif isinstance(c, Def):
-        _require_runtime_free(c.body)
-        _require_runtime_free(c.cont)
-
-
 def epp_sync(c, sigma: GlobalState) -> Network:
     """Projection of a runtime-free choreography: one process per name,
     every queue empty.  Projectability never depends on the state."""
-    _require_runtime_free(c)
-    procs = {}
-    for name in sorted(pn(c)):
-        procs[name] = Process(sigma.get(name), Queue.empty(),
-                              project_behaviour(c, name))
-    return Network.of(procs)
+    if not runtime_free(c):
+        raise IllFormed("synchronous projection requires a program "
+                        "without runtime terms")
+    return _network(c, sigma)
 
 
 def epp_async(c, sigma: GlobalState) -> Network:
@@ -130,13 +114,16 @@ def epp_async(c, sigma: GlobalState) -> Network:
             "choreography holds a message that its receiver is not yet "
             "committed to take next; it cannot arise from executing a "
             "program")
-    procs = {}
-    for name in sorted(pn(canonical)):
-        procs[name] = Process(
-            sigma.get(name),
-            Queue.of(project_queue(canonical, name)),
-            project_behaviour(canonical, name))
-    return Network.of(procs)
+    return _network(canonical, sigma)
+
+
+def _network(c, sigma: GlobalState) -> Network:
+    """One process per name in ``c``, its queue seeded with the messages
+    in transit to it."""
+    return Network.of({name: Process(sigma.get(name),
+                                     Queue.of(project_queue(c, name)),
+                                     project_behaviour(c, name))
+                       for name in sorted(pn(c))})
 
 
 def projectable(c) -> bool:

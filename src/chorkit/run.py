@@ -58,7 +58,7 @@ class TraceStep:
 @dataclass(frozen=True)
 class Trace:
     steps: tuple
-    outcome: str  # terminated | budget | deadlocked | orphaned-messages
+    outcome: str  # terminated|budget|deadlocked|orphaned-messages|interrupted
 
     def final(self, start):
         return self.steps[-1].result if self.steps else start
@@ -66,7 +66,8 @@ class Trace:
 
 def run_chor(cfg: Configuration, mode: str, scheduler,
              max_steps: int = 1000, supply: Optional[TagSupply] = None) -> Trace:
-    """Drive a choreography to termination or the step budget."""
+    """Drive a choreography to termination or the step budget, or until
+    the scheduler picks no step (None)."""
     if supply is None:
         supply = TagSupply.above(cfg.chor)
     steps = []
@@ -75,20 +76,15 @@ def run_chor(cfg: Configuration, mode: str, scheduler,
         if not options:
             outcome = "terminated" if terminated(cfg.chor) else "deadlocked"
             return Trace(tuple(steps), outcome)
-        label, cfg = scheduler.pick(options)
+        picked = scheduler.pick(options)
+        if picked is None:
+            return Trace(tuple(steps), "interrupted")
+        label, cfg = picked
         if label.rule == "ComS" and label.tag_id is None:
             label = label.with_tag(supply.fresh().id)
         steps.append(TraceStep(index, label, cfg))
     outcome = "terminated" if terminated(cfg.chor) else "budget"
     return Trace(tuple(steps), outcome)
-
-
-def run_sync(cfg: Configuration, scheduler, max_steps: int = 1000) -> Trace:
-    return run_chor(cfg, "sync", scheduler, max_steps)
-
-
-def run_async(cfg: Configuration, scheduler, max_steps: int = 1000) -> Trace:
-    return run_chor(cfg, "async", scheduler, max_steps)
 
 
 def run_network(n: Network, mode: str, scheduler,

@@ -17,7 +17,6 @@ from typing import Optional
 from .errors import GuardNotBoolean, NotEnabled
 from .render import render_choreography, render_expr, render_value
 from .terms import (
-    NIL,
     BoolV,
     Call,
     Com,
@@ -29,7 +28,10 @@ from .terms import (
     Tag,
     Term,
     Value,
+    gc,
     head_pn,
+    kids,
+    rebuild,
     replace_cont,
     term,
 )
@@ -173,59 +175,9 @@ def _match_by_key(left, right):
 def subst_tag(c, tag: Tag, value: Value):
     """Replace the (single, by linearity) receive carrying ``tag``; nodes
     off its path are returned as they are."""
-    if isinstance(c, RtRecv) and c.payload == tag:
-        return RtRecv(c.src, value, c.dst, subst_tag(c.cont, tag, value))
-    if isinstance(c, (Com, RtSend, RtRecv)):
-        return replace_cont(c, subst_tag(c.cont, tag, value))
-    if isinstance(c, Cond):
-        then = subst_tag(c.then, tag, value)
-        orelse = subst_tag(c.orelse, tag, value)
-        if then is c.then and orelse is c.orelse:
-            return c
-        return Cond(c.decider, c.expr, then, orelse)
-    if isinstance(c, Def):
-        body = subst_tag(c.body, tag, value)
-        cont = subst_tag(c.cont, tag, value)
-        if body is c.body and cont is c.cont:
-            return c
-        return Def(c.var, body, cont)
-    return c
-
-
-def _inert(c, bound=frozenset()) -> bool:
-    """No action anywhere and no free recursion call: such a term can
-    never step, since unfolding only copies existing subterms."""
-    if isinstance(c, (Com, RtSend, RtRecv, Cond)):
-        return False
-    if isinstance(c, Def):
-        inner = bound | {c.var}
-        return _inert(c.body, inner) and _inert(c.cont, inner)
-    if isinstance(c, Call):
-        return c.var in bound
-    return True  # Nil
-
-
-def gc(c):
-    """Garbage-collect: fold recursion wrappers over 0 and drop inert
-    subterms.  A term with nothing to collect is returned as it is."""
-    if isinstance(c, (Com, RtSend, RtRecv)):
-        return replace_cont(c, gc(c.cont))
-    if isinstance(c, Cond):
-        then, orelse = gc(c.then), gc(c.orelse)
-        if then is c.then and orelse is c.orelse:
-            return c
-        return Cond(c.decider, c.expr, then, orelse)
-    if isinstance(c, Def):
-        if _inert(c):
-            return NIL
-        cont = gc(c.cont)
-        if isinstance(cont, Nil):
-            return NIL
-        body = gc(c.body)
-        if body is c.body and cont is c.cont:
-            return c
-        return Def(c.var, body, cont)
-    return c  # Nil, or a call that no definition encloses
+    if type(c) is RtRecv and c.payload == tag:
+        c = RtRecv(c.src, value, c.dst, c.cont)
+    return rebuild(c, [subst_tag(k, tag, value) for k in kids(c)])
 
 
 def terminated(c) -> bool:

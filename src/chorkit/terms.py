@@ -10,7 +10,10 @@ keys of state sets.  The only mutable object in this module is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, is_
 from typing import Optional, Union
+
+from .errors import BindError, DupTagError
 
 
 class Term:
@@ -118,8 +121,8 @@ class TagSupply:
     def above(cls, term) -> "TagSupply":
         """A supply strictly above every tag occurring in ``term``."""
         supply = cls()
-        for t in iter_tags(term):
-            supply.reserve_above(t.id)
+        for tag, _ in iter_tags(term):
+            supply.reserve_above(tag.id)
         return supply
 
 
@@ -188,6 +191,13 @@ class RtRecv(Term):
 
 
 Chor = Union[Com, Cond, Def, Call, Nil, RtSend, RtRecv]
+
+
+@term
+class Hole(Term):
+    """The hole of a choreography context, followed by ``cont``."""
+
+    cont: "Chor"
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +345,225 @@ EMPTY_NETWORK = Network(())
 
 
 # ---------------------------------------------------------------------------
+# Traversal core
+#
+# The table names each constructor's subterm fields, which are always its
+# trailing fields; constructors absent from it (calls and 0) have none.  The
+# walks below are written once on it, for choreographies and behaviours.
+
+SUBTERMS = {
+    Com: ("cont",), RtSend: ("cont",), RtRecv: ("cont",), Hole: ("cont",),
+    Cond: ("then", "orelse"), Def: ("body", "cont"),
+    BSend: ("cont",), BRecv: ("cont",),
+    BCond: ("then", "orelse", "cont"), BDef: ("body", "cont"),
+}
+
+_PREFIXES = frozenset({Com, RtSend, RtRecv, BSend, BRecv})
+_CALLS = frozenset({Call, BCall})
+_DEFS = frozenset({Def, BDef})
+_NILS = frozenset({Nil, BNil})
+_INERT = _CALLS | _DEFS | _NILS  # every other constructor is an action
+
+
+def _getter(names):
+    """A function returning the named fields of its argument as a tuple."""
+    if not names:
+        return lambda t: ()
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda t: (get(t),)
+
+
+# Per constructor: its subterms, the fields before them, and the fields
+# before its continuation (for those that end with one).
+_KIDS = {cls: _getter(names) for cls, names in SUBTERMS.items()}
+_FIXED = {cls: _getter(cls.__slots__[:-len(names)])
+          for cls, names in SUBTERMS.items()}
+_BEFORE_CONT = {cls: _getter(cls.__slots__[:-1])
+                for cls, names in SUBTERMS.items() if names[-1] == "cont"}
+
+
+def kids(t) -> tuple:
+    """The subterms of ``t``, in field order."""
+    get = _KIDS.get(type(t))
+    return () if get is None else get(t)
+
+
+def rebuild(t, new):
+    """``t`` with its subterms replaced by ``new``; ``t`` itself when each
+    new subterm is the old one."""
+    kind = type(t)
+    get = _KIDS.get(kind)
+    if get is None or all(map(is_, get(t), new)):
+        return t
+    return kind(*_FIXED[kind](t), *new)
+
+
+def replace_kid(t, i: int, new):
+    """``t`` with its ``i``-th subterm replaced by ``new``."""
+    ks = kids(t)
+    return rebuild(t, ks[:i] + (new,) + ks[i + 1:])
+
+
+def rewrite_first(t, here):
+    """``t`` with its first subterm, in preorder, that ``here`` rewrites
+    (``here`` answers None where it does not) replaced by the rewrite; None
+    when ``here`` rewrites none.  Like :func:`subterms`, it loops along the
+    last subterm."""
+    spine = []
+    while True:
+        new = here(t)
+        ks = kids(t)
+        if new is None and len(ks) > 1:
+            for i, k in enumerate(ks[:-1]):
+                found = rewrite_first(k, here)
+                if found is not None:
+                    new = replace_kid(t, i, found)
+                    break
+        if new is not None:
+            break
+        if not ks:
+            return None
+        spine.append(t)
+        t = ks[-1]
+    for node in reversed(spine):
+        new = rebuild(node, (*kids(node)[:-1], new))
+    return new
+
+
+_MAX_REWRITE_ROUNDS = 10_000
+
+
+def rewrite_all(t, here):
+    """Rewrite ``t`` with :func:`rewrite_first` until ``here`` rewrites
+    nothing, or ``_MAX_REWRITE_ROUNDS`` times."""
+    for _ in range(_MAX_REWRITE_ROUNDS):
+        new = rewrite_first(t, here)
+        if new is None:
+            break
+        t = new
+    return t
+
+
+def subterms(t):
+    """Every subterm of ``t``, each before its own subterms.  The walk
+    loops along each node's last subterm (its continuation, or the else
+    branch), so long sequences need no recursion."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while True:
+            yield t
+            ks = kids(t)
+            if not ks:
+                break
+            stack.extend(ks[:-1])
+            t = ks[-1]
+
+
+def transform(t, post, enter=None):
+    """Rebuild ``t`` bottom-up: each node is rebuilt from its transformed
+    subterms and then mapped by ``post``.  A node for which ``enter``
+    answers False is kept as it is, subterms included.  Like
+    :func:`subterms`, it loops along the last subterm."""
+    spine = []
+    while True:
+        if enter is not None and not enter(t):
+            done = t
+            break
+        ks = kids(t)
+        if not ks:
+            done = post(t)
+            break
+        spine.append((t, [transform(k, post, enter) for k in ks[:-1]]))
+        t = ks[-1]
+    for node, new in reversed(spine):
+        done = post(rebuild(node, (*new, done)))
+    return done
+
+
+def free_calls(t) -> list:
+    """Recursion variables called in ``t`` outside every definition of
+    them, in order of first occurrence."""
+    free = {}
+    stack = [(t, frozenset())]
+    while stack:
+        t, bound = stack.pop()
+        kind = type(t)
+        if kind in _CALLS:
+            if t.var not in bound:
+                free[t.var] = None
+            continue
+        if kind in _DEFS:
+            bound = bound | {t.var}
+        stack.extend((k, bound) for k in reversed(kids(t)))
+    return list(free)
+
+
+def check_bound(t) -> None:
+    """Raise BindError on any recursion call outside its definition."""
+    free = free_calls(t)
+    if free:
+        raise BindError(f"unbound recursion variable {free[0]}")
+
+
+def subst_call(t, var: str, body):
+    """Replace the calls of ``var`` that no inner definition of ``var``
+    shadows by ``body`` (one unfolding: calls inside the substituted body
+    are left alone)."""
+    return transform(
+        t, lambda n: body if type(n) in _CALLS and n.var == var else n,
+        lambda n: not (type(n) in _DEFS and n.var == var))
+
+
+def runtime_free(c) -> bool:
+    """No detached send and no receive anywhere in ``c``."""
+    return not any(type(s) is RtSend or type(s) is RtRecv
+                   for s in subterms(c))
+
+
+# ---------------------------------------------------------------------------
+# Garbage collection
+
+
+def _inert(t) -> bool:
+    """No action anywhere and no free recursion call: such a term can
+    never step, since unfolding only copies existing subterms."""
+    return (all(type(s) in _INERT for s in subterms(t))
+            and not free_calls(t))
+
+
+def gc(t):
+    """Garbage-collect a choreography or a behaviour: fold recursion
+    wrappers over 0 and drop inert definitions.  Subterms are collected
+    first, so one pass reaches the fixpoint; a term with nothing to collect
+    is returned as it is."""
+    spine = []
+    while type(t) in _PREFIXES:
+        spine.append(t)
+        t = t.cont
+    kind = type(t)
+    if kind is Cond:
+        then, orelse = gc(t.then), gc(t.orelse)
+        if then is not t.then or orelse is not t.orelse:
+            t = Cond(t.decider, t.expr, then, orelse)
+    elif kind is BCond:
+        then, orelse, cont = gc(t.then), gc(t.orelse), gc(t.cont)
+        if then is not t.then or orelse is not t.orelse or cont is not t.cont:
+            t = BCond(t.expr, then, orelse, cont)
+    elif kind in _DEFS:
+        body, cont = gc(t.body), gc(t.cont)
+        if body is not t.body or cont is not t.cont:
+            t = kind(t.var, body, cont)
+        # A collected subterm that starts with an action keeps ``t`` live.
+        if type(cont) in _NILS or (type(body) in _INERT
+                                   and type(cont) in _INERT and _inert(t)):
+            t = NIL if kind is Def else BNIL
+    for node in reversed(spine):
+        t = node if t is node.cont else replace_cont(node, t)
+    return t
+
+
+# ---------------------------------------------------------------------------
 # Process-name and tag scans
 
 
@@ -345,31 +574,27 @@ def pn(term) -> frozenset:
     receiver; tags and payloads contribute nothing.
     """
     names = set()
-    _pn_into(term, names)
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        while type(t) in SUBTERMS:
+            kind = type(t)
+            if kind is Com:
+                names.add(t.src)
+                names.add(t.dst)
+            elif kind is RtSend:
+                names.add(t.src)
+            elif kind is RtRecv:
+                names.add(t.dst)
+            elif kind is Cond:
+                names.add(t.decider)
+                stack.append(t.then)
+                t = t.orelse
+                continue
+            elif kind is Def:
+                stack.append(t.body)
+            t = t.cont
     return frozenset(names)
-
-
-def _pn_into(term, names):
-    while True:
-        if isinstance(term, Com):
-            names.add(term.src)
-            names.add(term.dst)
-            term = term.cont
-        elif isinstance(term, RtSend):
-            names.add(term.src)
-            term = term.cont
-        elif isinstance(term, RtRecv):
-            names.add(term.dst)
-            term = term.cont
-        elif isinstance(term, Cond):
-            names.add(term.decider)
-            _pn_into(term.then, names)
-            term = term.orelse
-        elif isinstance(term, Def):
-            _pn_into(term.body, names)
-            term = term.cont
-        else:  # Call, Nil
-            return
 
 
 def head_pn(term) -> frozenset:
@@ -384,111 +609,52 @@ def head_pn(term) -> frozenset:
 
 
 def iter_tags(term):
-    """Yield every Tag occurring in a choreography, behaviour or network."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, RtSend):
-            yield t.tag
-            stack.append(t.cont)
-        elif isinstance(t, RtRecv):
-            if isinstance(t.payload, Tag):
-                yield t.payload
-            stack.append(t.cont)
-        elif isinstance(t, Com):
-            stack.append(t.cont)
-        elif isinstance(t, Cond):
-            stack.extend((t.then, t.orelse))
-        elif isinstance(t, Def):
-            stack.extend((t.body, t.cont))
-        elif isinstance(t, Network):
-            stack.extend(p for _, p in t.procs)
+    """Yield (tag, "sends" or "receives") for each tag occurrence in a
+    choreography."""
+    for t in subterms(term):
+        if type(t) is RtSend:
+            yield t.tag, "sends"
+        elif type(t) is RtRecv and type(t.payload) is Tag:
+            yield t.payload, "receives"
 
 
 def check_tag_linearity(term) -> None:
     """Raise DupTagError unless each tag occurs in at most one send and at
     most one receive."""
-    from .errors import DupTagError
-
-    sends, recvs = set(), set()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, RtSend):
-            if t.tag.id in sends:
-                raise DupTagError(f"tag #{t.tag.id} used by two sends")
-            sends.add(t.tag.id)
-            stack.append(t.cont)
-        elif isinstance(t, RtRecv):
-            if isinstance(t.payload, Tag):
-                if t.payload.id in recvs:
-                    raise DupTagError(f"tag #{t.payload.id} used by two receives")
-                recvs.add(t.payload.id)
-            stack.append(t.cont)
-        elif isinstance(t, Com):
-            stack.append(t.cont)
-        elif isinstance(t, Cond):
-            stack.extend((t.then, t.orelse))
-        elif isinstance(t, Def):
-            stack.extend((t.body, t.cont))
-
-
-def check_bound(term, bound=frozenset()) -> None:
-    """Raise BindError on any recursion call outside its definition."""
-    from .errors import BindError
-
-    if isinstance(term, (Call, BCall)):
-        if term.var not in bound:
-            raise BindError(f"unbound recursion variable {term.var}")
-    elif isinstance(term, (Com, RtSend, RtRecv, BSend, BRecv)):
-        check_bound(term.cont, bound)
-    elif isinstance(term, Cond):
-        check_bound(term.then, bound)
-        check_bound(term.orelse, bound)
-    elif isinstance(term, BCond):
-        check_bound(term.then, bound)
-        check_bound(term.orelse, bound)
-        check_bound(term.cont, bound)
-    elif isinstance(term, (Def, BDef)):
-        inner = bound | {term.var}
-        check_bound(term.body, inner)
-        check_bound(term.cont, inner)
+    seen = set()
+    for tag, use in iter_tags(term):
+        if (tag.id, use) in seen:
+            raise DupTagError(f"tag #{tag.id} used by two {use}")
+        seen.add((tag.id, use))
 
 
 # ---------------------------------------------------------------------------
-# Sequencing helpers
+# Sequencing
 
 
-def chor_seq(first: Chor, cont: Chor) -> Chor:
-    """Graft ``cont`` onto the terminated leaves of ``first``.
+def seq(first, cont):
+    """Graft ``cont`` onto the terminated leaves of ``first``, a
+    choreography or a behaviour.
 
     Realizes the concrete syntax's trailing continuation after a
-    conditional; recursion calls never return, so their leaves are left
-    alone.
+    conditional.  A choreography conditional has no continuation of its
+    own, so ``cont`` goes into both branches; recursion calls never return,
+    so their leaves are left alone.
     """
-    if isinstance(cont, Nil):
+    if type(cont) in _NILS:
         return first
-    if isinstance(first, Nil):
-        return cont
-    if isinstance(first, (Com, RtSend, RtRecv, Def)):
-        return replace_cont(first, chor_seq(first.cont, cont))
-    if isinstance(first, Cond):
-        return Cond(first.decider, first.expr,
-                    chor_seq(first.then, cont), chor_seq(first.orelse, cont))
-    return first  # Call
-
-
-def behaviour_seq(first: Behaviour, cont: Behaviour) -> Behaviour:
-    if isinstance(cont, BNil):
-        return first
-    if isinstance(first, BNil):
-        return cont
-    if isinstance(first, (BSend, BRecv, BDef)):
-        return replace_cont(first, behaviour_seq(first.cont, cont))
-    if isinstance(first, BCond):
-        return BCond(first.expr, first.then, first.orelse,
-                     behaviour_seq(first.cont, cont))
-    return first  # BCall
+    spine = []
+    while type(first) in SUBTERMS and type(first) is not Cond:
+        spine.append(first)
+        first = first.cont
+    if type(first) is Cond:
+        t = Cond(first.decider, first.expr, seq(first.then, cont),
+                 seq(first.orelse, cont))
+    else:
+        t = cont if type(first) in _NILS else first
+    for node in reversed(spine):
+        t = replace_cont(node, t)
+    return t
 
 
 def replace_cont(node, cont):
@@ -497,20 +663,4 @@ def replace_cont(node, cont):
     if cont is node.cont:
         return node
     kind = type(node)
-    if kind is Com:
-        return Com(node.src, node.expr, node.dst, cont)
-    if kind is RtSend:
-        return RtSend(node.src, node.expr, node.tag, cont)
-    if kind is RtRecv:
-        return RtRecv(node.src, node.payload, node.dst, cont)
-    if kind is Def:
-        return Def(node.var, node.body, cont)
-    if kind is BSend:
-        return BSend(node.dst, node.expr, cont)
-    if kind is BRecv:
-        return BRecv(node.src, cont)
-    if kind is BCond:
-        return BCond(node.expr, node.then, node.orelse, cont)
-    if kind is BDef:
-        return BDef(node.var, node.body, cont)
-    raise TypeError(f"no continuation: {node!r}")
+    return kind(*_BEFORE_CONT[kind](node), cont)

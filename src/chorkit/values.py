@@ -50,10 +50,6 @@ class GlobalState(Term):
             (name, v if name == p else old) for name, old in self.cells)))
 
 
-def update_state(sigma: GlobalState, p: str, v: Value) -> GlobalState:
-    return sigma.update(p, v)
-
-
 def eval_expr(e, sigma: GlobalState, p: str) -> Value:
     """Evaluate ``e`` at process ``p``; ``@`` reads ``p``'s own cell."""
     return eval_with_cell(e, sigma.get(p))

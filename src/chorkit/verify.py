@@ -21,8 +21,8 @@ from .network import classify, enabled_asp, enabled_sp, lift_to_async, \
 from .project import epp_async, epp_sync, projectable
 from .render import render_choreography
 from .sync import Configuration, enabled_sync, terminated
-from .terms import BinOp, BoolV, Cell, Com, Cond, Def, IntV, Lit, NIL, \
-    Call, Nil, RtRecv, RtSend, pn, replace_cont
+from .terms import SUBTERMS, BinOp, BoolV, Cell, Com, Cond, Def, IntV, \
+    Lit, NIL, Call, Nil, kids, pn, rebuild, seq
 from .values import GlobalState
 
 STATE_CAP = 50_000
@@ -114,11 +114,10 @@ def _random_program(rng, spec: CorpusSpec):
         body = NIL
         while isinstance(body, Nil):
             body = _random_seq(rng, names, body_budget, False)
-        from .terms import chor_seq
-        loop = Def("X", chor_seq(body, Call("X")), Call("X"))
+        loop = Def("X", seq(body, Call("X")), Call("X"))
         prefix = _random_seq(rng, names, actions - body_budget,
                              spec.conditionals)
-        return chor_seq(prefix, loop) if rng.random() < 0.5 else loop
+        return seq(prefix, loop) if rng.random() < 0.5 else loop
     return _random_seq(rng, names, actions, spec.conditionals)
 
 
@@ -180,18 +179,29 @@ class SuccessorStore:
             chor, state = self._cons(t.chor), self._cons(t.state)
             if chor is not t.chor or state is not t.state:
                 t = Configuration(chor, state)
-        elif isinstance(t, (Com, RtSend, RtRecv)):
-            t = replace_cont(t, self._cons(t.cont))
-        elif isinstance(t, Cond):
-            then, orelse = self._cons(t.then), self._cons(t.orelse)
-            if then is not t.then or orelse is not t.orelse:
-                t = Cond(t.decider, t.expr, then, orelse)
-        elif isinstance(t, Def):
-            body, cont = self._cons(t.body), self._cons(t.cont)
-            if body is not t.body or cont is not t.cont:
-                t = Def(t.var, body, cont)
+        elif type(t) in SUBTERMS:
+            t = rebuild(t, [self._cons(k) for k in kids(t)])
         self._stored[t] = t
         return t
+
+
+def _explore(start, steps, depth: int, cap: int):
+    """Breadth-first search from ``start`` along ``steps``."""
+    seen = {start: None}
+    frontier = [start]
+    for _ in range(depth):
+        nxt = []
+        for c in frontier:
+            for _, succ in steps(c):
+                if succ not in seen:
+                    if len(seen) >= cap:
+                        return list(seen), True
+                    seen[succ] = None
+                    nxt.append(succ)
+        if not nxt:
+            break
+        frontier = nxt
+    return list(seen), False
 
 
 def explore_chor(cfg: Configuration, mode: str, depth: int,
@@ -199,41 +209,12 @@ def explore_chor(cfg: Configuration, mode: str, depth: int,
     """Unique reachable configurations up to the depth, in breadth-first
     order; returns (configs, capped flag)."""
     store = SuccessorStore() if store is None else store
-    seen = {cfg: None}
-    frontier = [cfg]
-    for _ in range(depth):
-        nxt = []
-        for c in frontier:
-            for _, succ in store.steps(c, mode):
-                if succ not in seen:
-                    if len(seen) >= cap:
-                        return list(seen), True
-                    seen[succ] = None
-                    nxt.append(succ)
-        if not nxt:
-            break
-        frontier = nxt
-    return list(seen), False
+    return _explore(cfg, lambda c: store.steps(c, mode), depth, cap)
 
 
 def explore_network(n, mode: str, depth: int, cap: int = STATE_CAP):
     step = enabled_sp if mode == "sync" else enabled_asp
-    n = normalize_network(n)
-    seen = {n: None}
-    frontier = [n]
-    for _ in range(depth):
-        nxt = []
-        for m in frontier:
-            for _, succ in step(m):
-                if succ not in seen:
-                    if len(seen) >= cap:
-                        return list(seen), True
-                    seen[succ] = None
-                    nxt.append(succ)
-        if not nxt:
-            break
-        frontier = nxt
-    return list(seen), False
+    return _explore(normalize_network(n), step, depth, cap)
 
 
 def _report(theorem, program, states, failures, capped=False):
@@ -340,59 +321,48 @@ def _lockstep(cfg, chor_steps, net, net_steps, project, failures) -> bool:
     return unknown
 
 
-def check_epp_sync(program, sigma, depth, store=None) -> TheoremReport:
+def _check_epp(theorem, program, sigma, depth, mode, project, net_steps,
+               precheck, store):
+    """Projection lockstep along every configuration explored in ``mode``:
+    ``project`` maps configurations to networks stepped by ``net_steps``.
+    A configuration whose choreography fails ``precheck`` (when given) is
+    reported ill-formed and not projected."""
     store = SuccessorStore() if store is None else store
     text = render_choreography(program)
-    configs, capped = explore_chor(Configuration(program, sigma), "sync",
+    configs, capped = explore_chor(Configuration(program, sigma), mode,
                                    depth, store=store)
     failures = []
     unknown = False
 
-    def project(succ):
+    def project_succ(succ):
         try:
-            return epp_sync(succ.chor, succ.state)
+            return project(succ.chor, succ.state)
         except (NotProjectable, IllFormed):
             return None
 
     for cfg in configs:
-        try:
-            net = epp_sync(cfg.chor, cfg.state)
-        except (NotProjectable, IllFormed) as exc:
-            failures.append(f"projection lost along execution: {exc}")
-            continue
-        unknown |= _lockstep(cfg, store.steps(cfg, "sync"), net,
-                             enabled_sp(net), project, failures)
-    return _report("epp-sync-lockstep", text, len(configs), failures,
-                   capped or unknown)
-
-
-def check_epp_async(program, sigma, depth, store=None) -> TheoremReport:
-    store = SuccessorStore() if store is None else store
-    text = render_choreography(program)
-    configs, capped = explore_chor(Configuration(program, sigma), "async",
-                                   depth, store=store)
-    failures = []
-    unknown = False
-
-    def project(succ):
-        try:
-            return epp_async(succ.chor, succ.state)
-        except (NotProjectable, IllFormed):
-            return None
-
-    for cfg in configs:
-        if not well_formed(cfg.chor)[0]:
+        if precheck is not None and not precheck(cfg.chor):
             failures.append(f"ill-formed reachable term: {cfg.key()[0]}")
             continue
         try:
-            net = epp_async(cfg.chor, cfg.state)
+            net = project(cfg.chor, cfg.state)
         except (NotProjectable, IllFormed) as exc:
             failures.append(f"projection lost along execution: {exc}")
             continue
-        unknown |= _lockstep(cfg, store.steps(cfg, "async"), net,
-                             enabled_asp(net), project, failures)
-    return _report("epp-async-lockstep", text, len(configs), failures,
-                   capped or unknown)
+        unknown |= _lockstep(cfg, store.steps(cfg, mode), net,
+                             net_steps(net), project_succ, failures)
+    return _report(theorem, text, len(configs), failures, capped or unknown)
+
+
+def check_epp_sync(program, sigma, depth, store=None) -> TheoremReport:
+    return _check_epp("epp-sync-lockstep", program, sigma, depth, "sync",
+                      epp_sync, enabled_sp, None, store)
+
+
+def check_epp_async(program, sigma, depth, store=None) -> TheoremReport:
+    return _check_epp("epp-async-lockstep", program, sigma, depth, "async",
+                      epp_async, enabled_asp,
+                      lambda c: well_formed(c)[0], store)
 
 
 def check_async_equivalence(program, sigma, depth,

@@ -8,9 +8,16 @@ from chorkit.cli import (
     EXIT_ILL_FORMED,
     EXIT_NOT_PROJECTABLE,
     EXIT_PARSE,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     main,
 )
+
+
+def one_line_error(capsys, prefix):
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    return err.startswith(prefix) and "\n" not in err
 
 
 @pytest.fixture
@@ -84,6 +91,45 @@ class TestRun:
         assert capsys.readouterr().out.strip().endswith("-- budget")
 
 
+class TestInteractive:
+    """``run --interactive`` reads each choice from standard input."""
+
+    @pytest.fixture
+    def answer(self, monkeypatch):
+        def _answer(*replies):
+            it = iter(replies)
+            monkeypatch.setattr("builtins.input", lambda prompt="": next(it))
+        return _answer
+
+    def test_choices_run_to_termination(self, write, capsys, answer):
+        path = write("i.mc", "p.1 -> q; q.2 -> r; 0")
+        answer("1", "1")
+        assert main(["run", path, "--interactive"]) == 0
+        out = capsys.readouterr().out
+        assert "  1. Com p,q v=1 :: q.2 -> r; 0\n" in out
+        assert "#0 Com p,q v=1 :: q.2 -> r; 0" in out
+        assert "#1 Com q,r v=2 :: 0" in out
+        assert out.strip().endswith("-- terminated")
+
+    def test_quit_interrupts(self, write, capsys, answer):
+        path = write("i.mc", "p.1 -> q; q.2 -> r; 0")
+        answer("q")
+        assert main(["run", path, "--interactive"]) == 0
+        out = capsys.readouterr().out
+        assert "#0" not in out
+        assert out.strip().endswith("-- interrupted")
+
+    def test_bad_choice_asks_again_without_using_a_step(self, write, capsys,
+                                                       answer):
+        path = write("i.mc", "p.1 -> q; q.2 -> r; 0")
+        answer("7", "x", "\u00b2", "1", "0", "1")
+        assert main(["run", path, "--interactive", "--steps", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("invalid choice") == 4
+        assert "#1 Com q,r v=2 :: 0" in captured.out
+        assert captured.out.strip().endswith("-- terminated")
+
+
 class TestProject:
     def test_sync_projection(self, write, capsys):
         path = write("p.mc", "p.1 -> q; 0")
@@ -131,6 +177,63 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["check", "--bogus"]) == EXIT_USAGE
+
+
+class TestFilesAndRuntimeErrors:
+    """Unusable files are usage errors and runtime errors have their own
+    exit code, each with a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["check", "run", "project",
+                                         "simulate"])
+    def test_missing_file(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path / "missing")]) == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: cannot read")
+
+    def test_directory_is_not_a_file(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: cannot read")
+
+    def test_bytes_that_are_not_text_are_a_parse_error(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "bin.mc"
+        path.write_bytes(b"p.1 -> q; \xff\xfe 0")
+        assert main(["check", str(path)]) == EXIT_PARSE
+        assert one_line_error(capsys, "parse error")
+
+    def test_unwritable_out(self, write, tmp_path, capsys):
+        path = write("p.mc", "p.1 -> q; 0")
+        out = str(tmp_path / "no-such-dir" / "net.sp")
+        assert main(["project", path, "--out", out]) == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: cannot write")
+
+    def test_unwritable_report(self, tmp_path, capsys):
+        report = str(tmp_path / "no-such-dir" / "report.txt")
+        assert main(["verify", "--theorem", "t1", "--depth", "1",
+                     "--report", report]) == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: cannot write")
+
+    def test_non_boolean_guard_in_run(self, write, capsys):
+        path = write("g.mc", "if p.1 then { 0 } else { 0 }")
+        assert main(["run", path]) == EXIT_RUNTIME
+        assert one_line_error(capsys, "runtime error: conditional guard")
+
+    def test_non_boolean_guard_in_simulate(self, write, capsys):
+        path = write("g.sp", "p[0]{ if 1 then { 0 } else { 0 } }")
+        assert main(["simulate", path]) == EXIT_RUNTIME
+        assert one_line_error(capsys, "runtime error: guard")
+
+    def test_sync_simulation_of_queued_messages(self, write, capsys):
+        path = write("q.sp", "p[0]<(q, 1)>{ q?; 0 } | q[0]{ 0 }")
+        assert main(["simulate", path, "--mode", "sync"]) == EXIT_RUNTIME
+        assert one_line_error(capsys, "runtime error:")
+
+
+class TestVerify:
+    def test_wf_alone(self, capsys):
+        assert main(["verify", "--theorem", "wf", "--depth", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "well-formedness-preservation prog000: pass" in out
+        assert "epp-async-lockstep" not in out
 
 
 class TestInitialState:

@@ -89,6 +89,15 @@ class TestChoreographyParsing:
         with pytest.raises(DupTagError):
             parse_choreography("q <~ (p, #0); r <~ (p, #0); 0")
 
+    def test_long_chain_parses_without_recursion(self):
+        c = parse_choreography("p.1 -> q; q.2 -> p; " * 2500 + "0")
+        length = 0
+        while isinstance(c, Com):
+            length += 1
+            c = c.cont
+        assert length == 5000
+        assert c == NIL
+
     def test_parse_error_carries_location(self):
         with pytest.raises(ParseError) as exc:
             parse_choreography("p.1 ->\n; 0")
@@ -119,6 +128,15 @@ class TestNetworkParsing:
     def test_unbound_behaviour_call_rejected(self):
         with pytest.raises(BindError):
             parse_network("p[0]{ q?; X }")
+
+    def test_long_behaviour_parses_without_recursion(self):
+        net = parse_network("p[0]{ " + "q!1; r?; " * 2500 + "0 }")
+        b, length = net.procs[0][1].behaviour, 0
+        while isinstance(b, (BSend, BRecv)):
+            length += 1
+            b = b.cont
+        assert length == 5000
+        assert b == BNIL
 
     def test_empty_network(self):
         assert parse_network("").procs == ()

@@ -4,21 +4,26 @@ conditionals, recursion, garbage collection."""
 import pytest
 
 from chorkit import (
+    BNIL,
     Configuration,
     GlobalState,
     GuardNotBoolean,
     IntV,
+    LeftmostScheduler,
     NIL,
     NotEnabled,
     enabled_sync,
     gc,
     parse_choreography,
     pn,
+    project_behaviour,
     render_choreography,
+    run_chor,
     step_com,
     step_cond,
     terminated,
 )
+from chorkit.network import gc_behaviour
 
 
 def cfg_of(text, **cells):
@@ -142,6 +147,31 @@ class TestGcAndTermination:
     def test_nested_inert_definition_collected(self):
         c = parse_choreography("def X = { def Y = { Y } in Y } in X")
         assert terminated(c)
+
+    # The outer definition only becomes inert once the inner one, whose
+    # continuation is 0, has been collected.
+    COLLECTED_INSIDE = ["def X = { def Y = { p.1 -> q; 0 } in 0 } in X",
+                        "def X = { def Y = { p.1 -> q; Y } in 0 } in X"]
+
+    @pytest.mark.parametrize("text", COLLECTED_INSIDE)
+    def test_gc_reaches_its_fixpoint_in_one_pass(self, text):
+        once = gc(parse_choreography(text))
+        assert once == NIL
+        assert gc(once) is once
+
+    @pytest.mark.parametrize("text", COLLECTED_INSIDE)
+    def test_collected_inside_is_terminated(self, text):
+        cfg = cfg_of(text)
+        assert terminated(cfg.chor)
+        trace = run_chor(cfg, "sync", LeftmostScheduler())
+        assert trace.outcome == "terminated"
+        assert trace.steps == ()
+
+    @pytest.mark.parametrize("text", COLLECTED_INSIDE)
+    def test_behaviour_collected_inside_in_one_call(self, text):
+        b = project_behaviour(parse_choreography(text), "p")
+        assert b != BNIL
+        assert gc_behaviour(b) == BNIL
 
 
 class TestExplicitSteps:
