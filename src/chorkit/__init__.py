@@ -94,8 +94,8 @@ from .network import (
     lift_to_async,
     normalize_network,
 )
-from .project import epp_async, epp_sync, project_behaviour, project_queue, \
-    projectable
+from .project import epp_async, epp_sync, project_behaviour, \
+    project_network, project_queue, projectable
 from .congruence import (
     behaviour_equiv,
     canonical,

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 parse error, 2 not projectable, 3 ill-formed,
 4 verification failure, 5 runtime error (a guard that is not boolean, a
 state lookup outside the program, queued messages under the synchronous
-network semantics, or a step that is not enabled), 64 usage error (a bad
+network semantics, a step that is not enabled, or a term nested too deeply
+for Python's recursion limit), 64 usage error (a bad
 flag, a file that cannot be read or written, or a ``--state`` that is not
 a JSON object mapping the program's process names to storable values).
 """
@@ -20,7 +21,7 @@ from .errors import ChorError, GuardNotBoolean, IllFormed, NonEmptyQueue, \
     NotEnabled, NotProjectable, ParseError, UnknownProcess
 from .network import normalize_network
 from .parse import parse_choreography, parse_network
-from .project import epp_async, epp_sync
+from .project import epp_async, epp_sync, project_network
 from .render import render_choreography, render_network, render_value
 from .run import format_trace, make_scheduler, run_chor, run_network
 from .sync import Configuration
@@ -102,7 +103,7 @@ def cmd_check(args) -> int:
         print("ill-formed: a pending message outruns what its receiver "
               "is committed to take next", file=sys.stderr)
         return EXIT_ILL_FORMED
-    epp_async(program, _initial_state(program, None))
+    project_network(canon, _initial_state(program, None))
     if args.canonical:
         print(render_choreography(canonical(canon)))
     else:
@@ -260,6 +261,10 @@ def main(argv=None) -> int:
         return EXIT_ILL_FORMED
     except RUNTIME_ERRORS as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except RecursionError:
+        print("runtime error: term nested too deeply (maximum recursion "
+              "depth exceeded)", file=sys.stderr)
         return EXIT_RUNTIME
     except ChorError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -165,9 +165,15 @@ def _drop_done(n: Network) -> Network:
     return Network.of(keep)
 
 
-def network_equiv(n1: Network, n2: Network, unfold_budget: int = 0):
+def network_equiv(n1: Network, n2: Network, unfold_budget: int = 0,
+                  memo=None):
     """Networks equal up to normalization and bounded recursion unfolding:
-    states and queues exactly, behaviours up to the budget."""
+    states and queues exactly, behaviours up to the budget.  ``memo``, a
+    dict the caller keeps across calls, holds the verdicts of
+    :func:`behaviour_equiv`."""
+    if n1 is n2:
+        return True
+    memo = {} if memo is None else memo
     n1 = _drop_done(normalize_network(n1))
     n2 = _drop_done(normalize_network(n2))
     if n1.names() != n2.names():
@@ -176,7 +182,10 @@ def network_equiv(n1: Network, n2: Network, unfold_budget: int = 0):
     for (_, p1), (_, p2) in zip(n1.procs, n2.procs):
         if p1.state != p2.state or p1.queue != p2.queue:
             return False
-        verdict = behaviour_equiv(p1.behaviour, p2.behaviour, unfold_budget)
+        key = (p1.behaviour, p2.behaviour, unfold_budget)
+        if key not in memo:
+            memo[key] = behaviour_equiv(*key)
+        verdict = memo[key]
         if verdict is False:
             return False
         if verdict is None:

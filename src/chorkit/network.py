@@ -2,11 +2,12 @@
 (per-sender FIFO queues) semantics.
 
 Networks are name-sorted finite maps, so parallel composition is
-associative, commutative and unit-respecting by representation.  Successor
-networks are normalized: recursion wrappers over 0 are folded and processes
-that are done (behaviour 0, empty queue) are dropped, unless another
-process still names them as a communication partner; dropping such a
-process would disable a send that the precongruence keeps enabled.
+associative, commutative and unit-respecting by representation.  A network
+is normalized when recursion wrappers over 0 are folded and processes that
+are done (behaviour 0, empty queue) are dropped, unless another process
+still names them as a communication partner; dropping such a process would
+disable a send that the precongruence keeps enabled.  The step relations
+take a normalized network and then give normalized successors.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ def _partners(b, acc):
             b = b.cont
 
 
+def _done(p) -> bool:
+    """Behaviour 0 and an empty queue."""
+    return type(p.behaviour) is BNil and p.queue.is_empty()
+
+
 def normalize_network(n: Network) -> Network:
     """Collect every behaviour and drop the processes that are done; a
     network with nothing to normalize is returned as it is."""
@@ -109,9 +115,7 @@ def normalize_network(n: Network) -> Network:
     for _, p in procs:
         _partners(p.behaviour, referenced)
     keep = tuple(entry for entry in procs
-                 if not (isinstance(entry[1].behaviour, BNil)
-                         and entry[1].queue.is_empty()
-                         and entry[0] not in referenced))
+                 if not (_done(entry[1]) and entry[0] not in referenced))
     if len(keep) == len(n.procs) and all(
             a is b for a, b in zip(keep, n.procs)):
         return n
@@ -139,8 +143,22 @@ def lift_to_async(n: Network) -> Network:
 
 def _step(procs, label, changed):
     """``label`` with the successor of ``procs`` in which the ``changed``
-    processes replace their old selves, normalized."""
-    return label, normalize_network(Network.of({**procs, **changed}))
+    processes replace their old selves.  When ``procs`` are normalized, so
+    is the successor: only the changed behaviours need collecting, and
+    partners are only scanned when some process is done."""
+    procs = {**procs}
+    for name, p in changed.items():
+        b = gc(p.behaviour)
+        procs[name] = p if b is p.behaviour else Process(p.state, p.queue, b)
+    done = [name for name, p in procs.items() if _done(p)]
+    if done:
+        referenced = set()
+        for p in procs.values():
+            _partners(p.behaviour, referenced)
+        for name in done:
+            if name not in referenced:
+                del procs[name]
+    return label, Network.of(procs)
 
 
 def _cond_step(procs, name, head):
@@ -159,7 +177,8 @@ def _cond_step(procs, name, head):
 
 def enabled_sp(n: Network):
     """Synchronous steps: a rendezvous for every send head matched by a
-    receive head, plus a conditional step per exposed guard."""
+    receive head, plus a conditional step per exposed guard.  ``n`` must be
+    normalized; the successors then are too."""
     if any(not p.queue.is_empty() for _, p in n.procs):
         raise NonEmptyQueue("synchronous semantics requires empty queues")
     procs = n.as_dict()
@@ -188,7 +207,8 @@ def enabled_sp(n: Network):
 
 def enabled_asp(n: Network):
     """Asynchronous steps: sends are non-blocking (enqueue at the target),
-    receives fire when the sender's lane is non-empty."""
+    receives fire when the sender's lane is non-empty.  ``n`` must be
+    normalized; the successors then are too."""
     procs = n.as_dict()
     steps = []
     for name, p in procs.items():

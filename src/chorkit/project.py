@@ -33,66 +33,72 @@ from .terms import (
 )
 from .values import GlobalState
 
+_PENDING = "cannot project a receive whose message is still pending"
+
 
 def project_behaviour(c, r: str, _path=()):
-    if isinstance(c, Com):
-        cont = project_behaviour(c.cont, r, _path + ("cont",))
-        if r == c.src:
-            return BSend(c.dst, c.expr, cont)
-        if r == c.dst:
-            return BRecv(c.src, cont)
-        return cont
-    if isinstance(c, RtRecv):
-        if isinstance(c.payload, Tag):
-            raise IllFormed(
-                "cannot project a receive whose message is still pending")
-        cont = project_behaviour(c.cont, r, _path + ("cont",))
-        if r == c.dst:
-            return BRecv(c.src, cont)
-        return cont
+    # Actions of ``r`` along the prefix chain are collected in a loop and
+    # wrapped around the projection of the chain's end, so chains of any
+    # length project without deep recursion.
+    actions = []
+    steps = 0
+    while type(c) in (Com, RtRecv):
+        if type(c) is RtRecv and isinstance(c.payload, Tag):
+            raise IllFormed(_PENDING)
+        if r == c.dst or (type(c) is Com and r == c.src):
+            actions.append(c)
+        c = c.cont
+        steps += 1
+    path = _path + ("cont",) * steps
     if isinstance(c, RtSend):
         raise IllFormed("cannot project a detached send")
     if isinstance(c, Cond):
-        then = project_behaviour(c.then, r, _path + ("then",))
-        orelse = project_behaviour(c.orelse, r, _path + ("else",))
+        then = project_behaviour(c.then, r, path + ("then",))
+        orelse = project_behaviour(c.orelse, r, path + ("else",))
         if r == c.decider:
-            return BCond(c.expr, then, orelse, BNIL)
-        if then != orelse:
+            b = BCond(c.expr, then, orelse, BNIL)
+        elif then != orelse:
             raise NotProjectable(
                 f"conditional branches disagree at process {r!r}",
-                path=_path, left=then, right=orelse)
-        return then
-    if isinstance(c, Def):
-        return BDef(c.var, project_behaviour(c.body, r, _path + ("body",)),
-                    project_behaviour(c.cont, r, _path + ("in",)))
-    if isinstance(c, Call):
-        return BCall(c.var)
-    return BNIL  # Nil
+                path=path, left=then, right=orelse)
+        else:
+            b = then
+    elif isinstance(c, Def):
+        b = BDef(c.var, project_behaviour(c.body, r, path + ("body",)),
+                 project_behaviour(c.cont, r, path + ("in",)))
+    elif isinstance(c, Call):
+        b = BCall(c.var)
+    else:
+        b = BNIL  # Nil
+    for node in reversed(actions):
+        if type(node) is Com and r == node.src:
+            b = BSend(node.dst, node.expr, b)
+        else:
+            b = BRecv(node.src, b)
+    return b
 
 
 def project_queue(c, r: str) -> list:
     """Messages in transit addressed to ``r``, in arrival order."""
-    if isinstance(c, RtRecv):
-        if isinstance(c.payload, Tag):
-            raise IllFormed(
-                "cannot project a receive whose message is still pending")
-        rest = project_queue(c.cont, r)
-        if r == c.dst:
-            return [Message(c.src, c.payload)] + rest
-        return rest
-    if isinstance(c, RtSend):
-        raise IllFormed("cannot project a detached send")
-    if isinstance(c, Com):
-        return project_queue(c.cont, r)
-    if isinstance(c, Cond):
-        then = project_queue(c.then, r)
-        if r != c.decider and then != project_queue(c.orelse, r):
-            raise NotProjectable(
-                f"in-transit messages for {r!r} differ between branches")
-        return then
-    if isinstance(c, Def):
-        return project_queue(c.cont, r)
-    return []  # Nil, Call
+    out = []
+    while True:
+        kind = type(c)
+        if kind is RtRecv:
+            if isinstance(c.payload, Tag):
+                raise IllFormed(_PENDING)
+            if r == c.dst:
+                out.append(Message(c.src, c.payload))
+        elif kind is RtSend:
+            raise IllFormed("cannot project a detached send")
+        elif kind is Cond:
+            then = project_queue(c.then, r)
+            if r != c.decider and then != project_queue(c.orelse, r):
+                raise NotProjectable(
+                    f"in-transit messages for {r!r} differ between branches")
+            return out + then
+        elif kind is not Com and kind is not Def:
+            return out  # Nil, Call
+        c = c.cont
 
 
 def epp_sync(c, sigma: GlobalState) -> Network:
@@ -101,25 +107,26 @@ def epp_sync(c, sigma: GlobalState) -> Network:
     if not runtime_free(c):
         raise IllFormed("synchronous projection requires a program "
                         "without runtime terms")
-    return _network(c, sigma)
+    return project_network(c, sigma)
 
 
 def epp_async(c, sigma: GlobalState) -> Network:
     """Projection of a well-formed runtime choreography: in-transit
     messages seed the target queues.  The folded canonical form is computed
     internally."""
-    ok, canonical = well_formed(c)
-    if not ok:
+    return project_network(well_formed(c)[1], sigma)
+
+
+def project_network(c, sigma: GlobalState) -> Network:
+    """One process per name in ``c``, its queue seeded with the messages
+    in transit to it.  ``c`` is a runtime-free choreography or the
+    canonical form that :func:`well_formed` returns; the ``None`` it
+    returns for an ill-formed choreography raises :class:`IllFormed`."""
+    if c is None:
         raise IllFormed(
             "choreography holds a message that its receiver is not yet "
             "committed to take next; it cannot arise from executing a "
             "program")
-    return _network(canonical, sigma)
-
-
-def _network(c, sigma: GlobalState) -> Network:
-    """One process per name in ``c``, its queue seeded with the messages
-    in transit to it."""
     return Network.of({name: Process(sigma.get(name),
                                      Queue.of(project_queue(c, name)),
                                      project_behaviour(c, name))

@@ -18,11 +18,11 @@ from .congruence import network_equiv
 from .errors import IllFormed, NotProjectable
 from .network import classify, enabled_asp, enabled_sp, lift_to_async, \
     network_key, normalize_network
-from .project import epp_async, epp_sync, projectable
+from .project import epp_sync, project_network, projectable
 from .render import render_choreography
 from .sync import Configuration, enabled_sync, terminated
 from .terms import SUBTERMS, BinOp, BoolV, Cell, Com, Cond, Def, IntV, \
-    Lit, NIL, Call, Nil, kids, pn, rebuild, seq
+    Lit, NIL, Call, Network, Nil, Process, kids, pn, rebuild, seq
 from .values import GlobalState
 
 STATE_CAP = 50_000
@@ -147,17 +147,29 @@ def default_state(program) -> GlobalState:
 class SuccessorStore:
     """The explored state space of one program, shared by all its checks.
 
-    Each configuration's steps under ``enabled_sync`` or ``enabled_async``
-    are computed once and kept as a tuple of (label, successor) pairs.
-    Labels, states and choreography nodes are hash-consed: a successor is
-    stored with every subterm replaced by the stored equal one, so each
-    distinct configuration, and each distinct subterm, exists once.
-    Networks are not stored: their step relations cost little next to the
-    choreography engines.
+    Each entry is computed once and kept until the store is dropped:
+    - the steps of a configuration under ``enabled_sync`` or
+      ``enabled_async``, and of a normalized network under ``enabled_sp``
+      or ``enabled_asp``, as tuples of (label, successor) pairs;
+    - the :func:`well_formed` result of a choreography;
+    - the normalized projection of a configuration in either mode, or the
+      text of the error that makes it unprojectable;
+    - the verdict of each network equivalence question, and the behaviour
+      verdicts that :func:`network_equiv` reaches on the way.
+
+    Labels, states, choreographies and networks are hash-consed: a stored
+    term has every subterm replaced by the stored equal one, so each
+    distinct configuration, network and subterm exists once, and equal
+    networks are the same object.
     """
 
     def __init__(self):
         self._steps = {"sync": {}, "async": {}}
+        self._net_steps = {"sync": {}, "async": {}}
+        self._projections = {"sync": {}, "async": {}}
+        self._well_formed = {}
+        self._equiv = {}
+        self._behaviour_equiv = {}
         self._stored = {}
 
     def steps(self, cfg: Configuration, mode: str) -> tuple:
@@ -165,21 +177,85 @@ class SuccessorStore:
         found = table.get(cfg)
         if found is None:
             raw = enabled_sync(cfg) if mode == "sync" else enabled_async(cfg)
-            found = table[cfg] = tuple((self._cons(label), self._cons(succ))
-                                       for label, succ in raw)
+            found = table[cfg] = self._cons_steps(raw)
         return found
 
+    def net_steps(self, n: Network, mode: str) -> tuple:
+        """The steps of the normalized network ``n``."""
+        table = self._net_steps[mode]
+        found = table.get(n)
+        if found is None:
+            raw = enabled_sp(n) if mode == "sync" else enabled_asp(n)
+            found = table[n] = self._cons_steps(raw)
+        return found
+
+    def well_formed(self, chor) -> tuple:
+        found = self._well_formed.get(chor)
+        if found is None:
+            found = self._well_formed[chor] = well_formed(chor)
+        return found
+
+    def projection(self, cfg: Configuration, mode: str):
+        """The normalized projection of ``cfg``, or the text of the error
+        that makes it unprojectable."""
+        table = self._projections[mode]
+        found = table.get(cfg)
+        if found is None:
+            try:
+                if mode == "sync":
+                    net = epp_sync(cfg.chor, cfg.state)
+                else:
+                    net = project_network(self.well_formed(cfg.chor)[1],
+                                          cfg.state)
+                found = self._cons(normalize_network(net))
+            except (NotProjectable, IllFormed) as exc:
+                found = str(exc)
+            table[cfg] = found
+        return found
+
+    def equiv(self, n1: Network, n2: Network):
+        """:func:`network_equiv` at ``SOUNDNESS_UNFOLD_BUDGET``, retried at
+        ``SOUNDNESS_RETRY_BUDGET`` when unknown."""
+        key = (n1, n2)
+        if key not in self._equiv:
+            memo = self._behaviour_equiv
+            verdict = network_equiv(n1, n2, SOUNDNESS_UNFOLD_BUDGET, memo)
+            if verdict is None:
+                verdict = network_equiv(n1, n2, SOUNDNESS_RETRY_BUDGET, memo)
+            self._equiv[key] = verdict
+        return self._equiv[key]
+
+    def _cons_steps(self, raw) -> tuple:
+        return tuple((self._cons(label), self._cons(succ))
+                     for label, succ in raw)
+
     def _cons(self, t):
-        """The stored term equal to ``t``; a new configuration or
-        choreography node is stored after its subterms are."""
+        """The stored object equal to ``t``; a new configuration, network,
+        process, choreography or behaviour node, or tuple of them, is
+        stored after its parts are."""
         found = self._stored.get(t)
         if found is not None:
             return found
-        if isinstance(t, Configuration):
+        kind = type(t)
+        if kind is Configuration:
             chor, state = self._cons(t.chor), self._cons(t.state)
             if chor is not t.chor or state is not t.state:
                 t = Configuration(chor, state)
-        elif type(t) in SUBTERMS:
+        elif kind is Network:
+            procs = self._cons(t.procs)
+            if procs is not t.procs:
+                t = Network(procs)
+        elif kind is tuple:  # a network's entries, or one (name, process)
+            parts = tuple(self._cons(x) for x in t)
+            if any(a is not b for a, b in zip(parts, t)):
+                t = parts
+        elif kind is Process:
+            state, queue = self._cons(t.state), self._cons(t.queue)
+            b = self._cons(t.behaviour)
+            if state is not t.state or queue is not t.queue \
+                    or b is not t.behaviour:
+                t = Process(state, queue, b)
+        elif kind in SUBTERMS:
             t = rebuild(t, [self._cons(k) for k in kids(t)])
         self._stored[t] = t
         return t
@@ -212,9 +288,13 @@ def explore_chor(cfg: Configuration, mode: str, depth: int,
     return _explore(cfg, lambda c: store.steps(c, mode), depth, cap)
 
 
-def explore_network(n, mode: str, depth: int, cap: int = STATE_CAP):
-    step = enabled_sp if mode == "sync" else enabled_asp
-    return _explore(normalize_network(n), step, depth, cap)
+def explore_network(n, mode: str, depth: int, cap: int = STATE_CAP,
+                    store: SuccessorStore | None = None):
+    """Unique reachable networks from the normalized ``n``, as
+    :func:`explore_chor` gives configurations."""
+    store = SuccessorStore() if store is None else store
+    return _explore(normalize_network(n), lambda m: store.net_steps(m, mode),
+                    depth, cap)
 
 
 def _report(theorem, program, states, failures, capped=False):
@@ -230,15 +310,13 @@ def _sig(label):
     return (label.rule, label.subjects, label.value)
 
 
-def _some_equiv(pairs):
+def _some_equiv(pairs, store):
     """Whether some pair of networks is equivalent: True at the first
     equivalent pair; otherwise None if some pair stayed unknown, even
     retried at the larger unfold budget, and False if none did."""
     unknown = False
     for n1, n2 in pairs:
-        verdict = network_equiv(n1, n2, SOUNDNESS_UNFOLD_BUDGET)
-        if verdict is None:
-            verdict = network_equiv(n1, n2, SOUNDNESS_RETRY_BUDGET)
+        verdict = store.equiv(n1, n2)
         if verdict:
             return True
         unknown = unknown or verdict is None
@@ -265,28 +343,30 @@ def check_deadlock_freedom(program, sigma, depth, mode,
             failures.append(f"stuck configuration: {cfg.key()[0]}")
     states = len(configs)
     if projectable(program):
-        net = epp_sync(program, sigma)
+        net = store.projection(Configuration(program, sigma), "sync")
         if mode == "async":
             net = lift_to_async(net)
-        nets, ncapped = explore_network(net, mode, depth)
+        nets, ncapped = explore_network(net, mode, depth, store=store)
         capped = capped or ncapped
         states += len(nets)
         for n in nets:
+            if store.net_steps(n, mode):
+                continue  # running
             verdict = classify(n, mode)
             if verdict in ("deadlocked", "orphaned-messages"):
                 failures.append(f"{verdict} network: {network_key(n)}")
     return _report(name, text, states, failures, capped)
 
 
-def _lockstep(cfg, chor_steps, net, net_steps, project, failures) -> bool:
-    """Signature bijection plus pointwise successor correspondence.
-    Returns True if some correspondence stayed unknown within the unfold
-    budgets."""
+def _lockstep(cfg, net, mode, store, failures) -> bool:
+    """Signature bijection plus pointwise successor correspondence between
+    ``cfg`` and its projection ``net``.  Returns True if some
+    correspondence stayed unknown within the unfold budgets."""
     chor_by_sig = {}
-    for label, succ in chor_steps:
+    for label, succ in store.steps(cfg, mode):
         chor_by_sig.setdefault(_sig(label), []).append(succ)
     net_by_sig = {}
-    for label, succ in net_steps:
+    for label, succ in store.net_steps(net, mode):
         net_by_sig.setdefault(_sig(label), []).append(succ)
 
     def here():
@@ -306,12 +386,12 @@ def _lockstep(cfg, chor_steps, net, net_steps, project, failures) -> bool:
             failures.append(f"multiplicity mismatch for {sig} at {here()}")
             continue
         for succ in chor_succs:
-            projected = project(succ)
-            if projected is None:
+            projected = store.projection(succ, mode)
+            if isinstance(projected, str):
                 failures.append(f"successor of {sig} not projectable "
                                 f"at {here()}")
                 continue
-            verdict = _some_equiv((projected, n) for n in net_succs)
+            verdict = _some_equiv(((projected, n) for n in net_succs), store)
             if verdict is None:
                 unknown = True
             elif not verdict:
@@ -321,48 +401,38 @@ def _lockstep(cfg, chor_steps, net, net_steps, project, failures) -> bool:
     return unknown
 
 
-def _check_epp(theorem, program, sigma, depth, mode, project, net_steps,
-               precheck, store):
-    """Projection lockstep along every configuration explored in ``mode``:
-    ``project`` maps configurations to networks stepped by ``net_steps``.
-    A configuration whose choreography fails ``precheck`` (when given) is
-    reported ill-formed and not projected."""
+def _check_epp(theorem, program, sigma, depth, mode, store):
+    """Projection lockstep along every configuration explored in ``mode``,
+    against the steps of the projections in the same mode.  Asynchronous
+    configurations that are not well-formed are reported as such and not
+    projected."""
     store = SuccessorStore() if store is None else store
     text = render_choreography(program)
     configs, capped = explore_chor(Configuration(program, sigma), mode,
                                    depth, store=store)
     failures = []
     unknown = False
-
-    def project_succ(succ):
-        try:
-            return project(succ.chor, succ.state)
-        except (NotProjectable, IllFormed):
-            return None
-
     for cfg in configs:
-        if precheck is not None and not precheck(cfg.chor):
+        # Only asynchronous runs reach runtime terms.
+        if mode == "async" and not store.well_formed(cfg.chor)[0]:
             failures.append(f"ill-formed reachable term: {cfg.key()[0]}")
             continue
-        try:
-            net = project(cfg.chor, cfg.state)
-        except (NotProjectable, IllFormed) as exc:
-            failures.append(f"projection lost along execution: {exc}")
+        net = store.projection(cfg, mode)
+        if isinstance(net, str):
+            failures.append(f"projection lost along execution: {net}")
             continue
-        unknown |= _lockstep(cfg, store.steps(cfg, mode), net,
-                             net_steps(net), project_succ, failures)
+        unknown |= _lockstep(cfg, net, mode, store, failures)
     return _report(theorem, text, len(configs), failures, capped or unknown)
 
 
 def check_epp_sync(program, sigma, depth, store=None) -> TheoremReport:
     return _check_epp("epp-sync-lockstep", program, sigma, depth, "sync",
-                      epp_sync, enabled_sp, None, store)
+                      store)
 
 
 def check_epp_async(program, sigma, depth, store=None) -> TheoremReport:
     return _check_epp("epp-async-lockstep", program, sigma, depth, "async",
-                      epp_async, enabled_asp,
-                      lambda c: well_formed(c)[0], store)
+                      store)
 
 
 def check_async_equivalence(program, sigma, depth,
@@ -482,29 +552,29 @@ def check_diamond(program, sigma, depth, store=None) -> TheoremReport:
     return _report("diamond", text, len(configs), failures, capped)
 
 
-def check_sp_asp_simulation(net, depth) -> TheoremReport:
+def check_sp_asp_simulation(net, depth, store=None) -> TheoremReport:
     """Every synchronous network step is simulated from the queue-equipped
     network in at most two steps, landing on the lifted successor."""
+    store = SuccessorStore() if store is None else store
     text = network_key(net)
-    nets, capped = explore_network(net, "sync", depth)
+    nets, capped = explore_network(net, "sync", depth, store=store)
     failures = []
     unknown = False
     for n in nets:
-        lifted = lift_to_async(n)
-        async_steps = enabled_asp(lifted)
-        for label, succ in enabled_sp(n):
+        async_steps = store.net_steps(lift_to_async(n), "async")
+        for label, succ in store.net_steps(n, "sync"):
             if label.rule in ("Then", "Else"):
                 verdict = _some_equiv(
-                    (s, succ) for l, s in async_steps
-                    if _sig(l)[0:2] == _sig(label)[0:2])
+                    ((s, succ) for l, s in async_steps
+                     if _sig(l)[0:2] == _sig(label)[0:2]), store)
                 what = "conditional step unmatched"
             else:
                 want = _sig(label)[1:]
                 verdict = _some_equiv(
-                    (end, succ) for l1, mid in async_steps
-                    if l1.rule == "ComS" and _sig(l1)[1:] == want
-                    for l2, end in enabled_asp(mid)
-                    if l2.rule == "ComR" and _sig(l2)[1:] == want)
+                    ((end, succ) for l1, mid in async_steps
+                     if l1.rule == "ComS" and _sig(l1)[1:] == want
+                     for l2, end in store.net_steps(mid, "async")
+                     if l2.rule == "ComR" and _sig(l2)[1:] == want), store)
                 what = f"communication {label.subjects} not simulated"
             if verdict is None:
                 unknown = True
@@ -516,11 +586,12 @@ def check_sp_asp_simulation(net, depth) -> TheoremReport:
 
 def check_well_formedness_preservation(program, sigma, depth,
                                        store=None) -> TheoremReport:
+    store = SuccessorStore() if store is None else store
     text = render_choreography(program)
     configs, capped = explore_chor(Configuration(program, sigma), "async",
                                    depth, store=store)
     failures = [f"ill-formed reachable term: {cfg.key()[0]}"
-                for cfg in configs if not well_formed(cfg.chor)[0]]
+                for cfg in configs if not store.well_formed(cfg.chor)[0]]
     return _report("well-formedness-preservation", text, len(configs),
                    failures, capped)
 
@@ -568,7 +639,7 @@ def verify_corpus(theorems, spec: CorpusSpec, depth: int = 12):
             per.append(check_diamond(program, sigma, depth, store=store))
         if "t7" in theorems:
             net = epp_sync(program, sigma)
-            per.append(check_sp_asp_simulation(net, depth))
+            per.append(check_sp_asp_simulation(net, depth, store=store))
         if "wf" in theorems or "t8" in theorems:
             per.append(check_well_formedness_preservation(
                 program, sigma, depth, store=store))

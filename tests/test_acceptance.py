@@ -6,6 +6,7 @@ over the default seed-42 corpus (60 projectable programs, <= 4 processes,
 <= 8 communications, <= 1 recursion) explored to depth 12.
 """
 
+import hashlib
 import itertools
 import time
 
@@ -267,3 +268,16 @@ def test_criterion_11_explored_state_count(corpus_run):
     reports, _ = corpus_run
     assert len(reports) == 481
     assert sum(r.states for _, r in reports) == 15_883
+
+
+def test_criterion_12_report_digest(corpus_run):
+    # Every report's program id, theorem, state count, verdict and
+    # counterexample, pinned as one SHA-256 so that any change in what the
+    # checks explore or conclude shows.
+    reports, _ = corpus_run
+    digest = hashlib.sha256()
+    for pid, r in reports:
+        digest.update(repr((pid, r.theorem, r.states, r.verdict,
+                            r.counterexample)).encode())
+    assert digest.hexdigest() == (
+        "d8d33e1893f4a13ca6b53816c1b56be002c7c93a4a3d71203c01ffb2d30b8f95")

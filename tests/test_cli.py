@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from chorkit import cli, project, well_formed
 from chorkit.cli import (
     EXIT_ILL_FORMED,
     EXIT_NOT_PROJECTABLE,
@@ -55,6 +56,29 @@ class TestCheck:
         path = write("np.mc",
                      "if p.true then { q.1 -> r; 0 } else { 0 }")
         assert main(["check", path]) == EXIT_NOT_PROJECTABLE
+
+    @pytest.mark.parametrize("text", ["p.1 -> q; 0",
+                                      "p.1 ~> [#0]; q <~ (p, #0); 0",
+                                      "p.1 -> q; q <~ (p, 2); 0"])
+    def test_well_formedness_is_decided_once(self, write, monkeypatch,
+                                             text):
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return well_formed(c)
+
+        for module in (cli, project):
+            monkeypatch.setattr(module, "well_formed", counted)
+        main(["check", write("p.mc", text)])
+        assert len(calls) == 1
+
+    def test_long_chain(self, write, capsys):
+        names = "pqrs"
+        text = "".join(f"{names[i % 4]}.{i} -> {names[(i + 1) % 4]}; "
+                       for i in range(1200)) + "0"
+        assert main(["check", write("chain.mc", text)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
 
 
 class TestRun:
@@ -226,6 +250,21 @@ class TestFilesAndRuntimeErrors:
         path = write("q.sp", "p[0]<(q, 1)>{ q?; 0 } | q[0]{ 0 }")
         assert main(["simulate", path, "--mode", "sync"]) == EXIT_RUNTIME
         assert one_line_error(capsys, "runtime error:")
+
+    @pytest.mark.parametrize("command, target",
+                             [("run", "run_chor"), ("project", "epp_sync"),
+                              ("simulate", "run_network")])
+    def test_recursion_limit(self, write, capsys, monkeypatch, command,
+                             target):
+        def deep(*args):
+            return deep(*args)
+
+        monkeypatch.setattr(cli, target, deep)
+        path = write("p.mc" if command != "simulate" else "p.sp",
+                     "p.1 -> q; 0" if command != "simulate"
+                     else "p[0]{ q!1; 0 } | q[0]{ p?; 0 }")
+        assert main([command, path]) == EXIT_RUNTIME
+        assert one_line_error(capsys, "runtime error: term nested too deeply")
 
 
 class TestVerify:

@@ -4,13 +4,22 @@ Configurations and networks are keyed by the terms themselves, so
 structural equality must coincide with equality of the rendered forms the
 checker used to key by.  Normalization returns collected terms unchanged,
 and a check run on its own agrees with the same check run inside
-``verify_corpus`` with a shared store.
+``verify_corpus`` with a shared store.  The network step relations touch
+only the processes a step changes, and agree with rebuilding and
+normalizing the whole network; the store's projections agree with
+projecting and normalizing directly, and each of its tables computes each
+key once.
 """
+
+import collections
 
 import pytest
 
 from chorkit import (
     Configuration,
+    IllFormed,
+    Network,
+    NotProjectable,
     check_async_equivalence,
     check_deadlock_freedom,
     check_diamond,
@@ -27,6 +36,7 @@ from chorkit import (
     parse_network,
     render_network,
 )
+from chorkit import congruence, network, verify
 from chorkit.network import gc_behaviour
 from chorkit.verify import (
     THEOREMS,
@@ -159,3 +169,110 @@ def test_direct_checks_match_the_shared_store():
                                                      depth)),
         ]
     assert shared == direct
+
+
+def _full_step(procs, label, changed):
+    """The step successor as first defined: the whole network rebuilt and
+    normalized."""
+    return label, normalize_network(Network.of({**procs, **changed}))
+
+
+def _network_steps(n):
+    steps = list(network.enabled_asp(n))
+    if all(p.queue.is_empty() for _, p in n.procs):
+        steps += network.enabled_sp(n)
+    return steps
+
+
+def test_network_steps_match_the_full_rebuild(explored, monkeypatch):
+    _, nets = explored
+    # Steps that leave a definition over 0 behind, or a done process that
+    # no one names any more.
+    nets = nets + [parse_network(text) for text in (
+        "p[0]{ def X = { q!1; 0 } in X } | q[0]{ p?; 0 }",
+        "p[0]{ if true then { 0 } else { q!1; 0 } } | q[0]{ 0 }",
+        "p[0]{ q!1; r!2; 0 } | q[0]{ p?; 0 } | r[0]{ p?; 0 }")]
+    normalized = list(dict.fromkeys(normalize_network(n) for n in nets))
+    fast = [_network_steps(n) for n in normalized]
+    monkeypatch.setattr(network, "_step", _full_step)
+    full = [_network_steps(n) for n in normalized]
+    assert fast == full
+    assert sum(map(len, fast)) > len(normalized)
+
+
+def _direct_projection(cfg, mode):
+    project = epp_sync if mode == "sync" else epp_async
+    try:
+        return normalize_network(project(cfg.chor, cfg.state))
+    except (NotProjectable, IllFormed) as exc:
+        return str(exc)
+
+
+def test_store_projections_match_direct_projection(explored):
+    configs, _ = explored
+    sigma = default_state(parse_choreography("p.1 -> q; r.1 -> q; 0"))
+    configs = list(dict.fromkeys(configs)) + [
+        Configuration(parse_choreography(text), sigma) for text in (
+            "p.1 -> q; q <~ (p, 2); 0",
+            "if p.true then { q.1 -> r; 0 } else { 0 }",
+            "p.1 ~> [#0]; 0")]
+    store = SuccessorStore()
+    errors = set()
+    for cfg in configs:
+        for mode in ("sync", "async"):
+            got = store.projection(cfg, mode)
+            assert got == _direct_projection(cfg, mode)
+            if isinstance(got, str):
+                errors.add((mode, got))
+            else:
+                assert normalize_network(got) is got
+    assert {mode for mode, _ in errors} == {"sync", "async"}
+    assert len(errors) >= 4
+
+
+def test_each_store_table_computes_each_key_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name, args[2] if name == "network_equiv" else None] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("enabled_sync", "enabled_async", "enabled_sp",
+                 "enabled_asp", "well_formed", "epp_sync",
+                 "project_network", "network_equiv"):
+        counted(verify, name)
+    counted(congruence, "behaviour_equiv")
+    for program in generate_corpus(CorpusSpec(count=20)):
+        sigma = default_state(program)
+        net = epp_sync(program, sigma)
+        store = SuccessorStore()
+        calls.clear()
+        for mode in ("sync", "async"):
+            check_deadlock_freedom(program, sigma, DEPTH, mode, store=store)
+        check_epp_sync(program, sigma, DEPTH, store=store)
+        check_epp_async(program, sigma, DEPTH, store=store)
+        check_async_equivalence(program, sigma, DEPTH, store=store)
+        check_diamond(program, sigma, DEPTH, store=store)
+        check_sp_asp_simulation(net, DEPTH, store=store)
+        check_well_formedness_preservation(program, sigma, DEPTH,
+                                           store=store)
+        computed = {
+            "enabled_sync": store._steps["sync"],
+            "enabled_async": store._steps["async"],
+            "enabled_sp": store._net_steps["sync"],
+            "enabled_asp": store._net_steps["async"],
+            "well_formed": store._well_formed,
+            "epp_sync": store._projections["sync"],
+            "project_network": store._projections["async"],
+            "behaviour_equiv": store._behaviour_equiv,
+        }
+        for name, table in computed.items():
+            assert calls[name, None] == len(table), name
+        assert calls["network_equiv", verify.SOUNDNESS_UNFOLD_BUDGET] == \
+            len(store._equiv)
+        assert all(calls[name, None] for name in computed
+                   if name != "behaviour_equiv")
