@@ -3,17 +3,20 @@
 Choreographies are compared by canonicalization: garbage-collect, hoist
 common heads out of conditionals, order commuting nested conditionals, and
 sort maximal blocks of pairwise-independent actions by a fixed total order.
-Recursion unfolding is retried up to a budget; exhausting the budget with
+Their recursion unfolding is searched up to a budget; exhausting it with
 definitions still present yields "unknown" (None), distinct from False.
+Behaviours, and so networks, are compared exactly, as the regular trees
+they unfold to.
 """
 
 from __future__ import annotations
 
-from .network import normalize_network
+from .network import _done, normalize_network
 from .render import render_expr, render_value
 from .terms import (
+    BCall,
     BDef,
-    BNil,
+    BNIL,
     Com,
     Cond,
     Def,
@@ -22,6 +25,7 @@ from .terms import (
     RtRecv,
     RtSend,
     Tag,
+    fixed,
     gc,
     head_pn,
     kids,
@@ -90,10 +94,6 @@ def unfold_variants(t):
     return out
 
 
-def _has_def(t) -> bool:
-    return any(type(s) in (Def, BDef) for s in subterms(t))
-
-
 def precongruent(c1, c2, unfold_budget: int = 0):
     """True iff c1 can be rewritten to c2 with swaps, garbage collection
     and at most ``unfold_budget`` unfoldings.  None means the budget ran
@@ -115,7 +115,7 @@ def precongruent(c1, c2, unfold_budget: int = 0):
         frontier = nxt
         if not frontier:
             return False
-    if _has_def(gc(c1)) or _has_def(gc(c2)):
+    if any(type(s) is Def for c in (c1, c2) for s in subterms(gc(c))):
         return None
     return False
 
@@ -137,57 +137,71 @@ def chor_equiv(c1, c2, unfold_budget: int = 0):
 # Network equivalence
 
 
-def behaviour_equiv(b1, b2, unfold_budget: int = 0):
-    b1, b2 = gc(b1), gc(b2)
-    if b1 == b2:
-        return True
-    left = {b1}
-    right = {b2}
-    for _ in range(unfold_budget):
-        left |= {gc(v) for b in left for v in unfold_variants(b)}
-        right |= {gc(v) for b in right for v in unfold_variants(b)}
-        if left & right:
-            return True
-    if _has_def(b1) or _has_def(b2):
-        return None
-    return False
+def _head(t, env):
+    """The first action of ``t`` in the environment ``env``, and the
+    environment in scope there.  An environment is () or the innermost
+    definition in scope paired with the environment it is in; a call
+    resumes the body of its definition there.  A call cycle with no action
+    in between is 0, as :func:`gc` folds it."""
+    cycle = set()
+    while True:
+        kind = type(t)
+        if kind is BDef:
+            env = (t, env)
+            t = t.cont
+        elif kind is BCall:
+            while env and env[0].var != t.var:
+                env = env[1]
+            if not env:
+                return t, env  # a free call
+            if env in cycle:
+                return BNIL, ()
+            cycle.add(env)
+            t = env[0].body
+        else:
+            return t, env
 
 
-def _drop_done(n: Network) -> Network:
-    """Remove every process with nothing left to do and an empty queue.
+def behaviour_equiv(b1, b2) -> bool:
+    """Whether ``b1`` and ``b2`` unfold to the same regular tree, decided
+    coinductively on pairs of (subterm, environment): the heads of a pair
+    must have the same constructor and fields, and then their subterms
+    pair up.  The walk ends, as a behaviour has finitely many of both."""
+    todo = [((gc(b1), ()), (gc(b2), ()))]
+    assumed = set()
+    while todo:
+        pair = todo.pop()
+        (t1, env1), (t2, env2) = pair
+        if (t1 is t2 and env1 == env2) or pair in assumed:
+            continue
+        assumed.add(pair)
+        (h1, env1), (h2, env2) = _head(t1, env1), _head(t2, env2)
+        if type(h1) is not type(h2) or fixed(h1) != fixed(h2):
+            return False
+        todo += zip([(k, env1) for k in kids(h1)],
+                    [(k, env2) for k in kids(h2)])
+    return True
 
-    The operational normalization keeps such processes while a peer still
-    names them; for comparison they are inert either way.
-    """
-    keep = {name: p for name, p in n.procs
-            if not (isinstance(gc(p.behaviour), BNil)
-                    and p.queue.is_empty())}
-    return Network.of(keep)
 
-
-def network_equiv(n1: Network, n2: Network, unfold_budget: int = 0,
-                  memo=None):
-    """Networks equal up to normalization and bounded recursion unfolding:
-    states and queues exactly, behaviours up to the budget.  ``memo``, a
-    dict the caller keeps across calls, holds the verdicts of
-    :func:`behaviour_equiv`."""
+def network_equiv(n1: Network, n2: Network, memo=None) -> bool:
+    """Networks equal up to normalization and recursion unfolding: states
+    and queues exactly, behaviours by :func:`behaviour_equiv`, and with
+    the processes that are done left out, even where a peer still names
+    them.  ``memo``, a dict the caller keeps across calls, holds the
+    behaviour verdicts."""
     if n1 is n2:
         return True
     memo = {} if memo is None else memo
-    n1 = _drop_done(normalize_network(n1))
-    n2 = _drop_done(normalize_network(n2))
-    if n1.names() != n2.names():
+    live = [[entry for entry in normalize_network(n).procs
+             if not _done(entry[1])] for n in (n1, n2)]
+    if len(live[0]) != len(live[1]):
         return False
-    unknown = False
-    for (_, p1), (_, p2) in zip(n1.procs, n2.procs):
-        if p1.state != p2.state or p1.queue != p2.queue:
+    for (name1, p1), (name2, p2) in zip(*live):
+        if name1 != name2 or p1.state != p2.state or p1.queue != p2.queue:
             return False
-        key = (p1.behaviour, p2.behaviour, unfold_budget)
+        key = (p1.behaviour, p2.behaviour)
         if key not in memo:
             memo[key] = behaviour_equiv(*key)
-        verdict = memo[key]
-        if verdict is False:
+        if not memo[key]:
             return False
-        if verdict is None:
-            unknown = True
-    return None if unknown else True
+    return True

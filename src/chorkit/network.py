@@ -249,8 +249,7 @@ def classify(n: Network, mode: str) -> str:
     steps = enabled_sp(norm) if mode == "sync" else enabled_asp(norm)
     if steps:
         return "running"
-    done = all(isinstance(gc(p.behaviour), BNil)
-               for _, p in norm.procs)
+    done = all(type(p.behaviour) is BNil for _, p in norm.procs)
     if done and any(not p.queue.is_empty() for _, p in norm.procs):
         return "orphaned-messages"
     return "deadlocked"

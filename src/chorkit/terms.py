@@ -376,8 +376,9 @@ def _getter(names):
 # Per constructor: its subterms, the fields before them, and the fields
 # before its continuation (for those that end with one).
 _KIDS = {cls: _getter(names) for cls, names in SUBTERMS.items()}
-_FIXED = {cls: _getter(cls.__slots__[:-len(names)])
-          for cls, names in SUBTERMS.items()}
+_FIXED = {cls: _getter(cls.__slots__[:len(cls.__slots__)
+                                     - len(SUBTERMS.get(cls, ()))])
+          for cls in (*SUBTERMS, *_INERT)}
 _BEFORE_CONT = {cls: _getter(cls.__slots__[:-1])
                 for cls, names in SUBTERMS.items() if names[-1] == "cont"}
 
@@ -386,6 +387,11 @@ def kids(t) -> tuple:
     """The subterms of ``t``, in field order."""
     get = _KIDS.get(type(t))
     return () if get is None else get(t)
+
+
+def fixed(t) -> tuple:
+    """The fields of ``t`` before its subterms (all, for a call or 0)."""
+    return _FIXED[type(t)](t)
 
 
 def rebuild(t, new):
@@ -534,7 +540,8 @@ def _inert(t) -> bool:
 
 def gc(t):
     """Garbage-collect a choreography or a behaviour: fold recursion
-    wrappers over 0 and drop inert definitions.  Subterms are collected
+    wrappers over 0, drop inert definitions, and drop a definition whose
+    continuation calls another variable.  Subterms are collected
     first, so one pass reaches the fixpoint; a term with nothing to collect
     is returned as it is."""
     spine = []
@@ -558,6 +565,8 @@ def gc(t):
         if type(cont) in _NILS or (type(body) in _INERT
                                    and type(cont) in _INERT and _inert(t)):
             t = NIL if kind is Def else BNIL
+        elif type(cont) in _CALLS and cont.var != t.var:
+            t = cont  # the definition is dead: the call is of an outer one
     for node in reversed(spine):
         t = node if t is node.cont else replace_cont(node, t)
     return t

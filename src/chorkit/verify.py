@@ -26,11 +26,6 @@ from .terms import SUBTERMS, BinOp, BoolV, Cell, Com, Cond, Def, IntV, \
 from .values import GlobalState
 
 STATE_CAP = 50_000
-SOUNDNESS_UNFOLD_BUDGET = 2
-# Unfold budget for a second try when equivalence at the first budget is
-# unknown; a correspondence unknown even here is reported as
-# budget-exceeded, never as a failure.
-SOUNDNESS_RETRY_BUDGET = 4
 
 
 @dataclass(frozen=True)
@@ -213,16 +208,10 @@ class SuccessorStore:
             table[cfg] = found
         return found
 
-    def equiv(self, n1: Network, n2: Network):
-        """:func:`network_equiv` at ``SOUNDNESS_UNFOLD_BUDGET``, retried at
-        ``SOUNDNESS_RETRY_BUDGET`` when unknown."""
+    def equiv(self, n1: Network, n2: Network) -> bool:
         key = (n1, n2)
         if key not in self._equiv:
-            memo = self._behaviour_equiv
-            verdict = network_equiv(n1, n2, SOUNDNESS_UNFOLD_BUDGET, memo)
-            if verdict is None:
-                verdict = network_equiv(n1, n2, SOUNDNESS_RETRY_BUDGET, memo)
-            self._equiv[key] = verdict
+            self._equiv[key] = network_equiv(n1, n2, self._behaviour_equiv)
         return self._equiv[key]
 
     def _cons_steps(self, raw) -> tuple:
@@ -312,8 +301,10 @@ def _sig(label):
 
 def _some_equiv(pairs, store):
     """Whether some pair of networks is equivalent: True at the first
-    equivalent pair; otherwise None if some pair stayed unknown, even
-    retried at the larger unfold budget, and False if none did."""
+    equivalent pair; otherwise None if some pair was unknown, and False if
+    none was.  :func:`network_equiv` always decides, so only a stand-in
+    for it answers unknown; a check reports that as budget-exceeded, never
+    as a failure."""
     unknown = False
     for n1, n2 in pairs:
         verdict = store.equiv(n1, n2)
@@ -361,7 +352,7 @@ def check_deadlock_freedom(program, sigma, depth, mode,
 def _lockstep(cfg, net, mode, store, failures) -> bool:
     """Signature bijection plus pointwise successor correspondence between
     ``cfg`` and its projection ``net``.  Returns True if some
-    correspondence stayed unknown within the unfold budgets."""
+    correspondence was unknown (see :func:`_some_equiv`)."""
     chor_by_sig = {}
     for label, succ in store.steps(cfg, mode):
         chor_by_sig.setdefault(_sig(label), []).append(succ)

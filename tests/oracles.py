@@ -6,21 +6,25 @@ the swap rules and fires actions only at the very top of a term.  The two
 must agree on every recursion-free input.  A second oracle validates the
 queue representation: the per-sender lane form must identify exactly the
 message sequences related by swapping adjacent messages from distinct
-senders.
+senders.  A third, the bounded search for a common unfolding, is the
+reference for exact behaviour equivalence.
 
 Nothing in this module may import from the engine code paths it validates
-beyond the shared AST, the expression evaluator and the canonicalizer used
-to compare successor terms.
+beyond the shared AST, the expression evaluator, the canonicalizer used
+to compare successor terms, and the one-step unfolding of the choreography
+comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+from chorkit.congruence import unfold_variants
 from chorkit.render import render_choreography, render_expr, render_value
 from chorkit.sync import gc, subst_tag
 from chorkit.terms import (
     NIL,
+    BDef,
     Com,
     Cond,
     Message,
@@ -30,6 +34,7 @@ from chorkit.terms import (
     RtSend,
     Tag,
     head_pn,
+    subterms,
 )
 from chorkit.values import eval_expr
 
@@ -252,3 +257,26 @@ def oracle_dequeue(seq, sender):
         if m.sender == sender:
             return m.payload, seq[:i] + seq[i + 1:]
     return None
+
+
+# ---------------------------------------------------------------------------
+# Bounded behaviour equivalence
+
+
+def bounded_behaviour_equiv(b1, b2, unfold_budget: int):
+    """True when at most ``unfold_budget`` rounds of unfolding on each side
+    reach a common collected term; None when they do not and a definition
+    is left, False when none is."""
+    b1, b2 = gc(b1), gc(b2)
+    if b1 == b2:
+        return True
+    left = {b1}
+    right = {b2}
+    for _ in range(unfold_budget):
+        left |= {gc(v) for b in left for v in unfold_variants(b)}
+        right |= {gc(v) for b in right for v in unfold_variants(b)}
+        if left & right:
+            return True
+    if any(type(s) is BDef for b in (b1, b2) for s in subterms(b)):
+        return None
+    return False

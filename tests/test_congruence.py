@@ -1,8 +1,16 @@
 """Decision procedures for structural precongruence and network
 equivalence."""
 
+import pytest
+
+from oracles import bounded_behaviour_equiv
+
 from chorkit import (
+    BCall,
+    BSend,
     GlobalState,
+    IntV,
+    Lit,
     behaviour_equiv,
     canonical,
     chor_equiv,
@@ -14,6 +22,8 @@ from chorkit import (
     precongruent,
     render_choreography,
 )
+from chorkit import congruence
+from chorkit.verify import CorpusSpec, verify_corpus
 
 
 def chor(text):
@@ -57,15 +67,62 @@ class TestChoreographyEquivalence:
         assert render_choreography(k) == "p.1 -> q; r.2 -> s; 0"
 
 
+_LOOP = "def X = { if @ < 3 then { q!1; X } else { q!2; X } } in X"
+
+
 class TestBehaviourEquivalence:
-    def test_unfold_budget(self):
-        a = beh("def X = { q!1; X } in X")
-        b = beh("def X = { q!1; X } in q!1; X")
-        assert behaviour_equiv(a, b, unfold_budget=0) is None
-        assert behaviour_equiv(a, b, unfold_budget=1) is True
+    # Equality of the regular trees the behaviours unfold to.  No bounded
+    # search for a common unfolding settles the first six pairs.
+    @pytest.mark.parametrize("left, right, equal", [
+        ("def X = { q!1; X } in X",
+         "q!1; q!1; q!1; def X = { q!1; X } in X", True),
+        ("def X = { q!1; q!2; X } in X",
+         "def X = { q!2; q!1; X } in q!1; X", True),
+        ("def X = { q!1; X } in X", "def X = { q!1; q!2; X } in X", False),
+        ("def X = { def Y = { a!1; Y } in b!1; X } in X",
+         "def X = { b!1; X } in X", True),
+        ("def X = { q!1; def X = { q!2; X } in X } in X",
+         "q!1; def X = { q!2; X } in X", True),
+        (_LOOP, f"if @ < 3 then {{ q!1; {_LOOP} }} "
+                f"else {{ q!2; {_LOOP} }}", True),
+        ("def X = { r?; X } in r?; X", "def X = { r?; X } in X", True),
+        ("def X = { X } in q!1; X", "q!1; 0", True),
+    ])
+    def test_exact(self, left, right, equal):
+        assert behaviour_equiv(beh(left), beh(right)) is equal
+        assert behaviour_equiv(beh(right), beh(left)) is equal
 
     def test_plainly_different(self):
         assert behaviour_equiv(beh("q!1; 0"), beh("q!2; 0")) is False
+
+    def test_free_calls_are_leaves(self):
+        def send(var):
+            return BSend("q", Lit(IntV(1)), BCall(var))
+        assert behaviour_equiv(send("X"), send("X")) is True
+        assert behaviour_equiv(send("X"), send("Y")) is False
+
+    def test_agrees_with_the_bounded_reference(self, monkeypatch):
+        # Every question the checks ask: a common unfolding implies equal
+        # trees, and with no definition left equality is plain equality.
+        asked = []
+        exact = congruence.behaviour_equiv
+
+        def recording(b1, b2):
+            verdict = exact(b1, b2)
+            asked.append((b1, b2, verdict))
+            return verdict
+        monkeypatch.setattr(congruence, "behaviour_equiv", recording)
+        for seed, depth in ((42, 12), (102, 4)):
+            verify_corpus({"t2", "t7", "t8"}, CorpusSpec(seed=seed), depth)
+        unsettled = 0
+        for b1, b2, verdict in set(asked):
+            reference = bounded_behaviour_equiv(b1, b2, 2)
+            if reference is None:
+                unsettled += 1
+                reference = bounded_behaviour_equiv(b1, b2, 4)
+            assert verdict is reference or (
+                reference is None and isinstance(verdict, bool))
+        assert len(asked) > 800 and unsettled
 
 
 class TestNetworkEquivalence:

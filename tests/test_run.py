@@ -2,18 +2,23 @@
 
 import json
 
+import pytest
+
 from chorkit import (
     Configuration,
     GlobalState,
     IntV,
+    epp_sync,
     format_trace,
     make_scheduler,
     parse_choreography,
     parse_network,
     pn,
+    render,
     run_chor,
     run_network,
 )
+from chorkit.verify import explore_network
 
 
 def cfg_of(text):
@@ -112,3 +117,33 @@ class TestNetworkRuns:
         delivered = [s.label.value for s in t.steps
                      if s.label.rule == "ComR"]
         assert delivered == [IntV(3), IntV(3)]
+
+
+class TestDeadDefinitions:
+    """Each iteration of this loop leaves behind the definition of Y, which
+    nothing calls; collecting it keeps runs at a constant size and closes
+    the state space."""
+
+    PROGRAM = "def X = { def Y = { p.1 -> a; Y } in p.2 -> b; X } in X"
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_runs_keep_their_size(self, mode):
+        cfg = cfg_of(self.PROGRAM)
+        net = epp_sync(cfg.chor, cfg.state)
+        for trace in (run_chor(cfg, mode, make_scheduler("leftmost"), 50),
+                      run_network(net, mode, make_scheduler("leftmost"), 50)):
+            sizes = [len(render(getattr(s.result, "chor", s.result)))
+                     for s in trace.steps]
+            assert len(sizes) == 50
+            assert sizes[-2:] == sizes[:2]
+
+    def test_projection_state_space_closes(self):
+        cfg = cfg_of(self.PROGRAM)
+        net = epp_sync(cfg.chor, cfg.state)
+        assert len(explore_network(net, "sync", 50)[0]) == \
+            len(explore_network(net, "sync", 10)[0])
+        # Asynchronously p sends ahead without bound, so only the queues
+        # grow: the behaviours still take finitely many values.
+        behaviours = [{p.behaviour for n in explore_network(net, "async", d)[0]
+                       for _, p in n.procs} for d in (10, 50)]
+        assert behaviours[0] == behaviours[1]
