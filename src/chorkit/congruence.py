@@ -167,7 +167,7 @@ def behaviour_equiv(b1, b2) -> bool:
     coinductively on pairs of (subterm, environment): the heads of a pair
     must have the same constructor and fields, and then their subterms
     pair up.  The walk ends, as a behaviour has finitely many of both."""
-    todo = [((gc(b1), ()), (gc(b2), ()))]
+    todo = [((b1, ()), (b2, ()))]
     assumed = set()
     while todo:
         pair = todo.pop()

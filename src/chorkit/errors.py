@@ -14,7 +14,7 @@ class ParseError(ChorError):
 
 
 class BindError(ChorError):
-    """A recursion variable is used outside the scope of its definition."""
+    """A recursion call outside its definition, or a shadowing definition."""
 
 
 class DupTagError(ChorError):

@@ -54,8 +54,7 @@ def expose_head(behaviour, env=None, unfolded=frozenset()) -> Optional[_Head]:
     if isinstance(behaviour, (BSend, BRecv, BCond)):
         return _Head(behaviour, lambda b: b)
     if isinstance(behaviour, BDef):
-        inner_env = dict(env)
-        inner_env[behaviour.var] = behaviour.body
+        inner_env = {**env, behaviour.var: behaviour.body}
         head = expose_head(behaviour.cont, inner_env, unfolded)
         if head is None:
             return None
@@ -79,9 +78,10 @@ def expose_head(behaviour, env=None, unfolded=frozenset()) -> Optional[_Head]:
 gc_behaviour = gc
 
 
-def _partners(b, acc):
-    """Add every process that ``b`` sends to or receives from."""
-    stack = [b]
+def _partners(behaviours) -> set:
+    """Every process that one of ``behaviours`` sends to or receives from."""
+    acc = set()
+    stack = list(behaviours)
     while stack:
         b = stack.pop()
         while type(b) in SUBTERMS:  # every one ends with a continuation
@@ -95,6 +95,7 @@ def _partners(b, acc):
             else:  # BDef
                 stack.append(b.body)
             b = b.cont
+    return acc
 
 
 def _done(p) -> bool:
@@ -111,9 +112,7 @@ def normalize_network(n: Network) -> Network:
         b = gc(p.behaviour)
         procs.append(entry if b is p.behaviour
                      else (name, Process(p.state, p.queue, b)))
-    referenced = set()
-    for _, p in procs:
-        _partners(p.behaviour, referenced)
+    referenced = _partners(p.behaviour for _, p in procs)
     keep = tuple(entry for entry in procs
                  if not (_done(entry[1]) and entry[0] not in referenced))
     if len(keep) == len(n.procs) and all(
@@ -152,9 +151,7 @@ def _step(procs, label, changed):
         procs[name] = p if b is p.behaviour else Process(p.state, p.queue, b)
     done = [name for name, p in procs.items() if _done(p)]
     if done:
-        referenced = set()
-        for p in procs.values():
-            _partners(p.behaviour, referenced)
+        referenced = _partners(p.behaviour for p in procs.values())
         for name in done:
             if name not in referenced:
                 del procs[name]

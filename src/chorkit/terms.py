@@ -363,6 +363,7 @@ _CALLS = frozenset({Call, BCall})
 _DEFS = frozenset({Def, BDef})
 _NILS = frozenset({Nil, BNil})
 _INERT = _CALLS | _DEFS | _NILS  # every other constructor is an action
+_NO_CALLS = frozenset()
 
 
 def _getter(names):
@@ -487,29 +488,22 @@ def transform(t, post, enter=None):
     return done
 
 
-def free_calls(t) -> list:
-    """Recursion variables called in ``t`` outside every definition of
-    them, in order of first occurrence."""
-    free = {}
+def check_bound(t) -> None:
+    """Raise BindError on a recursion call outside every definition of its
+    variable, or on a definition inside another of the same variable.
+    With distinct binders, the engines' lookup of a call where it occurs
+    agrees with lexical scoping."""
     stack = [(t, frozenset())]
     while stack:
         t, bound = stack.pop()
         kind = type(t)
-        if kind in _CALLS:
-            if t.var not in bound:
-                free[t.var] = None
-            continue
+        if kind in _CALLS and t.var not in bound:
+            raise BindError(f"unbound recursion variable {t.var}")
         if kind in _DEFS:
+            if t.var in bound:
+                raise BindError(f"shadowed recursion variable {t.var}")
             bound = bound | {t.var}
         stack.extend((k, bound) for k in reversed(kids(t)))
-    return list(free)
-
-
-def check_bound(t) -> None:
-    """Raise BindError on any recursion call outside its definition."""
-    free = free_calls(t)
-    if free:
-        raise BindError(f"unbound recursion variable {free[0]}")
 
 
 def subst_call(t, var: str, body):
@@ -531,45 +525,52 @@ def runtime_free(c) -> bool:
 # Garbage collection
 
 
-def _inert(t) -> bool:
-    """No action anywhere and no free recursion call: such a term can
-    never step, since unfolding only copies existing subterms."""
-    return (all(type(s) in _INERT for s in subterms(t))
-            and not free_calls(t))
-
-
 def gc(t):
-    """Garbage-collect a choreography or a behaviour: fold recursion
-    wrappers over 0, drop inert definitions, and drop a definition whose
-    continuation calls another variable.  Subterms are collected
+    """Garbage-collect a choreography or a behaviour: drop every definition
+    that its continuation does not call, and fold to 0 a definition with
+    no action anywhere and no free call (it can never step, since
+    unfolding only copies existing subterms).  Subterms are collected
     first, so one pass reaches the fixpoint; a term with nothing to collect
     is returned as it is."""
+    return _gc(t)[0]
+
+
+def _gc(t):
+    """:func:`gc` of ``t``, and the variables called free in the result."""
     spine = []
     while type(t) in _PREFIXES:
         spine.append(t)
         t = t.cont
     kind = type(t)
+    free = _NO_CALLS
     if kind is Cond:
-        then, orelse = gc(t.then), gc(t.orelse)
+        (then, free), (orelse, more) = _gc(t.then), _gc(t.orelse)
+        free |= more
         if then is not t.then or orelse is not t.orelse:
             t = Cond(t.decider, t.expr, then, orelse)
     elif kind is BCond:
-        then, orelse, cont = gc(t.then), gc(t.orelse), gc(t.cont)
+        (then, free), (orelse, more), (cont, rest) = \
+            _gc(t.then), _gc(t.orelse), _gc(t.cont)
+        free |= more | rest
         if then is not t.then or orelse is not t.orelse or cont is not t.cont:
             t = BCond(t.expr, then, orelse, cont)
     elif kind in _DEFS:
-        body, cont = gc(t.body), gc(t.cont)
-        if body is not t.body or cont is not t.cont:
-            t = kind(t.var, body, cont)
-        # A collected subterm that starts with an action keeps ``t`` live.
-        if type(cont) in _NILS or (type(body) in _INERT
-                                   and type(cont) in _INERT and _inert(t)):
-            t = NIL if kind is Def else BNIL
-        elif type(cont) in _CALLS and cont.var != t.var:
-            t = cont  # the definition is dead: the call is of an outer one
+        (body, inner), (cont, free) = _gc(t.body), _gc(t.cont)
+        if t.var not in free:
+            t = cont  # nothing calls the definition
+        else:
+            free = (inner | free) - {t.var}
+            if body is not t.body or cont is not t.cont:
+                t = kind(t.var, body, cont)
+            # A collected subterm that starts with an action keeps ``t``.
+            if (not free and type(body) in _INERT and type(cont) in _INERT
+                    and all(type(s) in _INERT for s in subterms(t))):
+                t = NIL if kind is Def else BNIL
+    elif kind in _CALLS:
+        free = frozenset((t.var,))
     for node in reversed(spine):
         t = node if t is node.cont else replace_cont(node, t)
-    return t
+    return t, free
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from oracles import bounded_behaviour_equiv
 
 from chorkit import (
     BCall,
+    BDef,
     BSend,
     GlobalState,
     IntV,
@@ -72,7 +73,7 @@ _LOOP = "def X = { if @ < 3 then { q!1; X } else { q!2; X } } in X"
 
 class TestBehaviourEquivalence:
     # Equality of the regular trees the behaviours unfold to.  No bounded
-    # search for a common unfolding settles the first six pairs.
+    # search for a common unfolding settles the first five pairs.
     @pytest.mark.parametrize("left, right, equal", [
         ("def X = { q!1; X } in X",
          "q!1; q!1; q!1; def X = { q!1; X } in X", True),
@@ -81,8 +82,6 @@ class TestBehaviourEquivalence:
         ("def X = { q!1; X } in X", "def X = { q!1; q!2; X } in X", False),
         ("def X = { def Y = { a!1; Y } in b!1; X } in X",
          "def X = { b!1; X } in X", True),
-        ("def X = { q!1; def X = { q!2; X } in X } in X",
-         "q!1; def X = { q!2; X } in X", True),
         (_LOOP, f"if @ < 3 then {{ q!1; {_LOOP} }} "
                 f"else {{ q!2; {_LOOP} }}", True),
         ("def X = { r?; X } in r?; X", "def X = { r?; X } in X", True),
@@ -91,6 +90,17 @@ class TestBehaviourEquivalence:
     def test_exact(self, left, right, equal):
         assert behaviour_equiv(beh(left), beh(right)) is equal
         assert behaviour_equiv(beh(right), beh(left)) is equal
+
+    def test_shadowed_definition_is_lexical(self):
+        # The parser rejects shadowing, so the terms are built directly:
+        # def X = { q!1; def X = { q!2; X } in X } in X.
+        def send(n, cont):
+            return BSend("q", Lit(IntV(n)), cont)
+        inner = BDef("X", send(2, BCall("X")), BCall("X"))
+        outer = BDef("X", send(1, inner), BCall("X"))
+        assert behaviour_equiv(outer, send(1, inner)) is True
+        assert behaviour_equiv(outer, BDef("X", send(1, BCall("X")),
+                                           BCall("X"))) is False
 
     def test_plainly_different(self):
         assert behaviour_equiv(beh("q!1; 0"), beh("q!2; 0")) is False

@@ -123,6 +123,12 @@ class TestNormalization:
         assert norm.is_empty()
         assert classify(n, "async") == "terminated"
 
+    def test_idle_loop_through_an_uncalled_definition_collected(self):
+        # X calls itself before Y's send can run.
+        n = net("p[0]{ def X = { def Y = { q!1; X } in X } in X }")
+        assert normalize_network(n).is_empty()
+        assert classify(n, "sync") == classify(n, "async") == "terminated"
+
     def test_recursive_behaviour_steps_repeatedly(self):
         n = net("p[0]{ def X = { q!1; X } in X } "
                 "| q[0]{ def Y = { p?; Y } in Y }")

@@ -83,6 +83,18 @@ class TestChoreographyParsing:
         with pytest.raises(BindError):
             parse_choreography("def X = { X } in Y")
 
+    def test_shadowing_definition_rejected(self):
+        # Distinct binders: the engines look a call up where it occurs, so
+        # an inner Y would capture the call that X's body makes.
+        with pytest.raises(BindError, match="shadowed recursion variable Y"):
+            parse_choreography("def Y = { p.1 -> a; 0 } in def X = { Y } in "
+                               "def Y = { p.2 -> b; 0 } in q.3 -> r; X")
+        with pytest.raises(BindError):
+            parse_choreography("def X = { p.1 -> q; def X = { X } in X } in X")
+        # Definitions in separate scopes may share a name.
+        parse_choreography("if p.true then { def X = { p.1 -> q; X } in X }"
+                           " else { def X = { p.2 -> q; X } in X }")
+
     def test_duplicate_tag_rejected(self):
         with pytest.raises(DupTagError):
             parse_choreography("p.1 ~> [#0]; p.2 ~> [#0]; 0")
@@ -128,6 +140,9 @@ class TestNetworkParsing:
     def test_unbound_behaviour_call_rejected(self):
         with pytest.raises(BindError):
             parse_network("p[0]{ q?; X }")
+        with pytest.raises(BindError):
+            parse_network("p[0]{ def X = { q!1; def X = { q!2; X } in X } "
+                          "in X }")
 
     def test_long_behaviour_parses_without_recursion(self):
         net = parse_network("p[0]{ " + "q!1; r?; " * 2500 + "0 }")

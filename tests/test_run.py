@@ -18,7 +18,7 @@ from chorkit import (
     run_chor,
     run_network,
 )
-from chorkit.verify import explore_network
+from chorkit.verify import check_diamond, explore_network
 
 
 def cfg_of(text):
@@ -136,6 +136,26 @@ class TestDeadDefinitions:
                      for s in trace.steps]
             assert len(sizes) == 50
             assert sizes[-2:] == sizes[:2]
+
+    @pytest.mark.parametrize("text", [
+        PROGRAM,
+        # Z is dead once q.3 -> r has run; p.1 -> a may run before that.
+        "def Y = { p.1 -> a; 0 } in def X = { Y } in "
+        "def Z = { p.2 -> b; 0 } in q.3 -> r; X"])
+    def test_step_order_does_not_matter(self, text):
+        # Both orders of two independent steps reach the same term, however
+        # early each order collects a dead definition.
+        cfg = cfg_of(text)
+        assert check_diamond(cfg.chor, cfg.state, 6).verdict == "pass"
+
+    def test_calls_resolve_lexically(self):
+        cfg = cfg_of("def Y = { p.1 -> a; 0 } in def X = { Y } in "
+                     "def Z = { p.2 -> b; 0 } in q.3 -> r; X")
+        for mode in ("sync", "async"):
+            trace = run_chor(cfg, mode, make_scheduler("leftmost"), 50)
+            assert trace.outcome == "terminated"
+            assert {s.label.subjects for s in trace.steps} == \
+                {("q", "r"), ("p", "a")}
 
     def test_projection_state_space_closes(self):
         cfg = cfg_of(self.PROGRAM)

@@ -173,6 +173,15 @@ class TestGcAndTermination:
         assert b != BNIL
         assert gc_behaviour(b) == BNIL
 
+    def test_uncalled_definition_before_an_action_collected(self):
+        # Nothing calls Y, though its continuation starts with an action.
+        c = parse_choreography(
+            "def X = { def Y = { p.1 -> a; Y } in p.2 -> b; X } in X")
+        loop = parse_choreography("def X = { p.2 -> b; X } in X")
+        assert gc(c) == loop
+        assert gc_behaviour(project_behaviour(c, "b")) == \
+            project_behaviour(loop, "b")
+
 
 class TestExplicitSteps:
     def test_step_com_applies_the_chosen_redex(self):
