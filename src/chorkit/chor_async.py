@@ -161,42 +161,47 @@ def _fold_here(c):
     Only matched send/receive pairs are folded back into communications;
     instantiated receives stay exactly where execution put them, so the
     canonical form projects to the same structure the network evolves to.
+    A half whose other half lies ahead in the chain (a mover) folds with it
+    when adjacent, and otherwise hops one node toward it over an
+    independent node that is not itself a mover; two movers passing each
+    other would swap back and forth forever.
+
+    Folding ends: a fold removes two pending halves, and a hop keeps their
+    number and shortens the distance from the hopping mover to its other
+    half by one without lengthening any other mover's (the node it passes
+    is no mover, and a node's partner stays on the same side of it).
     """
-    # Fold a matched pair, in either adjacent order.
-    if isinstance(c, RtSend) and isinstance(c.cont, RtRecv):
-        r = c.cont
-        if r.payload == c.tag:
-            return Com(c.src, c.expr, r.dst, r.cont)
-    if isinstance(c, RtRecv) and isinstance(c.payload, Tag) \
-            and isinstance(c.cont, RtSend):
-        s = c.cont
-        if s.tag == c.payload:
-            return Com(s.src, s.expr, c.dst, s.cont)
-    # Move a detached send rightward, one hop toward its receive.
-    if isinstance(c, RtSend) and isinstance(c.cont, (Com, RtSend, RtRecv)):
-        nxt = c.cont
-        carries_tag = isinstance(nxt, RtRecv) and nxt.payload == c.tag
-        if not carries_tag and not (head_pn(c) & head_pn(nxt)):
-            if _tag_ahead(c.tag, nxt.cont):
-                return replace_cont(nxt, replace_cont(c, nxt.cont))
-    # Move a tag-carrying receive rightward toward its send (the pair may
-    # have been swapped past each other: their names are disjoint).
-    if isinstance(c, RtRecv) and isinstance(c.payload, Tag) \
-            and isinstance(c.cont, (Com, RtSend, RtRecv)):
-        nxt = c.cont
-        is_match = isinstance(nxt, RtSend) and nxt.tag == c.payload
-        if not is_match and not (head_pn(c) & head_pn(nxt)):
-            if _tag_ahead(c.payload, nxt.cont):
-                return replace_cont(nxt, replace_cont(c, nxt.cont))
+    tag = _pending_tag(c)
+    if tag is None or type(c.cont) not in _PREFIXES:
+        return None
+    nxt = c.cont
+    other = _pending_tag(nxt)
+    if other == tag and type(nxt) is not type(c):  # the matched pair
+        send, recv = (c, nxt) if type(c) is RtSend else (nxt, c)
+        return Com(send.src, send.expr, recv.dst, nxt.cont)
+    if (not (head_pn(c) & head_pn(nxt)) and _tag_ahead(tag, nxt.cont)
+            and (other is None or not _tag_ahead(other, nxt.cont))):
+        return replace_cont(nxt, replace_cont(c, nxt.cont))
+    return None
+
+
+_PREFIXES = (Com, RtSend, RtRecv)
+
+
+def _pending_tag(c):
+    """The tag of a detached send or of a receive still waiting on its
+    send; None for any other node."""
+    if type(c) is RtSend:
+        return c.tag
+    if type(c) is RtRecv and type(c.payload) is Tag:
+        return c.payload
     return None
 
 
 def _tag_ahead(tag: Tag, c) -> bool:
     """True if the other half of ``tag``'s pair occurs ahead in this chain."""
-    while isinstance(c, (Com, RtSend, RtRecv)):
-        if isinstance(c, RtRecv) and c.payload == tag:
-            return True
-        if isinstance(c, RtSend) and c.tag == tag:
+    while type(c) in _PREFIXES:
+        if _pending_tag(c) == tag:
             return True
         c = c.cont
     return False

@@ -56,7 +56,17 @@ def canonical(c):
 
 
 def _canon_here(c):
-    """One swap, hoist or reordering at the top of ``c``, or None."""
+    """One swap, hoist or reordering at the top of ``c``, or None.
+
+    Canonicalization ends, as each rewrite shrinks, in lexicographic
+    order, three counts over the whole term: actions; pairs of an action
+    above another whose head sorts lower; and pairs of a conditional above
+    another whose decider sorts lower.  A hoist merges two actions into
+    one.  A swap keeps the actions and turns one such pair of actions
+    around, leaving every other pair as it was.  A reordering keeps the
+    actions and where they sit, turns the two such pairs of conditionals
+    around, and no other pair grows in number.
+    """
     if isinstance(c, (Com, RtSend, RtRecv)):
         nxt = c.cont
         # Sort adjacent independent actions.

@@ -101,28 +101,21 @@ def run_network(n: Network, mode: str, scheduler,
     return Trace(tuple(steps), "budget" if outcome == "running" else outcome)
 
 
-def _state_of(result) -> str:
+def _format_step(step: TraceStep, fmt: str, memo: dict) -> str:
+    label, result = step.label, step.result
+    if fmt == "human":
+        parts = [f"#{step.index}", label.rule, ",".join(label.subjects)]
+        if label.value is not None:
+            parts.append(f"v={render_value(label.value)}")
+        if label.tag_id is not None:
+            parts.append(f"tag=#{label.tag_id}")
+        term = result.chor if isinstance(result, Configuration) else result
+        return render(term, memo, " ".join(parts) + " :: ")
     if isinstance(result, Configuration):
         sigma = {name: render_value(v) for name, v in result.state.cells}
-        return json.dumps(sigma, sort_keys=True)
-    return render(result)
-
-
-def format_step_human(step: TraceStep) -> str:
-    label = step.label
-    parts = [f"#{step.index}", label.rule, ",".join(label.subjects)]
-    if label.value is not None:
-        parts.append(f"v={render_value(label.value)}")
-    if label.tag_id is not None:
-        parts.append(f"tag=#{label.tag_id}")
-    rendered = (render(step.result.chor)
-                if isinstance(step.result, Configuration)
-                else render(step.result))
-    return " ".join(parts) + " :: " + rendered
-
-
-def format_step_record(step: TraceStep) -> str:
-    label = step.label
+        state = json.dumps(sigma, sort_keys=True)
+    else:
+        state = render(result, memo)
     return json.dumps({
         "index": step.index,
         "rule": label.rule,
@@ -130,12 +123,16 @@ def format_step_record(step: TraceStep) -> str:
         "value": (render_value(label.value)
                   if label.value is not None else None),
         "tag": label.tag_id,
-        "state": _state_of(step.result),
+        "state": state,
     }, sort_keys=True)
 
 
 def format_trace(trace: Trace, fmt: str = "human") -> str:
-    formatter = format_step_human if fmt == "human" else format_step_record
-    lines = [formatter(s) for s in trace.steps]
+    """The trace as text in format ``fmt`` (``human`` or ``records``).
+    Every step shares its unchanged subterms with the step before, so one
+    render memo serves the whole trace and each line costs about what
+    changed; the trace keeps every term alive while the memo lives."""
+    memo = {}
+    lines = [_format_step(s, fmt, memo) for s in trace.steps]
     lines.append(f"-- {trace.outcome}")
     return "\n".join(lines)

@@ -83,8 +83,12 @@ def _guard_bool(v, where: str) -> bool:
     return v.b
 
 
-def _walk(c, sigma, mode, env, unfolded, blocked, path):
-    """Enumerate enabled steps of ``c`` with successors built in place."""
+def _walk(c, sigma, mode, env, unfolded, blocked, path, everyone):
+    """Enumerate enabled steps of ``c`` with successors built in place.
+    Every step needs a process outside ``blocked``, so the walk stops once
+    ``blocked`` holds ``everyone``, the processes of ``sigma``."""
+    if blocked >= everyone:
+        return []
     steps = []
     if isinstance(c, (Com, RtSend, RtRecv)):
         subjects = head_pn(c)
@@ -116,7 +120,7 @@ def _walk(c, sigma, mode, env, unfolded, blocked, path):
                 steps.append(_Step(label, c.cont,
                                    sigma.update(c.dst, c.payload)))
         inner = _walk(c.cont, sigma, mode, env, unfolded,
-                      blocked | subjects, path + ("cont",))
+                      blocked | subjects, path + ("cont",), everyone)
         for s in inner:
             steps.append(_Step(s.label, replace_cont(c, s.chor), s.state,
                                s.subst))
@@ -131,9 +135,9 @@ def _walk(c, sigma, mode, env, unfolded, blocked, path):
             steps.append(_Step(label, c.then if taken else c.orelse, sigma))
         inner_blocked = blocked | {c.decider}
         left = _walk(c.then, sigma, mode, env, unfolded, inner_blocked,
-                     path + ("then",))
+                     path + ("then",), everyone)
         right = _walk(c.orelse, sigma, mode, env, unfolded, inner_blocked,
-                      path + ("else",))
+                      path + ("else",), everyone)
         for a, b in _match_by_key(left, right):
             steps.append(_Step(
                 a.label, Cond(c.decider, c.expr, a.chor, b.chor),
@@ -144,7 +148,7 @@ def _walk(c, sigma, mode, env, unfolded, blocked, path):
         env = dict(env)
         env[c.var] = c.body
         inner = _walk(c.cont, sigma, mode, env, unfolded, blocked,
-                      path + ("in",))
+                      path + ("in",), everyone)
         return [_Step(s.label, Def(c.var, c.body, s.chor), s.state, s.subst)
                 for s in inner]
 
@@ -153,7 +157,7 @@ def _walk(c, sigma, mode, env, unfolded, blocked, path):
             return []
         # One unfold per exposure: the successor materializes the body.
         return _walk(env[c.var], sigma, mode, env, unfolded | {c.var},
-                     blocked, path + ("unfold",))
+                     blocked, path + ("unfold",), everyone)
 
     return []  # Nil
 
@@ -187,7 +191,9 @@ def terminated(c) -> bool:
 def enabled(cfg: Configuration, mode: str):
     """All transitions from ``cfg`` in one rule application under arbitrary
     precongruence rewriting, as (label, successor configuration) pairs."""
-    steps = _walk(cfg.chor, cfg.state, mode, {}, frozenset(), frozenset(), ())
+    everyone = frozenset(name for name, _ in cfg.state.cells)
+    steps = _walk(cfg.chor, cfg.state, mode, {}, frozenset(), frozenset(),
+                  (), everyone)
     out = []
     for s in steps:
         chor = s.chor

@@ -437,18 +437,16 @@ def rewrite_first(t, here):
     return new
 
 
-_MAX_REWRITE_ROUNDS = 10_000
-
-
 def rewrite_all(t, here):
     """Rewrite ``t`` with :func:`rewrite_first` until ``here`` rewrites
-    nothing, or ``_MAX_REWRITE_ROUNDS`` times."""
-    for _ in range(_MAX_REWRITE_ROUNDS):
+    nothing.  This ends only if every rewrite of ``here`` shrinks a
+    well-founded measure of the whole term; the docstrings of its users,
+    ``congruence._canon_here`` and ``chor_async._fold_here``, give theirs."""
+    while True:
         new = rewrite_first(t, here)
         if new is None:
-            break
+            return t
         t = new
-    return t
 
 
 def subterms(t):

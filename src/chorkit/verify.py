@@ -299,21 +299,6 @@ def _sig(label):
     return (label.rule, label.subjects, label.value)
 
 
-def _some_equiv(pairs, store):
-    """Whether some pair of networks is equivalent: True at the first
-    equivalent pair; otherwise None if some pair was unknown, and False if
-    none was.  :func:`network_equiv` always decides, so only a stand-in
-    for it answers unknown; a check reports that as budget-exceeded, never
-    as a failure."""
-    unknown = False
-    for n1, n2 in pairs:
-        verdict = store.equiv(n1, n2)
-        if verdict:
-            return True
-        unknown = unknown or verdict is None
-    return None if unknown else False
-
-
 # ---------------------------------------------------------------------------
 # Theorem checks
 
@@ -349,10 +334,10 @@ def check_deadlock_freedom(program, sigma, depth, mode,
     return _report(name, text, states, failures, capped)
 
 
-def _lockstep(cfg, net, mode, store, failures) -> bool:
+def _lockstep(cfg, net, mode, store, failures) -> None:
     """Signature bijection plus pointwise successor correspondence between
-    ``cfg`` and its projection ``net``.  Returns True if some
-    correspondence was unknown (see :func:`_some_equiv`)."""
+    ``cfg`` and its projection ``net``; each mismatch goes to
+    ``failures``."""
     chor_by_sig = {}
     for label, succ in store.steps(cfg, mode):
         chor_by_sig.setdefault(_sig(label), []).append(succ)
@@ -369,8 +354,7 @@ def _lockstep(cfg, net, mode, store, failures) -> bool:
         failures.append(
             f"step mismatch at {here()}: choreography-only "
             f"{sorted(only_c)}, network-only {sorted(only_n)}")
-        return False
-    unknown = False
+        return
     for sig, chor_succs in chor_by_sig.items():
         net_succs = net_by_sig[sig]
         if len(chor_succs) != len(net_succs):
@@ -382,14 +366,10 @@ def _lockstep(cfg, net, mode, store, failures) -> bool:
                 failures.append(f"successor of {sig} not projectable "
                                 f"at {here()}")
                 continue
-            verdict = _some_equiv(((projected, n) for n in net_succs), store)
-            if verdict is None:
-                unknown = True
-            elif not verdict:
+            if not any(store.equiv(projected, n) for n in net_succs):
                 failures.append(
                     f"no network step for {sig} reaches the projection "
                     f"of {succ.key()[0]} (from {here()})")
-    return unknown
 
 
 def _check_epp(theorem, program, sigma, depth, mode, store):
@@ -402,7 +382,6 @@ def _check_epp(theorem, program, sigma, depth, mode, store):
     configs, capped = explore_chor(Configuration(program, sigma), mode,
                                    depth, store=store)
     failures = []
-    unknown = False
     for cfg in configs:
         # Only asynchronous runs reach runtime terms.
         if mode == "async" and not store.well_formed(cfg.chor)[0]:
@@ -412,8 +391,8 @@ def _check_epp(theorem, program, sigma, depth, mode, store):
         if isinstance(net, str):
             failures.append(f"projection lost along execution: {net}")
             continue
-        unknown |= _lockstep(cfg, net, mode, store, failures)
-    return _report(theorem, text, len(configs), failures, capped or unknown)
+        _lockstep(cfg, net, mode, store, failures)
+    return _report(theorem, text, len(configs), failures, capped)
 
 
 def check_epp_sync(program, sigma, depth, store=None) -> TheoremReport:
@@ -550,29 +529,25 @@ def check_sp_asp_simulation(net, depth, store=None) -> TheoremReport:
     text = network_key(net)
     nets, capped = explore_network(net, "sync", depth, store=store)
     failures = []
-    unknown = False
     for n in nets:
         async_steps = store.net_steps(lift_to_async(n), "async")
         for label, succ in store.net_steps(n, "sync"):
             if label.rule in ("Then", "Else"):
-                verdict = _some_equiv(
-                    ((s, succ) for l, s in async_steps
-                     if _sig(l)[0:2] == _sig(label)[0:2]), store)
+                simulated = any(
+                    store.equiv(s, succ) for l, s in async_steps
+                    if _sig(l)[0:2] == _sig(label)[0:2])
                 what = "conditional step unmatched"
             else:
                 want = _sig(label)[1:]
-                verdict = _some_equiv(
-                    ((end, succ) for l1, mid in async_steps
-                     if l1.rule == "ComS" and _sig(l1)[1:] == want
-                     for l2, end in store.net_steps(mid, "async")
-                     if l2.rule == "ComR" and _sig(l2)[1:] == want), store)
+                simulated = any(
+                    store.equiv(end, succ) for l1, mid in async_steps
+                    if l1.rule == "ComS" and _sig(l1)[1:] == want
+                    for l2, end in store.net_steps(mid, "async")
+                    if l2.rule == "ComR" and _sig(l2)[1:] == want)
                 what = f"communication {label.subjects} not simulated"
-            if verdict is None:
-                unknown = True
-            elif not verdict:
+            if not simulated:
                 failures.append(f"{what} at {network_key(n)}")
-    return _report("sp-asp-simulation", text, len(nets), failures,
-                   capped or unknown)
+    return _report("sp-asp-simulation", text, len(nets), failures, capped)
 
 
 def check_well_formedness_preservation(program, sigma, depth,

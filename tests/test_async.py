@@ -148,6 +148,14 @@ class TestWellFormedness:
         assert ok
         assert render_choreography(canon) == "p.1 -> q; 0"
 
+    def test_crossed_pairs_fold_back(self):
+        # Both sends lead; each would hop over the other forever if one
+        # pending half could pass another that is also on its way.
+        ok, canon = well_formed(parse_choreography(
+            "p.1 ~> [#1]; q.2 ~> [#2]; b <~ (q, #2); a <~ (p, #1); 0"))
+        assert ok
+        assert render_choreography(canon) == "q.2 -> b; p.1 -> a; 0"
+
     def test_in_transit_message_is_fine(self):
         ok, canon = well_formed(parse_choreography("q <~ (p, 7); 0"))
         assert ok

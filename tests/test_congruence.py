@@ -24,6 +24,7 @@ from chorkit import (
     render_choreography,
 )
 from chorkit import congruence
+from chorkit.terms import rewrite_first
 from chorkit.verify import CorpusSpec, verify_corpus
 
 
@@ -66,6 +67,17 @@ class TestChoreographyEquivalence:
         k = canonical(c)
         assert canonical(k) == k
         assert render_choreography(k) == "p.1 -> q; r.2 -> s; 0"
+
+    def test_canonical_sorts_a_long_block(self):
+        # 150 independent communications in reverse order take 11,175
+        # swaps to sort, more than any fixed cap on rewrite rounds.
+        names = [f"{i:03}" for i in range(150)]
+        c = chor("".join(f"a{n}.1 -> b{n}; " for n in reversed(names))
+                 + "0")
+        k = canonical(c)
+        assert rewrite_first(k, congruence._canon_here) is None
+        assert render_choreography(k) == "".join(
+            f"a{n}.1 -> b{n}; " for n in names) + "0"
 
 
 _LOOP = "def X = { if @ < 3 then { q!1; X } else { q!2; X } } in X"

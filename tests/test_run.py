@@ -1,6 +1,7 @@
 """Seeded deterministic execution and trace formats."""
 
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from chorkit import (
     Configuration,
     GlobalState,
     IntV,
+    epp_async,
     epp_sync,
     format_trace,
     make_scheduler,
@@ -15,8 +17,11 @@ from chorkit import (
     parse_network,
     pn,
     render,
+    render_choreography,
+    render_network,
     run_chor,
     run_network,
+    well_formed,
 )
 from chorkit.verify import check_diamond, explore_network
 
@@ -167,3 +172,26 @@ class TestDeadDefinitions:
         behaviours = [{p.behaviour for n in explore_network(net, "async", d)[0]
                        for _, p in n.procs} for d in (10, 50)]
         assert behaviours[0] == behaviours[1]
+
+
+def test_ten_thousand_communications_need_no_recursion():
+    # Every walk on the way from text to traces loops along the chain.  A
+    # recursive one would raise RecursionError long before 10,000.
+    rng = random.Random(5)
+    comms = []
+    for i in range(10_000):
+        src, dst = rng.sample("pqrstu", 2)
+        comms.append(f"{src}.(@ + {i % 7}) * 3 -> {dst}")
+    program = parse_choreography("; ".join(comms) + "; 0")
+    sigma = GlobalState.uniform(sorted(pn(program)))
+    ok, canon = well_formed(program)
+    assert ok and canon == program
+    assert render_choreography(program).count(" -> ") == 10_000
+    for mode, project in (("sync", epp_sync), ("async", epp_async)):
+        net = project(program, sigma)
+        assert render_network(net).count("!") == 10_000
+        for trace in (run_chor(Configuration(program, sigma), mode,
+                               make_scheduler("random", 1), 5),
+                      run_network(net, mode, make_scheduler("leftmost"), 5)):
+            assert trace.outcome == "budget"
+            assert len(format_trace(trace).split("\n")) == 6

@@ -108,20 +108,21 @@ class TestNegativeControls:
 
 
 class TestUnknownEquivalence:
-    """Network equivalence may answer "unknown" when recursion unfolding
-    runs out of budget; the checks retry at a larger budget and never turn
-    an answer that stays unknown into a failure."""
+    """Network equivalence always decides, so a check's verdict follows
+    its answers: a lockstep or a simulation that no equivalent successor
+    matches is a failure, never budget-exceeded."""
 
-    def test_retry_settles_seed_102(self):
-        # prog020 of this corpus needs more than two unfoldings to match
-        # the projection of a successor with a network step.
+    def test_exact_equivalence_settles_seed_102(self):
+        # prog020 of this corpus matches the projection of a successor
+        # with a network step only after more than two unfoldings, which a
+        # budgeted equivalence could not settle.
         reports = verify_corpus({"t2", "t8"}, CorpusSpec(seed=102), depth=4)
         bad = [(pid, r.theorem, r.verdict) for pid, r in reports
                if r.verdict != "pass"]
         assert not bad
 
     @pytest.mark.parametrize("answer, verdict",
-                             [(None, "budget-exceeded"), (False, "fail")])
+                             [(True, "pass"), (False, "fail")])
     def test_lockstep_verdicts(self, monkeypatch, answer, verdict):
         monkeypatch.setattr(verify, "network_equiv",
                             lambda *args: answer)
@@ -131,7 +132,7 @@ class TestUnknownEquivalence:
         assert verify.check_epp_async(c, sigma, 4).verdict == verdict
 
     @pytest.mark.parametrize("answer, verdict",
-                             [(None, "budget-exceeded"), (False, "fail")])
+                             [(True, "pass"), (False, "fail")])
     def test_simulation_verdicts(self, monkeypatch, answer, verdict):
         monkeypatch.setattr(verify, "network_equiv",
                             lambda *args: answer)
