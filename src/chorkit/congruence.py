@@ -2,21 +2,23 @@
 
 Choreographies are compared by canonicalization: garbage-collect, hoist
 common heads out of conditionals, order commuting nested conditionals, and
-sort maximal blocks of pairwise-independent actions by a fixed total order.
-Their recursion unfolding is searched up to a budget; exhausting it with
-definitions still present yields "unknown" (None), distinct from False.
+put each maximal chain of actions in lexicographic normal form under a
+fixed total order.  Their recursion unfolding is searched up to a budget;
+exhausting it with definitions still present yields "unknown" (None),
+distinct from False.
 Behaviours, and so networks, are compared exactly, as the regular trees
 they unfold to.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heapify, heappop, heappush
+
 from .network import _done, normalize_network
 from .render import render_expr, render_value
 from .terms import (
-    BCall,
     BDef,
-    BNIL,
     Com,
     Cond,
     Def,
@@ -27,12 +29,13 @@ from .terms import (
     Tag,
     fixed,
     gc,
+    head,
     head_pn,
     kids,
     rebuild,
     replace_cont,
     replace_kid,
-    rewrite_all,
+    rewrite_first,
     subst_call,
     subterms,
 )
@@ -50,33 +53,74 @@ def _head_key(node):
     return (2, node.src, node.dst, payload, -1)
 
 
+_ACTIONS = (Com, RtSend, RtRecv)
+
+
 def canonical(c):
-    """Normal form under garbage collection and the swap rules."""
-    return rewrite_all(gc(c), _canon_here)
+    """Normal form under garbage collection and the swap rules: each
+    maximal chain of actions in its lexicographic normal form, and nothing
+    left for :func:`_canon_here` to rewrite.
+
+    Each round sorts the chains, which keeps every conditional, and the
+    actions of each chain, where they sit, and then applies one rewrite.
+    The rounds end, as each rewrite shrinks, in lexicographic order, two
+    counts over the whole term: actions, and pairs of a conditional above
+    another whose decider sorts lower.  A hoist merges two actions into
+    one.  A reordering keeps the actions and where they sit, turns the two
+    such pairs of conditionals around, and no other pair grows in number.
+    """
+    c = _sort_chains(gc(c))
+    while (new := rewrite_first(c, _canon_here)) is not None:
+        c = _sort_chains(new)
+    return c
+
+
+def _sort_chains(t):
+    """``t`` with each maximal chain of actions in lexicographic normal
+    form; ``t`` itself when every chain already is."""
+    chain = []
+    while type(t) in _ACTIONS:
+        chain.append(t)
+        t = t.cont
+    t = rebuild(t, [_sort_chains(k) for k in kids(t)])
+    for node in reversed(_lex_normal(chain)):
+        t = replace_cont(node, t)
+    return t
+
+
+def _lex_normal(chain):
+    """The actions of ``chain``, listed from the top, in lexicographic
+    normal form: each is the least by :func:`_head_key` of the actions
+    that no action still above it shares a process with.  Those share no
+    process with each other either, so their keys differ, and chains that
+    independent swaps relate get the same form."""
+    lanes = {}  # process -> indices of its actions still to place, in order
+    for i, a in enumerate(chain):
+        for p in head_pn(a):
+            lanes.setdefault(p, deque()).append(i)
+
+    def ready(i):
+        return all(lanes[p][0] == i for p in head_pn(chain[i]))
+
+    heap = [(_head_key(a), i) for i, a in enumerate(chain) if ready(i)]
+    heapify(heap)
+    out = []
+    while heap:
+        _, i = heappop(heap)
+        out.append(chain[i])
+        for p in head_pn(chain[i]):
+            lane = lanes[p]
+            lane.popleft()
+            if lane and ready(lane[0]):
+                heappush(heap, (_head_key(chain[lane[0]]), lane[0]))
+    return out
 
 
 def _canon_here(c):
-    """One swap, hoist or reordering at the top of ``c``, or None.
-
-    Canonicalization ends, as each rewrite shrinks, in lexicographic
-    order, three counts over the whole term: actions; pairs of an action
-    above another whose head sorts lower; and pairs of a conditional above
-    another whose decider sorts lower.  A hoist merges two actions into
-    one.  A swap keeps the actions and turns one such pair of actions
-    around, leaving every other pair as it was.  A reordering keeps the
-    actions and where they sit, turns the two such pairs of conditionals
-    around, and no other pair grows in number.
-    """
-    if isinstance(c, (Com, RtSend, RtRecv)):
-        nxt = c.cont
-        # Sort adjacent independent actions.
-        if isinstance(nxt, (Com, RtSend, RtRecv)) \
-                and not (head_pn(c) & head_pn(nxt)) \
-                and _head_key(nxt) < _head_key(c):
-            return replace_cont(nxt, replace_cont(c, nxt.cont))
-    elif isinstance(c, Cond):
+    """One hoist or reordering at the top of ``c``, or None."""
+    if isinstance(c, Cond):
         # Hoist a head common to both branches and independent of the guard.
-        if isinstance(c.then, (Com, RtSend, RtRecv)) \
+        if isinstance(c.then, _ACTIONS) \
                 and type(c.then) is type(c.orelse) \
                 and replace_cont(c.then, NIL) == replace_cont(c.orelse, NIL) \
                 and c.decider not in head_pn(c.then):
@@ -147,31 +191,6 @@ def chor_equiv(c1, c2, unfold_budget: int = 0):
 # Network equivalence
 
 
-def _head(t, env):
-    """The first action of ``t`` in the environment ``env``, and the
-    environment in scope there.  An environment is () or the innermost
-    definition in scope paired with the environment it is in; a call
-    resumes the body of its definition there.  A call cycle with no action
-    in between is 0, as :func:`gc` folds it."""
-    cycle = set()
-    while True:
-        kind = type(t)
-        if kind is BDef:
-            env = (t, env)
-            t = t.cont
-        elif kind is BCall:
-            while env and env[0].var != t.var:
-                env = env[1]
-            if not env:
-                return t, env  # a free call
-            if env in cycle:
-                return BNIL, ()
-            cycle.add(env)
-            t = env[0].body
-        else:
-            return t, env
-
-
 def behaviour_equiv(b1, b2) -> bool:
     """Whether ``b1`` and ``b2`` unfold to the same regular tree, decided
     coinductively on pairs of (subterm, environment): the heads of a pair
@@ -185,7 +204,7 @@ def behaviour_equiv(b1, b2) -> bool:
         if (t1 is t2 and env1 == env2) or pair in assumed:
             continue
         assumed.add(pair)
-        (h1, env1), (h2, env2) = _head(t1, env1), _head(t2, env2)
+        (h1, env1), (h2, env2) = head(t1, env1), head(t2, env2)
         if type(h1) is not type(h2) or fixed(h1) != fixed(h2):
             return False
         todo += zip([(k, env1) for k in kids(h1)],

@@ -45,12 +45,6 @@ class NotProjectable(ChorError):
     """Projection is undefined: a conditional's branches disagree at some
     process that is not the decider."""
 
-    def __init__(self, message, path=None, left=None, right=None):
-        super().__init__(message)
-        self.path = path
-        self.left = left
-        self.right = right
-
 
 class IllFormed(ChorError):
     """A runtime choreography cannot be rewritten to the canonical

@@ -12,16 +12,11 @@ take a normalized network and then give normalized successors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .errors import GuardNotBoolean, NonEmptyQueue
-from .render import render_expr, render_network, render_value
+from .render import render_network, render_value
 from .sync import StepLabel
 from .terms import (
-    BCall,
     BCond,
-    BDef,
     BNil,
     BoolV,
     BRecv,
@@ -31,42 +26,11 @@ from .terms import (
     Process,
     SUBTERMS,
     gc,
-    replace_cont,
+    head,
+    resume,
     seq,
 )
 from .values import eval_with_cell
-
-
-# ---------------------------------------------------------------------------
-# Behaviour head exposure
-
-
-@dataclass(frozen=True)
-class _Head:
-    node: object  # BSend | BRecv | BCond
-    rebuild: object  # Behaviour -> Behaviour, reinstalls recursion frames
-
-
-def expose_head(behaviour, env=None, unfolded=frozenset()) -> Optional[_Head]:
-    """Walk recursion frames to the next action; unfold each definition at
-    most once per exposure."""
-    env = env or {}
-    if isinstance(behaviour, (BSend, BRecv, BCond)):
-        return _Head(behaviour, lambda b: b)
-    if isinstance(behaviour, BDef):
-        inner_env = {**env, behaviour.var: behaviour.body}
-        head = expose_head(behaviour.cont, inner_env, unfolded)
-        if head is None:
-            return None
-        outer = behaviour
-        return _Head(head.node,
-                     lambda b, h=head: replace_cont(outer, h.rebuild(b)))
-    if isinstance(behaviour, BCall):
-        if behaviour.var in unfolded or behaviour.var not in env:
-            return None
-        return expose_head(env[behaviour.var], env,
-                           unfolded | {behaviour.var})
-    return None  # BNil
 
 
 # ---------------------------------------------------------------------------
@@ -158,84 +122,71 @@ def _step(procs, label, changed):
     return label, Network.of(procs)
 
 
-def _cond_step(procs, name, head):
-    """The step of process ``name`` whose exposed head is a conditional:
-    the guard picks a branch, followed by the conditional's continuation."""
-    p, node = procs[name], head.node
-    guard = eval_with_cell(node.expr, p.state)
-    if not isinstance(guard, BoolV):
-        raise GuardNotBoolean(f"guard evaluated to {render_value(guard)}")
-    branch = node.then if guard.b else node.orelse
-    label = StepLabel("Then" if guard.b else "Else", (name,), (name,),
-                      expr_src=render_expr(node.expr))
-    return _step(procs, label, {name: Process(
-        p.state, p.queue, head.rebuild(seq(branch, node.cont)))})
-
-
-def enabled_sp(n: Network):
-    """Synchronous steps: a rendezvous for every send head matched by a
-    receive head, plus a conditional step per exposed guard.  ``n`` must be
-    normalized; the successors then are too."""
-    if any(not p.queue.is_empty() for _, p in n.procs):
+def enabled(n: Network, mode: str):
+    """The steps of the normalized network ``n`` in ``mode``, as (label,
+    successor) pairs; the successors are normalized too.  In ``sync`` a
+    send head fires together with the receive head it meets; in ``async``
+    a send is non-blocking (it enqueues at the target) and a receive fires
+    when the sender's lane is non-empty.  A conditional head steps alike in
+    both: the guard picks a branch, followed by the conditional's
+    continuation."""
+    if mode == "sync" and any(not p.queue.is_empty() for _, p in n.procs):
         raise NonEmptyQueue("synchronous semantics requires empty queues")
     procs = n.as_dict()
-    heads = {name: expose_head(p.behaviour) for name, p in procs.items()}
+    heads = {name: head(p.behaviour) for name, p in procs.items()}
     steps = []
-    for name, head in heads.items():
-        if head is None:
-            continue
-        node = head.node
-        if isinstance(node, BSend):
-            other = heads.get(node.dst)
-            if other is not None and isinstance(other.node, BRecv) \
-                    and other.node.src == name:
-                p, q = procs[name], procs[node.dst]
-                v = eval_with_cell(node.expr, p.state)
-                label = StepLabel("Com", (name, node.dst), (name,),
-                                  value=v, expr_src=render_expr(node.expr))
-                steps.append(_step(procs, label, {
-                    name: Process(p.state, p.queue, head.rebuild(node.cont)),
-                    node.dst: Process(v, q.queue,
-                                      other.rebuild(other.node.cont))}))
-        elif isinstance(node, BCond):
-            steps.append(_cond_step(procs, name, head))
-    return steps
-
-
-def enabled_asp(n: Network):
-    """Asynchronous steps: sends are non-blocking (enqueue at the target),
-    receives fire when the sender's lane is non-empty.  ``n`` must be
-    normalized; the successors then are too."""
-    procs = n.as_dict()
-    steps = []
-    for name, p in procs.items():
-        head = expose_head(p.behaviour)
-        if head is None:
-            continue
-        node = head.node
-        if isinstance(node, BSend):
-            if node.dst not in procs:
-                continue  # no such process: the send blocks forever
+    for name, (node, env) in heads.items():
+        p = procs[name]
+        kind = type(node)
+        if kind is BCond:
+            guard = eval_with_cell(node.expr, p.state)
+            if not isinstance(guard, BoolV):
+                raise GuardNotBoolean(
+                    f"guard evaluated to {render_value(guard)}")
+            branch = node.then if guard.b else node.orelse
+            label = StepLabel("Then" if guard.b else "Else", (name,),
+                              (name,), expr=node.expr)
+            changed = {name: Process(p.state, p.queue,
+                                     resume(seq(branch, node.cont), env))}
+        elif kind is BSend:
+            q = procs.get(node.dst)
+            other, other_env = heads.get(node.dst, (None, ()))
+            if q is None or mode == "sync" and not (
+                    type(other) is BRecv and other.src == name):
+                continue  # no such process, or no receive meets the send
             v = eval_with_cell(node.expr, p.state)
-            target = procs[node.dst]
-            label = StepLabel("ComS", (name, node.dst), (name,),
-                              value=v, expr_src=render_expr(node.expr))
-            steps.append(_step(procs, label, {
-                name: Process(p.state, p.queue, head.rebuild(node.cont)),
-                node.dst: Process(target.state,
-                                  target.queue.enqueue(Message(name, v)),
-                                  target.behaviour)}))
-        elif isinstance(node, BRecv):
+            label = StepLabel("Com" if mode == "sync" else "ComS",
+                              (name, node.dst), (name,), value=v,
+                              expr=node.expr)
+            if mode == "sync":  # the receive takes the value at once
+                q = Process(v, q.queue, resume(other.cont, other_env))
+            else:
+                q = Process(q.state, q.queue.enqueue(Message(name, v)),
+                            q.behaviour)
+            changed = {name: Process(p.state, p.queue,
+                                     resume(node.cont, env)),
+                       node.dst: q}
+        elif kind is BRecv and mode == "async":
             popped = p.queue.dequeue_from(node.src)
             if popped is None:
                 continue
             v, rest = popped
             label = StepLabel("ComR", (node.src, name), (name,), value=v)
-            steps.append(_step(procs, label, {
-                name: Process(v, rest, head.rebuild(node.cont))}))
-        elif isinstance(node, BCond):
-            steps.append(_cond_step(procs, name, head))
+            changed = {name: Process(v, rest, resume(node.cont, env))}
+        else:
+            continue
+        steps.append(_step(procs, label, changed))
     return steps
+
+
+def enabled_sp(n: Network):
+    """Synchronous steps: :func:`enabled` in ``sync`` mode."""
+    return enabled(n, "sync")
+
+
+def enabled_asp(n: Network):
+    """Asynchronous steps: :func:`enabled` in ``async`` mode."""
+    return enabled(n, "async")
 
 
 def classify(n: Network, mode: str) -> str:

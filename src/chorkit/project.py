@@ -36,36 +36,32 @@ from .values import GlobalState
 _PENDING = "cannot project a receive whose message is still pending"
 
 
-def project_behaviour(c, r: str, _path=()):
+def project_behaviour(c, r: str):
     # Actions of ``r`` along the prefix chain are collected in a loop and
     # wrapped around the projection of the chain's end, so chains of any
     # length project without deep recursion.
     actions = []
-    steps = 0
     while type(c) in (Com, RtRecv):
         if type(c) is RtRecv and isinstance(c.payload, Tag):
             raise IllFormed(_PENDING)
         if r == c.dst or (type(c) is Com and r == c.src):
             actions.append(c)
         c = c.cont
-        steps += 1
-    path = _path + ("cont",) * steps
     if isinstance(c, RtSend):
         raise IllFormed("cannot project a detached send")
     if isinstance(c, Cond):
-        then = project_behaviour(c.then, r, path + ("then",))
-        orelse = project_behaviour(c.orelse, r, path + ("else",))
+        then = project_behaviour(c.then, r)
+        orelse = project_behaviour(c.orelse, r)
         if r == c.decider:
             b = BCond(c.expr, then, orelse, BNIL)
         elif then != orelse:
             raise NotProjectable(
-                f"conditional branches disagree at process {r!r}",
-                path=path, left=then, right=orelse)
+                f"conditional branches disagree at process {r!r}")
         else:
             b = then
     elif isinstance(c, Def):
-        b = BDef(c.var, project_behaviour(c.body, r, path + ("body",)),
-                 project_behaviour(c.cont, r, path + ("in",)))
+        b = BDef(c.var, project_behaviour(c.body, r),
+                 project_behaviour(c.cont, r))
     elif isinstance(c, Call):
         b = BCall(c.var)
     else:

@@ -60,9 +60,6 @@ class Trace:
     steps: tuple
     outcome: str  # terminated|budget|deadlocked|orphaned-messages|interrupted
 
-    def final(self, start):
-        return self.steps[-1].result if self.steps else start
-
 
 def run_chor(cfg: Configuration, mode: str, scheduler,
              max_steps: int = 1000, supply: Optional[TagSupply] = None) -> Trace:

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GuardNotBoolean, NotEnabled
-from .render import render_choreography, render_expr, render_value
+from .render import render_choreography, render_value
 from .terms import (
     BoolV,
     Call,
     Com,
     Cond,
     Def,
+    Expr,
     Nil,
     RtRecv,
     RtSend,
@@ -56,16 +57,16 @@ class StepLabel(Term):
     path: tuple
     value: Optional[Value] = None
     tag_id: Optional[int] = None
-    expr_src: Optional[str] = None
+    expr: Optional[Expr] = None
 
     def key(self):
         """Redex identity, stable across conditional branches."""
         return (self.rule, self.subjects, self.value, self.tag_id,
-                self.expr_src)
+                self.expr)
 
     def with_tag(self, tag_id: int) -> "StepLabel":
         return StepLabel(self.rule, self.subjects, self.path, self.value,
-                         tag_id, self.expr_src)
+                         tag_id, self.expr)
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,20 +97,19 @@ def _walk(c, sigma, mode, env, unfolded, blocked, path, everyone):
             if mode == "sync" and not (subjects & blocked):
                 v = eval_expr(c.expr, sigma, c.src)
                 label = StepLabel("Com", (c.src, c.dst), path, value=v,
-                                  expr_src=render_expr(c.expr))
+                                  expr=c.expr)
                 steps.append(_Step(label, c.cont, sigma.update(c.dst, v)))
             if mode == "async" and c.src not in blocked:
                 v = eval_expr(c.expr, sigma, c.src)
                 label = StepLabel("ComS", (c.src, c.dst), path, value=v,
-                                  expr_src=render_expr(c.expr))
+                                  expr=c.expr)
                 steps.append(
                     _Step(label, RtRecv(c.src, v, c.dst, c.cont), sigma))
         elif isinstance(c, RtSend):
             if mode == "async" and c.src not in blocked:
                 v = eval_expr(c.expr, sigma, c.src)
                 label = StepLabel("ComS", (c.src,), path, value=v,
-                                  tag_id=c.tag.id,
-                                  expr_src=render_expr(c.expr))
+                                  tag_id=c.tag.id, expr=c.expr)
                 steps.append(_Step(label, c.cont, sigma,
                                    subst=(c.tag, v)))
         else:  # RtRecv
@@ -131,7 +131,7 @@ def _walk(c, sigma, mode, env, unfolded, blocked, path, everyone):
             v = eval_expr(c.expr, sigma, c.decider)
             taken = _guard_bool(v, "/".join(map(str, path)) or "top")
             label = StepLabel("Then" if taken else "Else", (c.decider,),
-                              path, expr_src=render_expr(c.expr))
+                              path, expr=c.expr)
             steps.append(_Step(label, c.then if taken else c.orelse, sigma))
         inner_blocked = blocked | {c.decider}
         left = _walk(c.then, sigma, mode, env, unfolded, inner_blocked,

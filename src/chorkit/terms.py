@@ -440,8 +440,8 @@ def rewrite_first(t, here):
 def rewrite_all(t, here):
     """Rewrite ``t`` with :func:`rewrite_first` until ``here`` rewrites
     nothing.  This ends only if every rewrite of ``here`` shrinks a
-    well-founded measure of the whole term; the docstrings of its users,
-    ``congruence._canon_here`` and ``chor_async._fold_here``, give theirs."""
+    well-founded measure of the whole term; the docstring of its user,
+    ``chor_async._fold_here``, gives its measure."""
     while True:
         new = rewrite_first(t, here)
         if new is None:
@@ -569,6 +569,46 @@ def _gc(t):
     for node in reversed(spine):
         t = node if t is node.cont else replace_cont(node, t)
     return t, free
+
+
+# ---------------------------------------------------------------------------
+# Behaviour heads
+
+
+def head(t, env=()):
+    """The first action of the behaviour ``t`` in the environment ``env``,
+    and the environment in scope there.  An environment is () or the
+    innermost definition in scope paired with the environment it is in; a
+    call resumes the body of its definition there, so calls resolve
+    lexically.  A call cycle with no action in between is 0, as :func:`gc`
+    folds it, and a free call is returned as it is."""
+    cycle = set()
+    while True:
+        kind = type(t)
+        if kind is BDef:
+            env = (t, env)
+            t = t.cont
+        elif kind is BCall:
+            while env and env[0].var != t.var:
+                env = env[1]
+            if not env:
+                return t, env
+            if env in cycle:
+                return BNIL, ()
+            cycle.add(env)
+            t = env[0].body
+        else:
+            return t, env
+
+
+def resume(t, env):
+    """``t`` under the definitions of ``env``, the innermost nearest: the
+    behaviour that continues with ``t`` after the action :func:`head`
+    found in ``env``."""
+    while env:
+        d, env = env
+        t = replace_cont(d, t)
+    return t
 
 
 # ---------------------------------------------------------------------------

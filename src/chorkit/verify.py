@@ -26,6 +26,7 @@ from .terms import SUBTERMS, BinOp, BoolV, Cell, Com, Cond, Def, IntV, \
 from .values import GlobalState
 
 STATE_CAP = 50_000
+JOIN_CAP = 20_000  # states one rejoin search may visit
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,6 @@ class TheoremReport:
 class CorpusSpec:
     max_procs: int = 4
     max_actions: int = 8
-    recursion_depth: int = 1
-    conditionals: bool = True
     seed: int = 42
     count: int = 60
 
@@ -75,15 +74,15 @@ def _random_guard(rng, small=10):
     return BinOp(op, Cell(), Lit(IntV(rng.randrange(small))))
 
 
-def _random_seq(rng, names, budget, allow_cond, rec_var=None):
+def _random_seq(rng, names, budget, allow_cond):
     """Random action sequence; conditionals keep non-decider behaviour
     identical in both branches, so the result is projectable."""
     if budget <= 0:
-        return Call(rec_var) if rec_var and rng.random() < 0.8 else NIL
+        return NIL
     if allow_cond and budget >= 2 and rng.random() < 0.25:
         decider = rng.choice(names)
         inner = budget - 1
-        shared = _random_seq(rng, names, inner - 1, allow_cond, rec_var)
+        shared = _random_seq(rng, names, inner - 1, allow_cond)
         then, orelse = shared, shared
         # Branches may differ only in what the decider itself sends.
         if len(names) > 1 and rng.random() < 0.7:
@@ -94,14 +93,14 @@ def _random_seq(rng, names, budget, allow_cond, rec_var=None):
     src = rng.choice(names)
     dst = rng.choice([n for n in names if n != src])
     return Com(src, _random_expr(rng), dst,
-               _random_seq(rng, names, budget - 1, allow_cond, rec_var))
+               _random_seq(rng, names, budget - 1, allow_cond))
 
 
 def _random_program(rng, spec: CorpusSpec):
     nprocs = rng.randrange(2, spec.max_procs + 1)
     names = list(_NAMES[:nprocs])
     actions = rng.randrange(1, spec.max_actions + 1)
-    if spec.recursion_depth > 0 and rng.random() < 0.2:
+    if rng.random() < 0.2:
         # A branch-free loop: without process-to-process selections, a loop
         # whose branches differ is never projectable, so recursive programs
         # here run forever and are explored up to the depth bound.
@@ -110,10 +109,9 @@ def _random_program(rng, spec: CorpusSpec):
         while isinstance(body, Nil):
             body = _random_seq(rng, names, body_budget, False)
         loop = Def("X", seq(body, Call("X")), Call("X"))
-        prefix = _random_seq(rng, names, actions - body_budget,
-                             spec.conditionals)
+        prefix = _random_seq(rng, names, actions - body_budget, True)
         return seq(prefix, loop) if rng.random() < 0.5 else loop
-    return _random_seq(rng, names, actions, spec.conditionals)
+    return _random_seq(rng, names, actions, True)
 
 
 def generate_corpus(spec: CorpusSpec):
@@ -250,8 +248,9 @@ class SuccessorStore:
         return t
 
 
-def _explore(start, steps, depth: int, cap: int):
-    """Breadth-first search from ``start`` along ``steps``."""
+def _explore(start, steps, depth: int):
+    """Breadth-first search from ``start`` along ``steps``, up to
+    :data:`STATE_CAP` states."""
     seen = {start: None}
     frontier = [start]
     for _ in range(depth):
@@ -259,7 +258,7 @@ def _explore(start, steps, depth: int, cap: int):
         for c in frontier:
             for _, succ in steps(c):
                 if succ not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= STATE_CAP:
                         return list(seen), True
                     seen[succ] = None
                     nxt.append(succ)
@@ -270,20 +269,20 @@ def _explore(start, steps, depth: int, cap: int):
 
 
 def explore_chor(cfg: Configuration, mode: str, depth: int,
-                 cap: int = STATE_CAP, store: SuccessorStore | None = None):
+                 store: SuccessorStore | None = None):
     """Unique reachable configurations up to the depth, in breadth-first
     order; returns (configs, capped flag)."""
     store = SuccessorStore() if store is None else store
-    return _explore(cfg, lambda c: store.steps(c, mode), depth, cap)
+    return _explore(cfg, lambda c: store.steps(c, mode), depth)
 
 
-def explore_network(n, mode: str, depth: int, cap: int = STATE_CAP,
+def explore_network(n, mode: str, depth: int,
                     store: SuccessorStore | None = None):
     """Unique reachable networks from the normalized ``n``, as
     :func:`explore_chor` gives configurations."""
     store = SuccessorStore() if store is None else store
     return _explore(normalize_network(n), lambda m: store.net_steps(m, mode),
-                    depth, cap)
+                    depth)
 
 
 def _report(theorem, program, states, failures, capped=False):
@@ -318,8 +317,8 @@ def check_deadlock_freedom(program, sigma, depth, mode,
         if not store.steps(cfg, mode) and not terminated(cfg.chor):
             failures.append(f"stuck configuration: {cfg.key()[0]}")
     states = len(configs)
-    if projectable(program):
-        net = store.projection(Configuration(program, sigma), "sync")
+    net = store.projection(Configuration(program, sigma), "sync")
+    if not isinstance(net, str):  # a str says why it is not projectable
         if mode == "async":
             net = lift_to_async(net)
         nets, ncapped = explore_network(net, mode, depth, store=store)
@@ -480,7 +479,7 @@ def _greedy_join(cfg, sync_set, budget, store) -> bool:
     return False
 
 
-def _join_search(cfg, sync_set, depth, store, node_cap: int = 20_000):
+def _join_search(cfg, sync_set, depth, store):
     """BFS over async steps for a synchronously reachable configuration.
     Returns (found, search exhausted)."""
     seen = {cfg}
@@ -494,7 +493,7 @@ def _join_search(cfg, sync_set, depth, store, node_cap: int = 20_000):
                 if succ in sync_set:
                     return True, True
                 if succ not in seen:
-                    if len(seen) >= node_cap:
+                    if len(seen) >= JOIN_CAP:
                         return False, False
                     seen.add(succ)
                     nxt.append(succ)

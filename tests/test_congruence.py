@@ -2,8 +2,10 @@
 equivalence."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bounded_behaviour_equiv
+from oracles import bounded_behaviour_equiv, closure_min
 
 from chorkit import (
     BCall,
@@ -78,6 +80,44 @@ class TestChoreographyEquivalence:
         assert rewrite_first(k, congruence._canon_here) is None
         assert render_choreography(k) == "".join(
             f"a{n}.1 -> b{n}; " for n in names) + "0"
+
+    def test_a_move_over_several_actions_commutes(self):
+        # Each chain is sorted pair by adjacent pair, so only sorting the
+        # chain as a whole identifies them.
+        a = chor("c.1 -> e; a.1 -> c; b.1 -> d; 0")
+        b = chor("b.1 -> d; c.1 -> e; a.1 -> c; 0")
+        assert precongruent(a, b) is True
+        assert precongruent(b, a) is True
+
+
+# Communications (sender, receiver, value) over six processes: a move
+# over two dependent actions needs five.
+_COMS = st.tuples(st.sampled_from("pqrstu"), st.sampled_from("pqrstu"),
+                  st.integers(0, 1)).filter(lambda c: c[0] != c[1])
+
+
+def _chain(coms):
+    return chor("".join(f"{s}.{v} -> {d}; " for s, d, v in coms) + "0")
+
+
+@given(st.lists(_COMS, max_size=8), st.lists(st.integers(0, 7), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_independent_swaps_keep_the_canonical_form(coms, swaps):
+    moved = list(coms)
+    for i in swaps:
+        pair = moved[i:i + 2]
+        if len(pair) == 2 and not set(pair[0][:2]) & set(pair[1][:2]):
+            moved[i], moved[i + 1] = pair[1], pair[0]
+    assert canonical(_chain(coms)) == canonical(_chain(moved))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_canonical_forms_agree_with_the_swap_closure(data):
+    coms = data.draw(st.lists(_COMS, max_size=6))
+    a, b = _chain(coms), _chain(data.draw(st.permutations(coms)))
+    assert (canonical(a) == canonical(b)) == \
+        (closure_min(a) == closure_min(b))
 
 
 _LOOP = "def X = { if @ < 3 then { q!1; X } else { q!2; X } } in X"

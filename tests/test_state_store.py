@@ -12,6 +12,7 @@ key once.
 """
 
 import collections
+import hashlib
 
 import pytest
 
@@ -35,6 +36,7 @@ from chorkit import (
     parse_choreography,
     parse_network,
     render_network,
+    render_value,
 )
 from chorkit import congruence, network, verify
 from chorkit.network import gc_behaviour
@@ -198,6 +200,32 @@ def test_network_steps_match_the_full_rebuild(explored, monkeypatch):
     full = [_network_steps(n) for n in normalized]
     assert fast == full
     assert sum(map(len, fast)) > len(normalized)
+
+
+# SHA-256 over (rule, subjects, value, path, successor) of every step of
+# every network explored from corpus seeds 42 and 7 at depth 4, in both
+# modes.  Pinned while the engines still resumed a call's body where the
+# call occurs, so the lexical head walk must give the very same steps.
+NETWORK_STEPS_SHA256 = (
+    "48e94e0f9947b60a38c7d7a373cdaa2adf4195d5ec9450583fac200e64a721c7")
+
+
+def test_network_steps_are_pinned():
+    digest = hashlib.sha256()
+    for seed in (42, 7):
+        for program in generate_corpus(CorpusSpec(seed=seed)):
+            net = epp_sync(program, default_state(program))
+            for mode, start, steps in (
+                    ("sync", net, network.enabled_sp),
+                    ("async", lift_to_async(net), network.enabled_asp)):
+                for n in explore_network(start, mode, DEPTH)[0]:
+                    for label, succ in steps(n):
+                        value = (None if label.value is None
+                                 else render_value(label.value))
+                        digest.update(repr((
+                            label.rule, label.subjects, value, label.path,
+                            render_network(succ))).encode())
+    assert digest.hexdigest() == NETWORK_STEPS_SHA256
 
 
 def _direct_projection(cfg, mode):
