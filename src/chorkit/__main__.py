@@ -1,0 +1,8 @@
+"""``python -m chorkit``: the ``chorkit`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

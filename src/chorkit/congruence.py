@@ -1,11 +1,11 @@
 """Decision procedures for structural precongruence.
 
 Choreographies are compared by canonicalization: garbage-collect, hoist
-common heads out of conditionals, order commuting nested conditionals, and
-put each maximal chain of actions in lexicographic normal form under a
-fixed total order.  Their recursion unfolding is searched up to a budget;
-exhausting it with definitions still present yields "unknown" (None),
-distinct from False.
+out of conditionals the actions both branches can bring to their top,
+order commuting nested conditionals, and put each maximal chain of
+actions in lexicographic normal form under a fixed total order.  Their
+recursion unfolding is searched up to a budget; exhausting it with
+definitions still present yields "unknown" (None), distinct from False.
 Behaviours, and so networks, are compared exactly, as the regular trees
 they unfold to.
 """
@@ -23,7 +23,6 @@ from .terms import (
     Cond,
     Def,
     Network,
-    NIL,
     RtRecv,
     RtSend,
     Tag,
@@ -119,13 +118,16 @@ def _lex_normal(chain):
 def _canon_here(c):
     """One hoist or reordering at the top of ``c``, or None."""
     if isinstance(c, Cond):
-        # Hoist a head common to both branches and independent of the guard.
-        if isinstance(c.then, _ACTIONS) \
-                and type(c.then) is type(c.orelse) \
-                and replace_cont(c.then, NIL) == replace_cont(c.orelse, NIL) \
-                and c.decider not in head_pn(c.then):
-            return replace_cont(c.then, Cond(c.decider, c.expr,
-                                              c.then.cont, c.orelse.cont))
+        # Hoist an action that both branches can bring to their top and
+        # that does not involve the decider.
+        for a in _free_actions(c.then):
+            if c.decider in head_pn(a):
+                continue
+            for b in _free_actions(c.orelse):
+                if type(b) is type(a) and fixed(b) == fixed(a):
+                    return replace_cont(a, Cond(
+                        c.decider, c.expr, _take_out(c.then, a),
+                        _take_out(c.orelse, b)))
         # Order independent nested conditionals by decider name.
         if isinstance(c.then, Cond) and isinstance(c.orelse, Cond):
             a, b = c.then, c.orelse
@@ -135,6 +137,31 @@ def _canon_here(c):
                             Cond(c.decider, c.expr, a.then, b.then),
                             Cond(c.decider, c.expr, a.orelse, b.orelse))
     return None
+
+
+def _free_actions(t):
+    """The actions of the chain at the top of ``t`` that share no process
+    with any action above them, so swaps can bring each to the top."""
+    free, above = [], set()
+    while type(t) in _ACTIONS:
+        names = head_pn(t)
+        if not names & above:
+            free.append(t)
+        above |= names
+        t = t.cont
+    return free
+
+
+def _take_out(t, action):
+    """``t`` without ``action``, a node of the chain at its top."""
+    spine = []
+    while t is not action:
+        spine.append(t)
+        t = t.cont
+    t = action.cont
+    for node in reversed(spine):
+        t = replace_cont(node, t)
+    return t
 
 
 def unfold_variants(t):

@@ -67,22 +67,33 @@ def _done(p) -> bool:
     return type(p.behaviour) is BNil and p.queue.is_empty()
 
 
+def _drop_done(procs: dict) -> None:
+    """Delete from ``procs`` the processes that are done and that no
+    process names as a partner; partners are only scanned when some
+    process is done."""
+    done = [name for name, p in procs.items() if _done(p)]
+    if done:
+        referenced = _partners(p.behaviour for p in procs.values())
+        for name in done:
+            if name not in referenced:
+                del procs[name]
+
+
 def normalize_network(n: Network) -> Network:
     """Collect every behaviour and drop the processes that are done; a
     network with nothing to normalize is returned as it is."""
-    procs = []
-    for entry in n.procs:
-        name, p = entry
+    procs = {}
+    collected = True
+    for name, p in n.procs:
         b = gc(p.behaviour)
-        procs.append(entry if b is p.behaviour
-                     else (name, Process(p.state, p.queue, b)))
-    referenced = _partners(p.behaviour for _, p in procs)
-    keep = tuple(entry for entry in procs
-                 if not (_done(entry[1]) and entry[0] not in referenced))
-    if len(keep) == len(n.procs) and all(
-            a is b for a, b in zip(keep, n.procs)):
+        if b is not p.behaviour:
+            p = Process(p.state, p.queue, b)
+            collected = False
+        procs[name] = p
+    _drop_done(procs)
+    if collected and len(procs) == len(n.procs):
         return n
-    return Network(keep)
+    return Network(tuple(procs.items()))
 
 
 def network_key(n: Network):
@@ -104,38 +115,73 @@ def lift_to_async(n: Network) -> Network:
 # Step relations
 
 
+def _conts(node):
+    """The continuations of the head ``node``, before the definitions in
+    scope are put back: one per branch of a conditional (followed by its
+    continuation), one for a send or a receive, none otherwise."""
+    kind = type(node)
+    if kind is BCond:
+        return seq(node.then, node.cont), seq(node.orelse, node.cont)
+    if kind is BSend or kind is BRecv:
+        return (node.cont,)
+    return ()
+
+
+class StepTable(dict):
+    """Per collected behaviour, its head and the collected behaviours it
+    continues as, in the order of :func:`_conts`; each is computed on
+    first use.  Successors pass through ``own``, which maps a term to the
+    equal one its owner keeps, so a successor is the very object that
+    later looks up its own entry."""
+
+    __slots__ = ("own",)
+
+    def __init__(self, own):
+        super().__init__()
+        self.own = own
+
+    def __missing__(self, b):
+        node, env = head(b)
+        own = self.own
+        entry = self[b] = (node, tuple(own(gc(resume(k, env)))
+                                       for k in _conts(node)))
+        return entry
+
+
 def _step(procs, label, changed):
     """``label`` with the successor of ``procs`` in which the ``changed``
-    processes replace their old selves.  When ``procs`` are normalized, so
-    is the successor: only the changed behaviours need collecting, and
-    partners are only scanned when some process is done."""
-    procs = {**procs}
-    for name, p in changed.items():
-        b = gc(p.behaviour)
-        procs[name] = p if b is p.behaviour else Process(p.state, p.queue, b)
-    done = [name for name, p in procs.items() if _done(p)]
-    if done:
-        referenced = _partners(p.behaviour for p in procs.values())
-        for name in done:
-            if name not in referenced:
-                del procs[name]
+    processes, whose behaviours are collected, replace their old selves.
+    When ``procs`` are normalized, so is the successor."""
+    procs = {**procs, **changed}
+    _drop_done(procs)
     return label, Network.of(procs)
 
 
-def enabled(n: Network, mode: str):
+def enabled(n: Network, mode: str, table=None):
     """The steps of the normalized network ``n`` in ``mode``, as (label,
     successor) pairs; the successors are normalized too.  In ``sync`` a
     send head fires together with the receive head it meets; in ``async``
     a send is non-blocking (it enqueues at the target) and a receive fires
     when the sender's lane is non-empty.  A conditional head steps alike in
     both: the guard picks a branch, followed by the conditional's
-    continuation."""
+    continuation.  Heads and successor behaviours come from ``table``, a
+    :class:`StepTable`, when one is given."""
     if mode == "sync" and any(not p.queue.is_empty() for _, p in n.procs):
         raise NonEmptyQueue("synchronous semantics requires empty queues")
     procs = n.as_dict()
-    heads = {name: head(p.behaviour) for name, p in procs.items()}
+    if table is None:
+        heads = {name: head(p.behaviour) for name, p in procs.items()}
+
+        def after(name, i):
+            node, env = heads[name]
+            return gc(resume(_conts(node)[i], env))
+    else:
+        heads = {name: table[p.behaviour] for name, p in procs.items()}
+
+        def after(name, i):
+            return heads[name][1][i]
     steps = []
-    for name, (node, env) in heads.items():
+    for name, (node, _) in heads.items():
         p = procs[name]
         kind = type(node)
         if kind is BCond:
@@ -143,14 +189,13 @@ def enabled(n: Network, mode: str):
             if not isinstance(guard, BoolV):
                 raise GuardNotBoolean(
                     f"guard evaluated to {render_value(guard)}")
-            branch = node.then if guard.b else node.orelse
             label = StepLabel("Then" if guard.b else "Else", (name,),
                               (name,), expr=node.expr)
             changed = {name: Process(p.state, p.queue,
-                                     resume(seq(branch, node.cont), env))}
+                                     after(name, 0 if guard.b else 1))}
         elif kind is BSend:
             q = procs.get(node.dst)
-            other, other_env = heads.get(node.dst, (None, ()))
+            other = heads.get(node.dst, (None,))[0]
             if q is None or mode == "sync" and not (
                     type(other) is BRecv and other.src == name):
                 continue  # no such process, or no receive meets the send
@@ -159,12 +204,11 @@ def enabled(n: Network, mode: str):
                               (name, node.dst), (name,), value=v,
                               expr=node.expr)
             if mode == "sync":  # the receive takes the value at once
-                q = Process(v, q.queue, resume(other.cont, other_env))
+                q = Process(v, q.queue, after(node.dst, 0))
             else:
                 q = Process(q.state, q.queue.enqueue(Message(name, v)),
                             q.behaviour)
-            changed = {name: Process(p.state, p.queue,
-                                     resume(node.cont, env)),
+            changed = {name: Process(p.state, p.queue, after(name, 0)),
                        node.dst: q}
         elif kind is BRecv and mode == "async":
             popped = p.queue.dequeue_from(node.src)
@@ -172,21 +216,21 @@ def enabled(n: Network, mode: str):
                 continue
             v, rest = popped
             label = StepLabel("ComR", (node.src, name), (name,), value=v)
-            changed = {name: Process(v, rest, resume(node.cont, env))}
+            changed = {name: Process(v, rest, after(name, 0))}
         else:
             continue
         steps.append(_step(procs, label, changed))
     return steps
 
 
-def enabled_sp(n: Network):
+def enabled_sp(n: Network, table=None):
     """Synchronous steps: :func:`enabled` in ``sync`` mode."""
-    return enabled(n, "sync")
+    return enabled(n, "sync", table)
 
 
-def enabled_asp(n: Network):
+def enabled_asp(n: Network, table=None):
     """Asynchronous steps: :func:`enabled` in ``async`` mode."""
-    return enabled(n, "async")
+    return enabled(n, "async", table)
 
 
 def classify(n: Network, mode: str) -> str:

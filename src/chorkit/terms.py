@@ -18,7 +18,9 @@ from .errors import BindError, DupTagError
 
 class Term:
     """Base of every frozen term: equality is structural, and the structural
-    hash is kept in the ``_h`` slot after its first use."""
+    hash is kept in the ``_h`` slot after its first use.  Both walk along
+    the chain of last fields in a loop, so a sequence of any length hashes
+    and compares without recursion."""
 
     __slots__ = ("_h",)
 
@@ -26,16 +28,71 @@ class Term:
         try:
             return self._h
         except AttributeError:
-            h = hash((type(self), *[getattr(self, f) for f in self.__slots__]))
-            object.__setattr__(self, "_h", h)
-            return h
+            return _first_hash(self)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        h1, h2 = getattr(self, "_h", None), getattr(other, "_h", None)
+        if h1 != h2 and h1 is not None and h2 is not None:
+            return False
+        a, b = self, other
+        while True:
+            init = a._init
+            if init is not None and init(a) != init(b):
+                return False
+            last = a._last
+            if last is None:
+                return True
+            a, b = last(a), last(b)
+            if a is b:
+                return True
+            if type(a) is not type(b) or not isinstance(a, Term):
+                return a == b
+
+
+_cache = Term._h.__set__  # stores a hash past the frozen __setattr__
+
+
+def _first_hash(t):
+    """Hash ``t`` as ``hash((type(t), *fields))``, first caching the hash
+    of each term down its chain of last fields that has none yet."""
+    spine = [t]
+    last = t._last
+    while last is not None:
+        t = last(t)
+        if not isinstance(t, Term) or hasattr(t, "_h"):
+            break
+        spine.append(t)
+        last = t._last
+    for t in reversed(spine):
+        h = hash(t._type_and_fields(t))
+        _cache(t, h)
+    return h
+
+
+def keep_hash(copy, original):
+    """Give ``copy``, a term equal to ``original``, the hash that
+    ``original`` has cached."""
+    _cache(copy, original._h)
 
 
 def term(cls):
     """Make ``cls`` (a :class:`Term` subclass) a frozen, slotted dataclass
-    that keeps the cached hash."""
-    cls.__hash__ = Term.__hash__  # explicit, so dataclass keeps it
-    return dataclass(frozen=True, slots=True)(cls)
+    that keeps the cached hash and the looping equality.  The class gets
+    the getters these use: ``_type_and_fields`` (the tuple of its class
+    and every field, which the hash is of), ``_last`` (the last field;
+    None if there is none) and ``_init`` (the fields before it; None if
+    there are none)."""
+    cls.__hash__ = Term.__hash__  # explicit, so dataclass keeps them
+    cls.__eq__ = Term.__eq__
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = cls.__slots__
+    cls._type_and_fields = (attrgetter("__class__", *names) if names
+                            else staticmethod(lambda t: (type(t),)))
+    cls._last = attrgetter(names[-1]) if names else None
+    cls._init = attrgetter(*names[:-1]) if len(names) > 1 else None
+    return cls
 
 
 # ---------------------------------------------------------------------------

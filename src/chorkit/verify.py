@@ -11,18 +11,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .chor_async import check_abstract_async, enabled_async, \
     harvest_contexts, well_formed
 from .congruence import network_equiv
 from .errors import IllFormed, NotProjectable
-from .network import classify, enabled_asp, enabled_sp, lift_to_async, \
-    network_key, normalize_network
+from .network import StepTable, classify, enabled_asp, enabled_sp, \
+    lift_to_async, network_key, normalize_network
 from .project import epp_sync, project_network, projectable
 from .render import render_choreography
 from .sync import Configuration, enabled_sync, terminated
 from .terms import SUBTERMS, BinOp, BoolV, Cell, Com, Cond, Def, IntV, \
-    Lit, NIL, Call, Network, Nil, Process, kids, pn, rebuild, seq
+    Lit, NIL, Call, Network, Nil, Process, keep_hash, kids, pn, rebuild, \
+    seq
 from .values import GlobalState
 
 STATE_CAP = 50_000
@@ -148,7 +150,11 @@ class SuccessorStore:
     - the normalized projection of a configuration in either mode, or the
       text of the error that makes it unprojectable;
     - the verdict of each network equivalence question, and the behaviour
-      verdicts that :func:`network_equiv` reaches on the way.
+      verdicts that :func:`network_equiv` reaches on the way;
+    - per subterm and process, its projected behaviour, so a successor
+      projects only the part its step changed;
+    - per stored behaviour, its head and successor behaviours (a
+      :class:`StepTable`), so a network step does not walk behaviours.
 
     Labels, states, choreographies and networks are hash-consed: a stored
     term has every subterm replaced by the stored equal one, so each
@@ -164,6 +170,11 @@ class SuccessorStore:
         self._equiv = {}
         self._behaviour_equiv = {}
         self._stored = {}
+        # Neither ``_cons`` nor the step table holds the store itself, so
+        # a dropped store is freed at once, not by the cycle collector.
+        self._cons = partial(_cons, self._stored)
+        self._projected = {}
+        self._moves = StepTable(self._cons)
 
     def steps(self, cfg: Configuration, mode: str) -> tuple:
         table = self._steps[mode]
@@ -178,7 +189,8 @@ class SuccessorStore:
         table = self._net_steps[mode]
         found = table.get(n)
         if found is None:
-            raw = enabled_sp(n) if mode == "sync" else enabled_asp(n)
+            raw = (enabled_sp(n, self._moves) if mode == "sync"
+                   else enabled_asp(n, self._moves))
             found = table[n] = self._cons_steps(raw)
         return found
 
@@ -196,10 +208,10 @@ class SuccessorStore:
         if found is None:
             try:
                 if mode == "sync":
-                    net = epp_sync(cfg.chor, cfg.state)
+                    net = epp_sync(cfg.chor, cfg.state, self._projected)
                 else:
                     net = project_network(self.well_formed(cfg.chor)[1],
-                                          cfg.state)
+                                          cfg.state, self._projected)
                 found = self._cons(normalize_network(net))
             except (NotProjectable, IllFormed) as exc:
                 found = str(exc)
@@ -216,36 +228,42 @@ class SuccessorStore:
         return tuple((self._cons(label), self._cons(succ))
                      for label, succ in raw)
 
-    def _cons(self, t):
-        """The stored object equal to ``t``; a new configuration, network,
-        process, choreography or behaviour node, or tuple of them, is
-        stored after its parts are."""
-        found = self._stored.get(t)
-        if found is not None:
-            return found
-        kind = type(t)
-        if kind is Configuration:
-            chor, state = self._cons(t.chor), self._cons(t.state)
-            if chor is not t.chor or state is not t.state:
-                t = Configuration(chor, state)
-        elif kind is Network:
-            procs = self._cons(t.procs)
-            if procs is not t.procs:
-                t = Network(procs)
-        elif kind is tuple:  # a network's entries, or one (name, process)
-            parts = tuple(self._cons(x) for x in t)
-            if any(a is not b for a, b in zip(parts, t)):
-                t = parts
-        elif kind is Process:
-            state, queue = self._cons(t.state), self._cons(t.queue)
-            b = self._cons(t.behaviour)
-            if state is not t.state or queue is not t.queue \
-                    or b is not t.behaviour:
-                t = Process(state, queue, b)
-        elif kind in SUBTERMS:
-            t = rebuild(t, [self._cons(k) for k in kids(t)])
-        self._stored[t] = t
-        return t
+
+def _cons(stored, t):
+    """The object in ``stored`` equal to ``t``; a new configuration,
+    network, process, choreography or behaviour node, or tuple of them, is
+    stored after its parts are."""
+    found = stored.get(t)
+    if found is not None:
+        return found
+    kind = type(t)
+    new = t
+    if kind is Configuration:
+        chor, state = _cons(stored, t.chor), _cons(stored, t.state)
+        if chor is not t.chor or state is not t.state:
+            new = Configuration(chor, state)
+    elif kind is Network:
+        procs = _cons(stored, t.procs)
+        if procs is not t.procs:
+            new = Network(procs)
+    elif kind is tuple:  # a network's entries, or one (name, process)
+        parts = tuple(_cons(stored, x) for x in t)
+        if any(a is not b for a, b in zip(parts, t)):
+            new = parts
+    elif kind is Process:
+        state, queue = _cons(stored, t.state), _cons(stored, t.queue)
+        b = _cons(stored, t.behaviour)
+        if state is not t.state or queue is not t.queue \
+                or b is not t.behaviour:
+            new = Process(state, queue, b)
+    elif kind in SUBTERMS:
+        new = rebuild(t, [_cons(stored, k) for k in kids(t)])
+    if new is not t:
+        if kind is not tuple:  # ``t`` was hashed by the lookup above
+            keep_hash(new, t)
+        t = new
+    stored[t] = t
+    return t
 
 
 def _explore(start, steps, depth: int):
@@ -273,7 +291,7 @@ def explore_chor(cfg: Configuration, mode: str, depth: int,
     """Unique reachable configurations up to the depth, in breadth-first
     order; returns (configs, capped flag)."""
     store = SuccessorStore() if store is None else store
-    return _explore(cfg, lambda c: store.steps(c, mode), depth)
+    return _explore(store._cons(cfg), lambda c: store.steps(c, mode), depth)
 
 
 def explore_network(n, mode: str, depth: int,
@@ -281,8 +299,8 @@ def explore_network(n, mode: str, depth: int,
     """Unique reachable networks from the normalized ``n``, as
     :func:`explore_chor` gives configurations."""
     store = SuccessorStore() if store is None else store
-    return _explore(normalize_network(n), lambda m: store.net_steps(m, mode),
-                    depth)
+    return _explore(store._cons(normalize_network(n)),
+                    lambda m: store.net_steps(m, mode), depth)
 
 
 def _report(theorem, program, states, failures, capped=False):

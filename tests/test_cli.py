@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, exit codes, reproducible output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chorkit
 from chorkit import cli, project, well_formed
 from chorkit.cli import (
     EXIT_ILL_FORMED,
@@ -78,6 +82,14 @@ class TestCheck:
         text = "".join(f"{names[i % 4]}.{i} -> {names[(i + 1) % 4]}; "
                        for i in range(1200)) + "0"
         assert main(["check", write("chain.mc", text)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+
+    def test_deep_equal_branches(self, write, capsys):
+        # Projection compares the two branches' behaviours for q and r,
+        # 400 actions each.
+        body = "q.1 -> r; " * 400
+        text = f"if p.true then {{ {body}0 }} else {{ {body}0 }}"
+        assert main(["check", write("deep.mc", text)]) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
 
@@ -201,6 +213,19 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["check", "--bogus"]) == EXIT_USAGE
+
+    def test_python_dash_m_runs_the_command(self, write):
+        # The package this test imports, run as ``python -m chorkit``.
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(
+                   chorkit.__file__))}
+        for text, code, out in (("p.1 -> q; 0", 0, "ok\n"),
+                                ("p.1 ->", EXIT_PARSE, "")):
+            done = subprocess.run(
+                [sys.executable, "-m", "chorkit", "check",
+                 write("m.mc", text)],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert (done.returncode, done.stdout) == (code, out)
 
 
 class TestFilesAndRuntimeErrors:

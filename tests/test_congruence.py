@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bounded_behaviour_equiv, closure_min
+from oracles import bounded_behaviour_equiv, closure_min, rewrite_closure
 
 from chorkit import (
     BCall,
@@ -53,6 +53,14 @@ class TestChoreographyEquivalence:
         b = chor("q.1 -> r; "
                  "if p.true then { p.2 -> q; 0 } else { p.3 -> q; 0 }")
         assert chor_equiv(a, b) is True
+
+    def test_an_action_below_the_branch_heads_hoists(self):
+        a = chor("if p.true then { q.1 -> r; s.1 -> t; 0 }"
+                 " else { q.2 -> r; s.1 -> t; 0 }")
+        b = chor("s.1 -> t; "
+                 "if p.true then { q.1 -> r; 0 } else { q.2 -> r; 0 }")
+        assert chor_equiv(a, b) is True
+        assert canonical(a) == canonical(b)
 
     def test_garbage_collection_is_free(self):
         assert chor_equiv(chor("def X = { p.1 -> q; X } in 0"),
@@ -116,6 +124,37 @@ def test_independent_swaps_keep_the_canonical_form(coms, swaps):
 def test_canonical_forms_agree_with_the_swap_closure(data):
     coms = data.draw(st.lists(_COMS, max_size=6))
     a, b = _chain(coms), _chain(data.draw(st.permutations(coms)))
+    assert (canonical(a) == canonical(b)) == \
+        (closure_min(a) == closure_min(b))
+
+
+def _text(coms):
+    return "".join(f"{s}.{v} -> {d}; " for s, d, v in coms)
+
+
+def _branch(data, shared):
+    """The ``shared`` communications and up to two others, in any
+    order."""
+    coms = list(shared) + data.draw(st.lists(_COMS, max_size=2))
+    return data.draw(st.permutations(coms))
+
+
+def _one_conditional(data):
+    shared = data.draw(st.lists(_COMS, max_size=2))
+    return chor(_text(data.draw(st.lists(_COMS, max_size=2)))
+                + f"if {data.draw(st.sampled_from('pqrstu'))}.true "
+                f"then {{ {_text(_branch(data, shared))}0 }} "
+                f"else {{ {_text(_branch(data, shared))}0 }}")
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_canonical_forms_of_one_conditional_agree_with_the_closure(data):
+    a = _one_conditional(data)
+    if data.draw(st.booleans()):
+        b = _one_conditional(data)
+    else:
+        b = data.draw(st.sampled_from(rewrite_closure(a, unfold=False)))
     assert (canonical(a) == canonical(b)) == \
         (closure_min(a) == closure_min(b))
 

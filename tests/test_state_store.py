@@ -8,10 +8,14 @@ and a check run on its own agrees with the same check run inside
 only the processes a step changes, and agree with rebuilding and
 normalizing the whole network; the store's projections agree with
 projecting and normalizing directly, and each of its tables computes each
-key once.
+key once.  Networks stepped through a shared step table, and
+configurations projected through a shared memo, give what the direct
+computations give.
 """
 
 import collections
+import dataclasses
+import functools
 import hashlib
 
 import pytest
@@ -40,6 +44,7 @@ from chorkit import (
 )
 from chorkit import congruence, network, verify
 from chorkit.network import gc_behaviour
+from chorkit.terms import Term
 from chorkit.verify import (
     THEOREMS,
     CorpusSpec,
@@ -99,6 +104,22 @@ class TestStateKeys:
         distinct = _agree(nets, render_network)
         assert 0 < distinct < len(nets)
         assert any(not p.queue.is_empty() for n in nets for _, p in n.procs)
+
+    def test_hash_is_that_of_type_and_fields(self, explored):
+        configs, nets = explored
+        stack = list(configs) + list(nets)
+        seen = set()
+        while stack:
+            t = stack.pop()
+            if isinstance(t, tuple):
+                stack.extend(t)
+            elif isinstance(t, Term) and id(t) not in seen:
+                seen.add(id(t))
+                fields = tuple(getattr(t, f.name)
+                               for f in dataclasses.fields(t))
+                assert hash(t) == hash((type(t), *fields))
+                stack.extend(fields)
+        assert len(seen) > 1000
 
     def test_equal_terms_hash_equally(self, explored):
         configs, _ = explored
@@ -228,6 +249,36 @@ def test_network_steps_are_pinned():
     assert digest.hexdigest() == NETWORK_STEPS_SHA256
 
 
+def test_network_steps_through_one_table_are_pinned(monkeypatch):
+    """The pinned steps again, each network's steps now read from one step
+    table shared by all of them."""
+    table = SuccessorStore()._moves
+    for name in ("enabled_sp", "enabled_asp"):
+        monkeypatch.setattr(network, name,
+                            functools.partial(getattr(network, name),
+                                              table=table))
+    test_network_steps_are_pinned()
+    assert len(table) > 100
+
+
+def test_successor_behaviours_are_the_tables_own():
+    store = SuccessorStore()
+    table = store._moves
+    for program in generate_corpus(CorpusSpec()):
+        net = epp_sync(program, default_state(program))
+        explore_network(net, "sync", DEPTH, store=store)
+        explore_network(lift_to_async(net), "async", DEPTH, store=store)
+    keys = {id(b) for b in table}
+    successors = [s for _, succs in table.values() for s in succs]
+    assert all(id(s) in keys for s in successors if s in table)
+    assert sum(s in table for s in successors) > len(table) // 2
+    for steps in store._net_steps.values():
+        for found in steps.values():
+            for _, succ in found:
+                assert all(id(p.behaviour) in keys or p.behaviour
+                           not in table for _, p in succ.procs)
+
+
 def _direct_projection(cfg, mode):
     project = epp_sync if mode == "sync" else epp_async
     try:
@@ -256,6 +307,22 @@ def test_store_projections_match_direct_projection(explored):
                 assert normalize_network(got) is got
     assert {mode for mode, _ in errors} == {"sync", "async"}
     assert len(errors) >= 4
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_projections_through_a_shared_memo(seed):
+    """One store, so one projection memo, for every program of a corpus:
+    its projection of each explored configuration is the direct one."""
+    store = SuccessorStore()
+    checked = 0
+    for program in generate_corpus(CorpusSpec(seed=seed)):
+        start = Configuration(program, default_state(program))
+        for mode in ("sync", "async"):
+            for cfg in explore_chor(start, mode, DEPTH, store=store)[0]:
+                assert store.projection(cfg, mode) == \
+                    _direct_projection(cfg, mode)
+                checked += 1
+    assert checked > 500 and store._projected
 
 
 def test_each_store_table_computes_each_key_once(monkeypatch):

@@ -1,8 +1,10 @@
 """The traversal table in ``chorkit.terms``: it lists every constructor
 with subterms, names exactly their trailing fields, and its primitives give
-back the very node when nothing changes."""
+back the very node when nothing changes.  Terms hash and compare along
+their chains in a loop."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -24,6 +26,8 @@ from chorkit import (
     Nil,
     RtRecv,
     RtSend,
+    IntV,
+    Lit,
     TagSupply,
     epp_sync,
     harvest_contexts,
@@ -118,3 +122,24 @@ def test_new_subterms_replace_the_old_ones(corpus):
             if names[-1] == "cont":
                 assert replace_cont(node, new[-1]) == \
                     dataclasses.replace(node, cont=new[-1])
+
+
+def _chain(n, last):
+    c = NIL
+    for i in range(n):
+        c = Com("p", Lit(IntV(last if i == 0 else i)), "q", c)
+    return c
+
+
+def test_long_chains_hash_and_compare_in_a_loop():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a, b, c = _chain(10_000, 0), _chain(10_000, 0), _chain(10_000, 1)
+        assert a == b and not a != b and a != c
+        assert hash(a) == hash(b) != hash(c)
+        assert a == b and a != c  # with every hash cached
+        d = _chain(10_000, 1)
+        assert c == d  # one side hashed, the other not
+    finally:
+        sys.setrecursionlimit(limit)
