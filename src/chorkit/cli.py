@@ -19,7 +19,6 @@ from .chor_async import well_formed
 from .congruence import canonical
 from .errors import ChorError, GuardNotBoolean, IllFormed, NonEmptyQueue, \
     NotEnabled, NotProjectable, ParseError, UnknownProcess
-from .network import normalize_network
 from .parse import parse_choreography, parse_network
 from .project import epp_async, epp_sync, project_network
 from .render import render_choreography, render_network, render_value
@@ -158,7 +157,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    net = normalize_network(parse_network(_read(args.file)))
+    net = parse_network(_read(args.file))
     scheduler = make_scheduler(args.scheduler, args.seed)
     trace = run_network(net, args.mode, scheduler, args.steps)
     print(format_trace(trace, args.trace))

@@ -15,10 +15,10 @@ from __future__ import annotations
 from collections import deque
 from heapq import heapify, heappop, heappush
 
-from .network import _done, normalize_network
 from .render import render_expr, render_value
 from .terms import (
     BDef,
+    BNil,
     Com,
     Cond,
     Def,
@@ -248,8 +248,9 @@ def network_equiv(n1: Network, n2: Network, memo=None) -> bool:
     if n1 is n2:
         return True
     memo = {} if memo is None else memo
-    live = [[entry for entry in normalize_network(n).procs
-             if not _done(entry[1])] for n in (n1, n2)]
+    live = [[(name, p) for name, p in n.procs
+             if type(head(p.behaviour)[0]) is not BNil
+             or not p.queue.is_empty()] for n in (n1, n2)]
     if len(live[0]) != len(live[1]):
         return False
     for (name1, p1), (name2, p2) in zip(*live):

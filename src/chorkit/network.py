@@ -24,9 +24,9 @@ from .terms import (
     Message,
     Network,
     Process,
-    SUBTERMS,
     gc,
     head,
+    pn,
     resume,
     seq,
 )
@@ -42,26 +42,6 @@ from .values import eval_with_cell
 gc_behaviour = gc
 
 
-def _partners(behaviours) -> set:
-    """Every process that one of ``behaviours`` sends to or receives from."""
-    acc = set()
-    stack = list(behaviours)
-    while stack:
-        b = stack.pop()
-        while type(b) in SUBTERMS:  # every one ends with a continuation
-            kind = type(b)
-            if kind is BSend:
-                acc.add(b.dst)
-            elif kind is BRecv:
-                acc.add(b.src)
-            elif kind is BCond:
-                stack += (b.then, b.orelse)
-            else:  # BDef
-                stack.append(b.body)
-            b = b.cont
-    return acc
-
-
 def _done(p) -> bool:
     """Behaviour 0 and an empty queue."""
     return type(p.behaviour) is BNil and p.queue.is_empty()
@@ -73,7 +53,8 @@ def _drop_done(procs: dict) -> None:
     process is done."""
     done = [name for name, p in procs.items() if _done(p)]
     if done:
-        referenced = _partners(p.behaviour for p in procs.values())
+        referenced = set().union(*(pn(p.behaviour)
+                                   for p in procs.values()))
         for name in done:
             if name not in referenced:
                 del procs[name]

@@ -31,10 +31,9 @@ from .terms import (
     Value,
     gc,
     head_pn,
-    kids,
-    rebuild,
     replace_cont,
     term,
+    transform,
 )
 from .values import GlobalState, eval_expr
 
@@ -179,9 +178,8 @@ def _match_by_key(left, right):
 def subst_tag(c, tag: Tag, value: Value):
     """Replace the (single, by linearity) receive carrying ``tag``; nodes
     off its path are returned as they are."""
-    if type(c) is RtRecv and c.payload == tag:
-        c = RtRecv(c.src, value, c.dst, c.cont)
-    return rebuild(c, [subst_tag(k, tag, value) for k in kids(c)])
+    return transform(c, lambda n: RtRecv(n.src, value, n.dst, n.cont)
+                     if type(n) is RtRecv and n.payload == tag else n)
 
 
 def terminated(c) -> bool:

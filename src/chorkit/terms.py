@@ -673,7 +673,9 @@ def resume(t, env):
 
 
 def pn(term) -> frozenset:
-    """Set of process names in a choreography (or single interaction).
+    """Set of process names in a choreography (or single interaction), or
+    of the partners of a behaviour: every process it sends to or receives
+    from.
 
     A detached send contributes only the sender, a detached receive only the
     receiver; tags and payloads contribute nothing.
@@ -682,22 +684,21 @@ def pn(term) -> frozenset:
     stack = [term]
     while stack:
         t = stack.pop()
-        while type(t) in SUBTERMS:
+        while type(t) in SUBTERMS:  # the walk loops along the last subterm
             kind = type(t)
             if kind is Com:
                 names.add(t.src)
                 names.add(t.dst)
-            elif kind is RtSend:
+            elif kind is RtSend or kind is BRecv:
                 names.add(t.src)
-            elif kind is RtRecv:
+            elif kind is RtRecv or kind is BSend:
                 names.add(t.dst)
-            elif kind is Cond:
-                names.add(t.decider)
-                stack.append(t.then)
-                t = t.orelse
+            else:  # a conditional, a definition or a hole
+                if kind is Cond:
+                    names.add(t.decider)
+                *others, t = _KIDS[kind](t)
+                stack += others
                 continue
-            elif kind is Def:
-                stack.append(t.body)
             t = t.cont
     return frozenset(names)
 

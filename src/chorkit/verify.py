@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import is_
 
 from .chor_async import check_abstract_async, enabled_async, \
     harvest_contexts, well_formed
@@ -145,7 +146,8 @@ class SuccessorStore:
     Each entry is computed once and kept until the store is dropped:
     - the steps of a configuration under ``enabled_sync`` or
       ``enabled_async``, and of a normalized network under ``enabled_sp``
-      or ``enabled_asp``, as tuples of (label, successor) pairs;
+      or ``enabled_asp``, as tuples of (label, successor) pairs, in one
+      table per mode;
     - the :func:`well_formed` result of a choreography;
     - the normalized projection of a configuration in either mode, or the
       text of the error that makes it unprojectable;
@@ -164,7 +166,6 @@ class SuccessorStore:
 
     def __init__(self):
         self._steps = {"sync": {}, "async": {}}
-        self._net_steps = {"sync": {}, "async": {}}
         self._projections = {"sync": {}, "async": {}}
         self._well_formed = {}
         self._equiv = {}
@@ -176,22 +177,23 @@ class SuccessorStore:
         self._projected = {}
         self._moves = StepTable(self._cons)
 
-    def steps(self, cfg: Configuration, mode: str) -> tuple:
+    def steps(self, state, mode: str) -> tuple:
+        """The steps of a configuration, or of a normalized network.  The
+        engines are read from this module's globals at each call, so a
+        wrapper set there (by a test, or the benchmark's tracer) sees every
+        call."""
         table = self._steps[mode]
-        found = table.get(cfg)
+        found = table.get(state)
         if found is None:
-            raw = enabled_sync(cfg) if mode == "sync" else enabled_async(cfg)
-            found = table[cfg] = self._cons_steps(raw)
-        return found
-
-    def net_steps(self, n: Network, mode: str) -> tuple:
-        """The steps of the normalized network ``n``."""
-        table = self._net_steps[mode]
-        found = table.get(n)
-        if found is None:
-            raw = (enabled_sp(n, self._moves) if mode == "sync"
-                   else enabled_asp(n, self._moves))
-            found = table[n] = self._cons_steps(raw)
+            if type(state) is Configuration:
+                raw = (enabled_sync(state) if mode == "sync"
+                       else enabled_async(state))
+            else:
+                raw = (enabled_sp(state, self._moves) if mode == "sync"
+                       else enabled_asp(state, self._moves))
+            cons = self._cons
+            found = table[state] = tuple((cons(label), cons(succ))
+                                         for label, succ in raw)
         return found
 
     def well_formed(self, chor) -> tuple:
@@ -223,10 +225,6 @@ class SuccessorStore:
         if key not in self._equiv:
             self._equiv[key] = network_equiv(n1, n2, self._behaviour_equiv)
         return self._equiv[key]
-
-    def _cons_steps(self, raw) -> tuple:
-        return tuple((self._cons(label), self._cons(succ))
-                     for label, succ in raw)
 
 
 def _cons(stored, t):
@@ -266,15 +264,17 @@ def _cons(stored, t):
     return t
 
 
-def _explore(start, steps, depth: int):
-    """Breadth-first search from ``start`` along ``steps``, up to
-    :data:`STATE_CAP` states."""
+def _explore(store, start, mode: str, depth: int):
+    """Breadth-first search from ``start`` along the steps of ``mode``, up
+    to :data:`STATE_CAP` states; returns (states, capped flag)."""
+    store = SuccessorStore() if store is None else store
+    start = store._cons(start)
     seen = {start: None}
     frontier = [start]
     for _ in range(depth):
         nxt = []
         for c in frontier:
-            for _, succ in steps(c):
+            for _, succ in store.steps(c, mode):
                 if succ not in seen:
                     if len(seen) >= STATE_CAP:
                         return list(seen), True
@@ -290,17 +290,14 @@ def explore_chor(cfg: Configuration, mode: str, depth: int,
                  store: SuccessorStore | None = None):
     """Unique reachable configurations up to the depth, in breadth-first
     order; returns (configs, capped flag)."""
-    store = SuccessorStore() if store is None else store
-    return _explore(store._cons(cfg), lambda c: store.steps(c, mode), depth)
+    return _explore(store, cfg, mode, depth)
 
 
 def explore_network(n, mode: str, depth: int,
                     store: SuccessorStore | None = None):
     """Unique reachable networks from the normalized ``n``, as
     :func:`explore_chor` gives configurations."""
-    store = SuccessorStore() if store is None else store
-    return _explore(store._cons(normalize_network(n)),
-                    lambda m: store.net_steps(m, mode), depth)
+    return _explore(store, normalize_network(n), mode, depth)
 
 
 def _report(theorem, program, states, failures, capped=False):
@@ -343,7 +340,7 @@ def check_deadlock_freedom(program, sigma, depth, mode,
         capped = capped or ncapped
         states += len(nets)
         for n in nets:
-            if store.net_steps(n, mode):
+            if store.steps(n, mode):
                 continue  # running
             verdict = classify(n, mode)
             if verdict in ("deadlocked", "orphaned-messages"):
@@ -355,12 +352,10 @@ def _lockstep(cfg, net, mode, store, failures) -> None:
     """Signature bijection plus pointwise successor correspondence between
     ``cfg`` and its projection ``net``; each mismatch goes to
     ``failures``."""
-    chor_by_sig = {}
-    for label, succ in store.steps(cfg, mode):
-        chor_by_sig.setdefault(_sig(label), []).append(succ)
-    net_by_sig = {}
-    for label, succ in store.net_steps(net, mode):
-        net_by_sig.setdefault(_sig(label), []).append(succ)
+    chor_by_sig, net_by_sig = by_sigs = {}, {}
+    for state, by_sig in zip((cfg, net), by_sigs):
+        for label, succ in store.steps(state, mode):
+            by_sig.setdefault(_sig(label), []).append(succ)
 
     def here():
         return cfg.key()[0]
@@ -422,6 +417,29 @@ def check_epp_async(program, sigma, depth, store=None) -> TheoremReport:
                       store)
 
 
+def _unsimulated(store, states, same):
+    """The (state, label) of each synchronous step from ``states`` that no
+    asynchronous step realizes: a conditional by one step with the same
+    redex, a communication by a send and then the matching receive, each
+    landing on a successor that ``same`` equates with the synchronous
+    one."""
+    for state in states:
+        async_steps = store.steps(state, "async")
+        for label, succ in store.steps(state, "sync"):
+            if label.rule in ("Then", "Else"):
+                if any(l.key() == label.key() and same(s, succ)
+                       for l, s in async_steps):
+                    continue
+            else:
+                want = _sig(label)[1:]
+                if any(same(end, succ) for l1, mid in async_steps
+                       if l1.rule == "ComS" and _sig(l1)[1:] == want
+                       for l2, end in store.steps(mid, "async")
+                       if l2.rule == "ComR" and _sig(l2)[1:] == want):
+                    continue
+            yield state, label
+
+
 def check_async_equivalence(program, sigma, depth,
                             store=None) -> TheoremReport:
     """Both clauses of asynchronous equivalence: every synchronous step is
@@ -440,25 +458,12 @@ def check_async_equivalence(program, sigma, depth,
     sync_configs, capped1 = explore_chor(start, "sync", depth + join_depth,
                                          store=store)
     sync_set = set(sync_configs)
-    failures = []
-    for cfg in sync_configs:
-        async_steps = store.steps(cfg, "async")
-        for label, succ in store.steps(cfg, "sync"):
-            if label.rule in ("Then", "Else"):
-                if not any(l.key() == label.key() and s == succ
-                           for l, s in async_steps):
-                    failures.append(
-                        f"conditional step unmatched at {cfg.key()[0]}")
-                continue
-            want = _sig(label)[1:]
-            if not any(l1.rule == "ComS" and _sig(l1)[1:] == want
-                       and any(l2.rule == "ComR" and _sig(l2)[1:] == want
-                               and end == succ
-                               for l2, end in store.steps(mid, "async"))
-                       for l1, mid in async_steps):
-                failures.append(
-                    f"communication {label.subjects} has no send;receive "
-                    f"realization at {cfg.key()[0]}")
+    failures = [
+        f"conditional step unmatched at {cfg.key()[0]}"
+        if label.rule in ("Then", "Else") else
+        f"communication {label.subjects} has no send;receive realization "
+        f"at {cfg.key()[0]}"
+        for cfg, label in _unsimulated(store, sync_configs, is_)]
     async_configs, capped2 = explore_chor(start, "async", depth,
                                           store=store)
     budget_hit = False
@@ -472,13 +477,9 @@ def check_async_equivalence(program, sigma, depth,
                     f"async configuration cannot rejoin: {cfg.key()[0]}")
             else:
                 budget_hit = True
-    report = _report("async-equivalence", text,
-                     len(sync_configs) + len(async_configs), failures,
-                     capped1 or capped2)
-    if report.verdict == "pass" and budget_hit:
-        return TheoremReport(report.theorem, report.program, report.states,
-                             "budget-exceeded")
-    return report
+    return _report("async-equivalence", text,
+                   len(sync_configs) + len(async_configs), failures,
+                   capped1 or capped2 or budget_hit)
 
 
 def _greedy_join(cfg, sync_set, budget, store) -> bool:
@@ -545,25 +546,11 @@ def check_sp_asp_simulation(net, depth, store=None) -> TheoremReport:
     store = SuccessorStore() if store is None else store
     text = network_key(net)
     nets, capped = explore_network(net, "sync", depth, store=store)
-    failures = []
-    for n in nets:
-        async_steps = store.net_steps(lift_to_async(n), "async")
-        for label, succ in store.net_steps(n, "sync"):
-            if label.rule in ("Then", "Else"):
-                simulated = any(
-                    store.equiv(s, succ) for l, s in async_steps
-                    if _sig(l)[0:2] == _sig(label)[0:2])
-                what = "conditional step unmatched"
-            else:
-                want = _sig(label)[1:]
-                simulated = any(
-                    store.equiv(end, succ) for l1, mid in async_steps
-                    if l1.rule == "ComS" and _sig(l1)[1:] == want
-                    for l2, end in store.net_steps(mid, "async")
-                    if l2.rule == "ComR" and _sig(l2)[1:] == want)
-                what = f"communication {label.subjects} not simulated"
-            if not simulated:
-                failures.append(f"{what} at {network_key(n)}")
+    failures = [
+        f"conditional step unmatched at {network_key(n)}"
+        if label.rule in ("Then", "Else") else
+        f"communication {label.subjects} not simulated at {network_key(n)}"
+        for n, label in _unsimulated(store, nets, store.equiv)]
     return _report("sp-asp-simulation", text, len(nets), failures, capped)
 
 

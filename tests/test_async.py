@@ -1,6 +1,8 @@
 """Asynchronous choreography semantics: two-phase communication,
 well-formedness, and the abstract-asynchrony conformance check."""
 
+import sys
+
 import pytest
 
 from chorkit import (
@@ -26,6 +28,7 @@ from chorkit import (
     unfold_com,
     well_formed,
 )
+from chorkit.terms import subterms
 
 
 def cfg_of(text, **cells):
@@ -80,6 +83,26 @@ class TestTwoPhaseCommunication:
         assert label.rule == "ComS"
         assert label.tag_id == 0
         assert render_choreography(mid.chor) == "q <~ (p, 1); 0"
+
+    def test_tagged_send_fills_a_receive_far_down_the_chain(self):
+        # The receive that takes the value is 6,000 actions below the
+        # send; filling it in must not recurse along the chain.
+        cfg = cfg_of("p.1 ~> [#0]; " + "s.2 -> q; " * 5_998
+                     + "s <~ (p, #0); 0")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            steps = enabled_async(cfg)
+        except RecursionError:  # reported below, without 1,000 frames
+            steps = None
+        finally:
+            sys.setrecursionlimit(limit)
+        assert steps is not None, "the step recursed along the chain"
+        assert sorted((l.subjects, l.tag_id) for l, _ in steps) == [
+            (("p",), 0), (("s", "q"), None)]
+        [end] = [s.chor for l, s in steps if l.tag_id == 0]
+        assert [t for t in subterms(end) if type(t) is RtRecv] == [
+            RtRecv("p", IntV(1), "s", NIL)]
 
 
 class TestOutOfOrderDelivery:

@@ -19,6 +19,7 @@ from chorkit import (
     chor_equiv,
     epp_sync,
     network_equiv,
+    normalize_network,
     parse_choreography,
     parse_network,
     pn,
@@ -231,6 +232,19 @@ class TestNetworkEquivalence:
         a = parse_network("p[0]{ 0 } | q[1]{ r!1; 0 } | r[0]{ q?; 0 }")
         b = parse_network("q[1]{ r!1; 0 } | r[0]{ q?; 0 }")
         assert network_equiv(a, b) is True
+
+    def test_unnormalized_networks(self):
+        # A process is done when its behaviour reaches 0 before any action,
+        # collected or not.
+        a = parse_network("p[0]{ def X = { X } in X }"
+                          " | q[1]{ def Y = { r!2; Y } in r!1; 0 }"
+                          " | r[0]{ q?; 0 }")
+        b = parse_network("q[1]{ r!1; 0 } | r[0]{ q?; 0 }")
+        assert network_equiv(a, b) is True
+        assert network_equiv(a, normalize_network(a)) is True
+        c = parse_network("p[0]{ def X = { q!1; X } in X } | q[0]{ 0 }")
+        assert network_equiv(c, normalize_network(c)) is True
+        assert network_equiv(c, parse_network("q[0]{ 0 }")) is False
 
     def test_states_matter(self):
         a = parse_network("p[0]{ q!1; 0 } | q[0]{ p?; 0 }")

@@ -272,11 +272,14 @@ def test_successor_behaviours_are_the_tables_own():
     successors = [s for _, succs in table.values() for s in succs]
     assert all(id(s) in keys for s in successors if s in table)
     assert sum(s in table for s in successors) > len(table) // 2
-    for steps in store._net_steps.values():
-        for found in steps.values():
-            for _, succ in found:
-                assert all(id(p.behaviour) in keys or p.behaviour
-                           not in table for _, p in succ.procs)
+    network_steps = [found for steps in store._steps.values()
+                     for state, found in steps.items()
+                     if type(state) is Network]
+    assert network_steps
+    for found in network_steps:
+        for _, succ in found:
+            assert all(id(p.behaviour) in keys or p.behaviour
+                       not in table for _, p in succ.procs)
 
 
 def _direct_projection(cfg, mode):
@@ -325,6 +328,11 @@ def test_projections_through_a_shared_memo(seed):
     assert checked > 500 and store._projected
 
 
+def _entries(steps, kind):
+    """The entries of a step table whose state is of ``kind``."""
+    return [state for state in steps if type(state) is kind]
+
+
 def test_each_store_table_computes_each_key_once(monkeypatch):
     calls = collections.Counter()
 
@@ -356,10 +364,10 @@ def test_each_store_table_computes_each_key_once(monkeypatch):
         check_well_formedness_preservation(program, sigma, DEPTH,
                                            store=store)
         computed = {
-            "enabled_sync": store._steps["sync"],
-            "enabled_async": store._steps["async"],
-            "enabled_sp": store._net_steps["sync"],
-            "enabled_asp": store._net_steps["async"],
+            "enabled_sync": _entries(store._steps["sync"], Configuration),
+            "enabled_async": _entries(store._steps["async"], Configuration),
+            "enabled_sp": _entries(store._steps["sync"], Network),
+            "enabled_asp": _entries(store._steps["async"], Network),
             "well_formed": store._well_formed,
             "epp_sync": store._projections["sync"],
             "project_network": store._projections["async"],

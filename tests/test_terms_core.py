@@ -1,7 +1,7 @@
 """The traversal table in ``chorkit.terms``: it lists every constructor
 with subterms, names exactly their trailing fields, and its primitives give
 back the very node when nothing changes.  Terms hash and compare along
-their chains in a loop."""
+their chains in a loop, and one names scan serves both term families."""
 
 import dataclasses
 import sys
@@ -31,6 +31,8 @@ from chorkit import (
     TagSupply,
     epp_sync,
     harvest_contexts,
+    parse_network,
+    pn,
     unfold_com,
 )
 from chorkit.terms import (
@@ -143,3 +145,11 @@ def test_long_chains_hash_and_compare_in_a_loop():
         assert c == d  # one side hashed, the other not
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_pn_of_a_behaviour_is_its_partners():
+    n = parse_network(
+        "p[0]{ q!1; if @ < 1 then { r?; 0 } else { 0 }; "
+        "def X = { s!2; X } in t?; X } | q[0]{ 0 }")
+    assert pn(n.as_dict()["p"].behaviour) == {"q", "r", "s", "t"}
+    assert pn(n.as_dict()["q"].behaviour) == frozenset()
