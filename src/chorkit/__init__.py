@@ -91,7 +91,6 @@ from .network import (
     classify,
     enabled_asp,
     enabled_sp,
-    lift_to_async,
     normalize_network,
 )
 from .project import epp_async, epp_sync, project_behaviour, \
@@ -99,9 +98,7 @@ from .project import epp_async, epp_sync, project_behaviour, \
 from .congruence import (
     behaviour_equiv,
     canonical,
-    chor_equiv,
     network_equiv,
-    precongruent,
 )
 from .run import (
     LeftmostScheduler,

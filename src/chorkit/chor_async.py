@@ -15,23 +15,22 @@ from dataclasses import dataclass
 from .errors import NotACom
 from .terms import (
     NIL,
-    Call,
     Com,
     Cond,
     Def,
     Hole,
-    Nil,
     RtRecv,
     RtSend,
     Tag,
     TagSupply,
+    head,
     head_pn,
     kids,
     replace_cont,
     replace_kid,
+    resume,
     rewrite_all,
     runtime_free,
-    subst_call,
     transform,
 )
 from .sync import Configuration, enabled, gc
@@ -75,30 +74,39 @@ class NextVerdict(enum.Enum):
     UNDEFINED = "undefined"
 
 
+_VERDICTS = {Hole: NextVerdict.HOLE, Cond: NextVerdict.COND,
+             Com: NextVerdict.COMM, RtSend: NextVerdict.COMM,
+             RtRecv: NextVerdict.COMM}
+
+
 def next_action(ctx, r: str) -> NextVerdict:
     """Type of the next action for process ``r`` in context ``ctx``.
 
-    Holes are not interactions and never swap; a conditional yields a
-    verdict for a non-decider only when both branches agree; recursive
-    definitions are unfolded once.
+    Holes are not interactions and never swap; past a conditional that
+    ``r`` does not decide, a verdict is defined only when every branch
+    gives it; calls resolve lexically through :func:`terms.head`, and a
+    head that one path reaches twice (a second unfolding) is undefined.
     """
-    if isinstance(ctx, Hole):
-        return NextVerdict.HOLE
-    if isinstance(ctx, (Nil, Call)):
-        return NextVerdict.UNDEFINED
-    if isinstance(ctx, (Com, RtSend, RtRecv)):
-        if r in head_pn(ctx):
-            return NextVerdict.COMM
-        return next_action(ctx.cont, r)
-    if isinstance(ctx, Cond):
-        if r == ctx.decider:
-            return NextVerdict.COND
-        left = next_action(ctx.then, r)
-        right = next_action(ctx.orelse, r)
-        return left if left == right else NextVerdict.UNDEFINED
-    if isinstance(ctx, Def):
-        return next_action(subst_call(ctx.cont, ctx.var, ctx.body), r)
-    raise TypeError(f"not a context: {ctx!r}")
+    verdicts = set()
+    todo = [(ctx, (), frozenset())]
+    while todo:
+        ctx, env, seen = todo.pop()
+        while True:
+            node, env = head(ctx, env)
+            if node is not ctx:  # reached through definitions or calls
+                if (node, env) in seen:  # a second unfolding
+                    node = NIL
+                seen = seen | {(node, env)}
+            kind = type(node)
+            if kind is Cond and r != node.decider:
+                todo += ((node.then, env, seen), (node.orelse, env, seen))
+            elif kind in _PREFIXES and r not in head_pn(node):
+                ctx = node.cont
+                continue
+            else:
+                verdicts.add(_VERDICTS.get(kind, NextVerdict.UNDEFINED))
+            break
+    return verdicts.pop() if len(verdicts) == 1 else NextVerdict.UNDEFINED
 
 
 def plug(ctx, stmt):
@@ -186,6 +194,7 @@ def _fold_here(c):
 
 
 _PREFIXES = (Com, RtSend, RtRecv)
+_CHAIN = (Com, RtSend, RtRecv, Def)  # the nodes with one continuation
 
 
 def _pending_tag(c):
@@ -222,20 +231,22 @@ class Violation:
 def harvest_contexts(c):
     """All contexts obtained by carving one communication out of ``c``;
     under a conditional the same communication must be carved from the
-    matching position of both branches."""
-    out = []
-    if isinstance(c, Com):
-        out.append((Hole(c.cont), replace_cont(c, NIL)))
-    if isinstance(c, Cond):
-        left = harvest_contexts(c.then)
-        right = harvest_contexts(c.orelse)
+    matching position of both branches.  The walk loops down the chain
+    and recurses only into the branches of a conditional."""
+    found = []  # (spine there, context there, communication)
+    spine = ()
+    while type(c) in _CHAIN:
+        if type(c) is Com:
+            found.append((spine, Hole(c.cont), replace_cont(c, NIL)))
+        spine = (c, spine)
+        c = c.cont
+    if type(c) is Cond:
+        left, right = harvest_contexts(c.then), harvest_contexts(c.orelse)
         for (ctx_a, com_a), (ctx_b, com_b) in zip(left, right):
             if com_a == com_b:
-                out.append((Cond(c.decider, c.expr, ctx_a, ctx_b), com_a))
-    elif isinstance(c, (Com, RtSend, RtRecv, Def)):
-        for ctx, com in harvest_contexts(c.cont):
-            out.append((replace_cont(c, ctx), com))
-    return out
+                found.append((spine, Cond(c.decider, c.expr, ctx_a, ctx_b),
+                              com_a))
+    return [(resume(ctx, spine), com) for spine, ctx, com in found]
 
 
 def check_abstract_async(corpus, sigma_for) -> list:

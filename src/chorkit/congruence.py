@@ -3,9 +3,7 @@
 Choreographies are compared by canonicalization: garbage-collect, hoist
 out of conditionals the actions both branches can bring to their top,
 order commuting nested conditionals, and put each maximal chain of
-actions in lexicographic normal form under a fixed total order.  Their
-recursion unfolding is searched up to a budget; exhausting it with
-definitions still present yields "unknown" (None), distinct from False.
+actions in lexicographic normal form under a fixed total order.
 Behaviours, and so networks, are compared exactly, as the regular trees
 they unfold to.
 """
@@ -17,11 +15,9 @@ from heapq import heapify, heappop, heappush
 
 from .render import render_expr, render_value
 from .terms import (
-    BDef,
     BNil,
     Com,
     Cond,
-    Def,
     Network,
     RtRecv,
     RtSend,
@@ -33,10 +29,7 @@ from .terms import (
     kids,
     rebuild,
     replace_cont,
-    replace_kid,
     rewrite_first,
-    subst_call,
-    subterms,
 )
 
 
@@ -162,56 +155,6 @@ def _take_out(t, action):
     for node in reversed(spine):
         t = replace_cont(node, t)
     return t
-
-
-def unfold_variants(t):
-    """All terms reachable by one recursion unfolding somewhere in ``t``, a
-    choreography or a behaviour."""
-    out = []
-    if type(t) in (Def, BDef):
-        out.append(rebuild(t, (t.body, subst_call(t.cont, t.var, t.body))))
-    for i, k in enumerate(kids(t)):
-        out.extend(replace_kid(t, i, v) for v in unfold_variants(k))
-    return out
-
-
-def precongruent(c1, c2, unfold_budget: int = 0):
-    """True iff c1 can be rewritten to c2 with swaps, garbage collection
-    and at most ``unfold_budget`` unfoldings.  None means the budget ran
-    out before the question was settled."""
-    target = canonical(c2)
-    frontier = [gc(c1)]
-    seen = set()
-    for _ in range(unfold_budget + 1):
-        nxt = []
-        for c in frontier:
-            key = canonical(c)
-            if key == target:
-                return True
-            marker = repr(key)
-            if marker in seen:
-                continue
-            seen.add(marker)
-            nxt.extend(unfold_variants(c))
-        frontier = nxt
-        if not frontier:
-            return False
-    if any(type(s) is Def for c in (c1, c2) for s in subterms(gc(c))):
-        return None
-    return False
-
-
-def chor_equiv(c1, c2, unfold_budget: int = 0):
-    """Symmetric comparison up to precongruence, unknown-propagating."""
-    a = precongruent(c1, c2, unfold_budget)
-    if a:
-        return True
-    b = precongruent(c2, c1, unfold_budget)
-    if b:
-        return True
-    if a is None or b is None:
-        return None
-    return False
 
 
 # ---------------------------------------------------------------------------

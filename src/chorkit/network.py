@@ -81,17 +81,6 @@ def network_key(n: Network):
     return render_network(n)
 
 
-def lift_to_async(n: Network) -> Network:
-    """An SP network viewed in the asynchronous calculus: every queue empty.
-
-    The representation already carries (empty) queues, so this is the
-    identity; it exists to mark intent at call sites.
-    """
-    if any(not p.queue.is_empty() for _, p in n.procs):
-        raise NonEmptyQueue("not an SP network")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Step relations
 

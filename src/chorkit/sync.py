@@ -4,14 +4,14 @@ Out-of-order execution is realized by interference analysis instead of
 rewrite search: an interaction or conditional is enabled iff no action
 between it and the top of the term shares a process name with it.  Actions
 inside a conditional are enabled only when the same action is enabled in
-both branches; recursion bodies are unfolded once at call sites when
-exposing redexes.  A brute-force rewriting oracle validating this engine
-lives in the test suite, not here.
+both branches.  A call resolves lexically, through the chain of
+definitions in scope, and each definition unfolds at most once on a path
+when exposing redexes.  A brute-force rewriting oracle validating this
+engine lives in the test suite, not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GuardNotBoolean, NotEnabled
@@ -25,13 +25,13 @@ from .terms import (
     Expr,
     Nil,
     RtRecv,
-    RtSend,
     Tag,
     Term,
     Value,
+    binder,
     gc,
     head_pn,
-    replace_cont,
+    resume,
     term,
     transform,
 )
@@ -68,97 +68,100 @@ class StepLabel(Term):
                          tag_id, self.expr)
 
 
-@dataclass(frozen=True, slots=True)
-class _Step:
-    label: StepLabel
-    chor: object
-    state: GlobalState
-    subst: Optional[tuple] = None  # (Tag, Value) pending global substitution
-
-
-def _guard_bool(v, where: str) -> bool:
-    if not isinstance(v, BoolV):
-        raise GuardNotBoolean(
-            f"conditional guard at {where} evaluated to {render_value(v)}")
-    return v.b
-
-
-def _walk(c, sigma, mode, env, unfolded, blocked, path, everyone):
-    """Enumerate enabled steps of ``c`` with successors built in place.
+def _walk(c, sigma, mode, env, entered, blocked, path, everyone):
+    """The enabled steps of ``c`` in the environment ``env``, as (label,
+    successor, state, pending tag substitution) tuples.  The walk loops
+    down the chain of prefixes, definitions and calls, and recurses only
+    into the branches of a conditional.  A call resolves lexically, as in
+    :func:`terms.head`, and each definition unfolds at most once on a
+    path: ``entered`` holds the environment entries unfolded so far.
     Every step needs a process outside ``blocked``, so the walk stops once
-    ``blocked`` holds ``everyone``, the processes of ``sigma``."""
-    if blocked >= everyone:
-        return []
-    steps = []
-    if isinstance(c, (Com, RtSend, RtRecv)):
-        subjects = head_pn(c)
-        if isinstance(c, Com):
-            if mode == "sync" and not (subjects & blocked):
+    ``blocked`` holds ``everyone``, the processes of ``sigma``.
+    Successors are rebuilt once from the spine of visited nodes, chained
+    as :func:`terms.resume` reads it."""
+    found = []  # (spine there, label, successor there, state, subst)
+    spine = ()
+    path = list(path)
+
+    def step(rule, subjects, succ, state, subst=None, **fields):
+        label = StepLabel(rule, subjects, tuple(path), **fields)
+        found.append((spine, label, succ, state, subst))
+
+    while not blocked >= everyone:
+        kind = type(c)
+        if kind is Call:
+            entry = binder(env, c.var)
+            if not entry or entry in entered:
+                break
+            entered = entered | {entry}
+            if entry is not env:
+                for d in _rebound(env, entry):
+                    spine = (d, spine)
+            env, c = entry, entry[0].body
+            path.append("unfold")
+            continue
+        if kind is Cond:
+            if c.decider not in blocked:
+                v = eval_expr(c.expr, sigma, c.decider)
+                if not isinstance(v, BoolV):
+                    raise GuardNotBoolean(
+                        f"conditional guard at {'/'.join(path) or 'top'}"
+                        f" evaluated to {render_value(v)}")
+                step("Then" if v.b else "Else", (c.decider,),
+                     c.then if v.b else c.orelse, sigma, expr=c.expr)
+            inner = blocked | {c.decider}
+            left = _walk(c.then, sigma, mode, env, entered, inner,
+                         (*path, "then"), everyone)
+            right = _walk(c.orelse, sigma, mode, env, entered, inner,
+                          (*path, "else"), everyone)
+            for a, b in _match_by_key(left, right):
+                found.append((spine, a[0],
+                              Cond(c.decider, c.expr, a[1], b[1]), *a[2:]))
+            break
+        if kind is Def:
+            env = (c, env)
+        elif kind is Nil:
+            break
+        elif mode == "sync":
+            if kind is Com and c.src not in blocked and c.dst not in blocked:
                 v = eval_expr(c.expr, sigma, c.src)
-                label = StepLabel("Com", (c.src, c.dst), path, value=v,
-                                  expr=c.expr)
-                steps.append(_Step(label, c.cont, sigma.update(c.dst, v)))
-            if mode == "async" and c.src not in blocked:
-                v = eval_expr(c.expr, sigma, c.src)
-                label = StepLabel("ComS", (c.src, c.dst), path, value=v,
-                                  expr=c.expr)
-                steps.append(
-                    _Step(label, RtRecv(c.src, v, c.dst, c.cont), sigma))
-        elif isinstance(c, RtSend):
-            if mode == "async" and c.src not in blocked:
-                v = eval_expr(c.expr, sigma, c.src)
-                label = StepLabel("ComS", (c.src,), path, value=v,
-                                  tag_id=c.tag.id, expr=c.expr)
-                steps.append(_Step(label, c.cont, sigma,
-                                   subst=(c.tag, v)))
-        else:  # RtRecv
-            if (mode == "async" and not isinstance(c.payload, Tag)
-                    and c.dst not in blocked):
-                label = StepLabel("ComR", (c.src, c.dst), path,
-                                  value=c.payload)
-                steps.append(_Step(label, c.cont,
-                                   sigma.update(c.dst, c.payload)))
-        inner = _walk(c.cont, sigma, mode, env, unfolded,
-                      blocked | subjects, path + ("cont",), everyone)
-        for s in inner:
-            steps.append(_Step(s.label, replace_cont(c, s.chor), s.state,
-                               s.subst))
-        return steps
+                step("Com", (c.src, c.dst), c.cont, sigma.update(c.dst, v),
+                     value=v, expr=c.expr)
+        elif kind is RtRecv:
+            if type(c.payload) is not Tag and c.dst not in blocked:
+                step("ComR", (c.src, c.dst), c.cont,
+                     sigma.update(c.dst, c.payload), value=c.payload)
+        elif c.src not in blocked:  # an async send, attached or detached
+            v = eval_expr(c.expr, sigma, c.src)
+            if kind is Com:
+                step("ComS", (c.src, c.dst), RtRecv(c.src, v, c.dst, c.cont),
+                     sigma, value=v, expr=c.expr)
+            else:
+                step("ComS", (c.src,), c.cont, sigma, (c.tag, v), value=v,
+                     tag_id=c.tag.id, expr=c.expr)
+        if kind is not Def:
+            blocked = blocked | head_pn(c)
+        spine = (c, spine)
+        c = c.cont
+        path.append("in" if kind is Def else "cont")
+    return [(label, resume(chor, spine), state, subst)
+            for spine, label, chor, state, subst in found]
 
-    if isinstance(c, Cond):
-        if c.decider not in blocked:
-            v = eval_expr(c.expr, sigma, c.decider)
-            taken = _guard_bool(v, "/".join(map(str, path)) or "top")
-            label = StepLabel("Then" if taken else "Else", (c.decider,),
-                              path, expr=c.expr)
-            steps.append(_Step(label, c.then if taken else c.orelse, sigma))
-        inner_blocked = blocked | {c.decider}
-        left = _walk(c.then, sigma, mode, env, unfolded, inner_blocked,
-                     path + ("then",), everyone)
-        right = _walk(c.orelse, sigma, mode, env, unfolded, inner_blocked,
-                      path + ("else",), everyone)
-        for a, b in _match_by_key(left, right):
-            steps.append(_Step(
-                a.label, Cond(c.decider, c.expr, a.chor, b.chor),
-                a.state, subst=a.subst))
-        return steps
 
-    if isinstance(c, Def):
-        env = dict(env)
-        env[c.var] = c.body
-        inner = _walk(c.cont, sigma, mode, env, unfolded, blocked,
-                      path + ("in",), everyone)
-        return [_Step(s.label, Def(c.var, c.body, s.chor), s.state, s.subst)
-                for s in inner]
-
-    if isinstance(c, Call):
-        if c.var in unfolded or c.var not in env:
-            return []
-        # One unfold per exposure: the successor materializes the body.
-        return _walk(env[c.var], sigma, mode, env, unfolded | {c.var},
-                     blocked, path + ("unfold",), everyone)
-
-    return []  # Nil
+def _rebound(env, entry):
+    """The definitions of ``entry``, outermost first, if a definition of
+    ``env`` above ``entry`` rebinds a name that one of them binds; none
+    otherwise.  A body unfolded at a call below such a definition goes
+    under them, so that its calls still resolve in ``entry``."""
+    between = set()
+    while env is not entry:
+        d, env = env
+        between.add(d.var)
+    defs = []
+    while entry:
+        d, entry = entry
+        defs.append(d)
+    return defs[::-1] if any(d.var in between for d in defs) else ()
 
 
 def _match_by_key(left, right):
@@ -166,10 +169,10 @@ def _match_by_key(left, right):
     redex identity; unpaired steps are not enabled."""
     pool = {}
     for b in right:
-        pool.setdefault(b.label.key(), []).append(b)
+        pool.setdefault(b[0].key(), []).append(b)
     pairs = []
     for a in left:
-        bucket = pool.get(a.label.key())
+        bucket = pool.get(a[0].key())
         if bucket:
             pairs.append((a, bucket.pop(0)))
     return pairs
@@ -190,14 +193,13 @@ def enabled(cfg: Configuration, mode: str):
     """All transitions from ``cfg`` in one rule application under arbitrary
     precongruence rewriting, as (label, successor configuration) pairs."""
     everyone = frozenset(name for name, _ in cfg.state.cells)
-    steps = _walk(cfg.chor, cfg.state, mode, {}, frozenset(), frozenset(),
+    steps = _walk(cfg.chor, cfg.state, mode, (), frozenset(), frozenset(),
                   (), everyone)
     out = []
-    for s in steps:
-        chor = s.chor
-        if s.subst is not None:
-            chor = subst_tag(chor, *s.subst)
-        out.append((s.label, Configuration(gc(chor), s.state)))
+    for label, chor, state, subst in steps:
+        if subst is not None:
+            chor = subst_tag(chor, *subst)
+        out.append((label, Configuration(gc(chor), state)))
     return out
 
 

@@ -545,9 +545,10 @@ def transform(t, post, enter=None):
 
 def check_bound(t) -> None:
     """Raise BindError on a recursion call outside every definition of its
-    variable, or on a definition inside another of the same variable.
-    With distinct binders, the engines' lookup of a call where it occurs
-    agrees with lexical scoping."""
+    variable, or on a definition inside another of the same variable.  The
+    engines resolve calls lexically with or without distinct binders; the
+    parsers still reject shadowing, as a program that shadows is hard to
+    read."""
     stack = [(t, frozenset())]
     while stack:
         t, bound = stack.pop()
@@ -559,15 +560,6 @@ def check_bound(t) -> None:
                 raise BindError(f"shadowed recursion variable {t.var}")
             bound = bound | {t.var}
         stack.extend((k, bound) for k in reversed(kids(t)))
-
-
-def subst_call(t, var: str, body):
-    """Replace the calls of ``var`` that no inner definition of ``var``
-    shadows by ``body`` (one unfolding: calls inside the substituted body
-    are left alone)."""
-    return transform(
-        t, lambda n: body if type(n) in _CALLS and n.var == var else n,
-        lambda n: not (type(n) in _DEFS and n.var == var))
 
 
 def runtime_free(c) -> bool:
@@ -629,29 +621,36 @@ def _gc(t):
 
 
 # ---------------------------------------------------------------------------
-# Behaviour heads
+# Heads and lexical environments
+
+
+def binder(env, var: str):
+    """The entry of ``env`` whose definition binds ``var``; () if none."""
+    while env and env[0].var != var:
+        env = env[1]
+    return env
 
 
 def head(t, env=()):
-    """The first action of the behaviour ``t`` in the environment ``env``,
-    and the environment in scope there.  An environment is () or the
-    innermost definition in scope paired with the environment it is in; a
-    call resumes the body of its definition there, so calls resolve
-    lexically.  A call cycle with no action in between is 0, as :func:`gc`
-    folds it, and a free call is returned as it is."""
+    """The first action of ``t``, a choreography or a behaviour, in the
+    environment ``env``, and the environment in scope there.  An
+    environment is () or the innermost definition in scope paired with
+    the environment it is in; a call resumes the body of its definition
+    there, so calls resolve lexically.  A call cycle with no action in
+    between is 0, as :func:`gc` folds it, and a free call is returned as
+    it is."""
     cycle = set()
     while True:
         kind = type(t)
-        if kind is BDef:
+        if kind in _DEFS:
             env = (t, env)
             t = t.cont
-        elif kind is BCall:
-            while env and env[0].var != t.var:
-                env = env[1]
+        elif kind in _CALLS:
+            env = binder(env, t.var)
             if not env:
                 return t, env
             if env in cycle:
-                return BNIL, ()
+                return (NIL if kind is Call else BNIL), ()
             cycle.add(env)
             t = env[0].body
         else:
@@ -659,9 +658,10 @@ def head(t, env=()):
 
 
 def resume(t, env):
-    """``t`` under the definitions of ``env``, the innermost nearest: the
-    behaviour that continues with ``t`` after the action :func:`head`
-    found in ``env``."""
+    """``t`` under the nodes of the chain ``env``, the innermost nearest.
+    Under an environment, this is the term that continues with ``t`` after
+    the action :func:`head` found there; under a spine of visited nodes
+    chained the same way, it is ``t`` put back in place."""
     while env:
         d, env = env
         t = replace_cont(d, t)

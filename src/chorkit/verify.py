@@ -19,7 +19,7 @@ from .chor_async import check_abstract_async, enabled_async, \
 from .congruence import network_equiv
 from .errors import IllFormed, NotProjectable
 from .network import StepTable, classify, enabled_asp, enabled_sp, \
-    lift_to_async, network_key, normalize_network
+    network_key, normalize_network
 from .project import epp_sync, project_network, projectable
 from .render import render_choreography
 from .sync import Configuration, enabled_sync, terminated
@@ -334,8 +334,6 @@ def check_deadlock_freedom(program, sigma, depth, mode,
     states = len(configs)
     net = store.projection(Configuration(program, sigma), "sync")
     if not isinstance(net, str):  # a str says why it is not projectable
-        if mode == "async":
-            net = lift_to_async(net)
         nets, ncapped = explore_network(net, mode, depth, store=store)
         capped = capped or ncapped
         states += len(nets)

@@ -7,26 +7,31 @@ must agree on every recursion-free input.  A second oracle validates the
 queue representation: the per-sender lane form must identify exactly the
 message sequences related by swapping adjacent messages from distinct
 senders.  A third, the bounded search for a common unfolding, is the
-reference for exact behaviour equivalence.
+reference for exact behaviour equivalence; the same search over
+canonical forms, with unfolding by substitution, compares choreographies
+up to precongruence and answers None ("unknown") when its budget runs out.
 
 Nothing in this module may import from the engine code paths it validates
-beyond the shared AST, the expression evaluator, the canonicalizer used
-to compare successor terms, and the one-step unfolding of the choreography
-comparison.
+beyond the shared AST and its traversal core, the expression evaluator,
+gc, the tag substitution, and the canonicalizer the choreography
+comparison reduces to.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from chorkit.congruence import unfold_variants
+from chorkit.congruence import canonical
 from chorkit.render import render_choreography, render_expr, render_value
 from chorkit.sync import gc, subst_tag
 from chorkit.terms import (
     NIL,
+    BCall,
     BDef,
+    Call,
     Com,
     Cond,
+    Def,
     Message,
     Nil,
     Queue,
@@ -34,7 +39,11 @@ from chorkit.terms import (
     RtSend,
     Tag,
     head_pn,
+    kids,
+    rebuild,
+    replace_kid,
     subterms,
+    transform,
 )
 from chorkit.values import eval_expr
 
@@ -278,5 +287,68 @@ def bounded_behaviour_equiv(b1, b2, unfold_budget: int):
         if left & right:
             return True
     if any(type(s) is BDef for b in (b1, b2) for s in subterms(b)):
+        return None
+    return False
+
+
+# ---------------------------------------------------------------------------
+# Unfolding by substitution, and budgeted choreography comparison
+
+
+def subst_call(t, var: str, body):
+    """Replace the calls of ``var`` that no inner definition of ``var``
+    shadows by ``body`` (one unfolding: calls inside the substituted body
+    are left alone)."""
+    return transform(
+        t, lambda n: body if type(n) in (Call, BCall) and n.var == var
+        else n, lambda n: not (type(n) in (Def, BDef) and n.var == var))
+
+
+def unfold_variants(t):
+    """All terms reachable by one recursion unfolding somewhere in ``t``, a
+    choreography or a behaviour."""
+    out = []
+    if type(t) in (Def, BDef):
+        out.append(rebuild(t, (t.body, subst_call(t.cont, t.var, t.body))))
+    for i, k in enumerate(kids(t)):
+        out.extend(replace_kid(t, i, v) for v in unfold_variants(k))
+    return out
+
+
+def precongruent(c1, c2, unfold_budget: int = 0):
+    """True iff c1 can be rewritten to c2 with swaps, garbage collection
+    and at most ``unfold_budget`` unfoldings.  None means the budget ran
+    out before the question was settled."""
+    target = canonical(c2)
+    frontier = [gc(c1)]
+    seen = set()
+    for _ in range(unfold_budget + 1):
+        nxt = []
+        for c in frontier:
+            key = canonical(c)
+            if key == target:
+                return True
+            marker = repr(key)
+            if marker in seen:
+                continue
+            seen.add(marker)
+            nxt.extend(unfold_variants(c))
+        frontier = nxt
+        if not frontier:
+            return False
+    if any(type(s) is Def for c in (c1, c2) for s in subterms(gc(c))):
+        return None
+    return False
+
+
+def chor_equiv(c1, c2, unfold_budget: int = 0):
+    """Symmetric comparison up to precongruence, unknown-propagating."""
+    a = precongruent(c1, c2, unfold_budget)
+    if a:
+        return True
+    b = precongruent(c2, c1, unfold_budget)
+    if b:
+        return True
+    if a is None or b is None:
         return None
     return False

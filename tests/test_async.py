@@ -19,6 +19,7 @@ from chorkit import (
     TagSupply,
     check_abstract_async,
     enabled_async,
+    harvest_contexts,
     next_action,
     parse_choreography,
     plug,
@@ -28,7 +29,7 @@ from chorkit import (
     unfold_com,
     well_formed,
 )
-from chorkit.terms import subterms
+from chorkit.terms import Call, Def, subterms, transform
 
 
 def cfg_of(text, **cells):
@@ -249,6 +250,33 @@ class TestNextActionAndContexts:
         c2 = parse_choreography(
             "if p.true then { q.1 -> r; 0 } else { q.2 -> r; 0 }")
         assert next_action(c2, "q") == NextVerdict.COMM
+
+    def test_calls_resolve_lexically_under_a_shadowing_definition(self):
+        # Built directly, as the parser rejects shadowing: the call Y in X
+        # means the outer Y, so r and s never act.
+        twin = parse_choreography("def Y = { p.1 -> q; Y } in "
+                                  "def X = { q.2 -> p; Y } in "
+                                  "def Z = { r.3 -> s; Z } in X")
+        ctx = transform(twin, lambda n: Def("Y", n.body, n.cont)
+                        if type(n) is Def and n.var == "Z" else
+                        Call("Y") if n == Call("Z") else n)
+        for r in "pqrs":
+            assert next_action(ctx, r) == next_action(twin, r)
+        assert next_action(ctx, "p") == NextVerdict.COMM
+        assert next_action(ctx, "r") == NextVerdict.UNDEFINED
+
+    def test_long_chain_contexts(self):
+        # 1,500 communications: each walk loops down the chain.
+        c = parse_choreography("p.1 -> q; q.2 -> p; " * 749
+                               + "r.3 -> s; s.4 -> r; 0")
+        contexts = harvest_contexts(c)
+        assert len(contexts) == 1500
+        ctx, com = contexts[-2]
+        assert render_choreography(com) == "r.3 -> s; 0"
+        assert next_action(ctx, "r") == NextVerdict.HOLE
+        assert next_action(ctx, "p") == NextVerdict.COMM
+        assert next_action(c, "r") == NextVerdict.COMM
+        assert next_action(c, "t") == NextVerdict.UNDEFINED
 
     def test_plug_fills_every_hole(self):
         c = parse_choreography("r.9 -> s; 0")

@@ -127,6 +127,17 @@ class TestRun:
         assert capsys.readouterr().out.strip().endswith("-- budget")
 
 
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_process_that_acts_only_at_the_end_of_a_long_chain(
+            self, write, capsys, mode):
+        # r and s first act after 2,000 communications between p and q, so
+        # each step enumeration walks the whole chain.
+        text = "p.1 -> q; q.2 -> p; " * 1000 + "r.3 -> s; 0"
+        path = write("late.mc", text)
+        assert main(["run", path, "--mode", mode, "--steps", "3"]) == 0
+        assert capsys.readouterr().out.strip().endswith("-- budget")
+
+
 class TestInteractive:
     """``run --interactive`` reads each choice from standard input."""
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bounded_behaviour_equiv, closure_min, rewrite_closure
+from oracles import bounded_behaviour_equiv, chor_equiv, closure_min, \
+    precongruent, rewrite_closure
 
 from chorkit import (
     BCall,
@@ -16,14 +17,12 @@ from chorkit import (
     Lit,
     behaviour_equiv,
     canonical,
-    chor_equiv,
     epp_sync,
     network_equiv,
     normalize_network,
     parse_choreography,
     parse_network,
     pn,
-    precongruent,
     render_choreography,
 )
 from chorkit import congruence

@@ -12,7 +12,6 @@ from chorkit import (
     classify,
     enabled_asp,
     enabled_sp,
-    lift_to_async,
     normalize_network,
     parse_network,
     render_network,
@@ -76,8 +75,6 @@ class TestSynchronousNetwork:
         n = net("p[0]<(q, 1)>{ q?; 0 } | q[0]{ 0 }")
         with pytest.raises(NonEmptyQueue):
             enabled_sp(n)
-        with pytest.raises(NonEmptyQueue):
-            lift_to_async(n)
 
 
 class TestAsynchronousNetwork:

@@ -35,14 +35,14 @@ from chorkit import (
     epp_async,
     epp_sync,
     gc,
-    lift_to_async,
     normalize_network,
     parse_choreography,
     parse_network,
+    render_choreography,
     render_network,
     render_value,
 )
-from chorkit import congruence, network, verify
+from chorkit import congruence, network, sync, verify
 from chorkit.network import gc_behaviour
 from chorkit.terms import Term
 from chorkit.verify import (
@@ -74,7 +74,7 @@ def explored():
             configs += explore_chor(start, mode, DEPTH, store=shared)[0]
         net = epp_sync(program, sigma)
         nets += explore_network(net, "sync", DEPTH)[0]
-        nets += explore_network(lift_to_async(net), "async", DEPTH)[0]
+        nets += explore_network(net, "async", DEPTH)[0]
         for cfg in explore_chor(start, "async", DEPTH, store=shared)[0]:
             nets.append(epp_async(cfg.chor, cfg.state))
     return configs, nets
@@ -238,7 +238,7 @@ def test_network_steps_are_pinned():
             net = epp_sync(program, default_state(program))
             for mode, start, steps in (
                     ("sync", net, network.enabled_sp),
-                    ("async", lift_to_async(net), network.enabled_asp)):
+                    ("async", net, network.enabled_asp)):
                 for n in explore_network(start, mode, DEPTH)[0]:
                     for label, succ in steps(n):
                         value = (None if label.value is None
@@ -247,6 +247,35 @@ def test_network_steps_are_pinned():
                             label.rule, label.subjects, value, label.path,
                             render_network(succ))).encode())
     assert digest.hexdigest() == NETWORK_STEPS_SHA256
+
+
+# SHA-256 over (rule, subjects, value, tag, path, successor, state) of
+# every step of every configuration explored from corpus seeds 42 and 7 at
+# depth 4, in both modes.  Pinned while the choreography walk still kept a
+# dict of definitions and resumed a call's body where the call occurs.
+CONFIG_STEPS_SHA256 = (
+    "f61532fbcc21cec046f8fa34d908ef14d728a8908aec2bbd9cd1a8180c1adc62")
+CONFIG_STEPS = 2568
+
+
+def test_configuration_steps_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for seed in (42, 7):
+        for program in generate_corpus(CorpusSpec(seed=seed)):
+            start = Configuration(program, default_state(program))
+            for mode in ("sync", "async"):
+                for cfg in explore_chor(start, mode, DEPTH)[0]:
+                    for label, succ in sync.enabled(cfg, mode):
+                        value = (None if label.value is None
+                                 else render_value(label.value))
+                        digest.update(repr((
+                            label.rule, label.subjects, value, label.tag_id,
+                            label.path, render_choreography(succ.chor),
+                            succ.state.cells)).encode())
+                        count += 1
+    assert count == CONFIG_STEPS
+    assert digest.hexdigest() == CONFIG_STEPS_SHA256
 
 
 def test_network_steps_through_one_table_are_pinned(monkeypatch):
@@ -267,7 +296,7 @@ def test_successor_behaviours_are_the_tables_own():
     for program in generate_corpus(CorpusSpec()):
         net = epp_sync(program, default_state(program))
         explore_network(net, "sync", DEPTH, store=store)
-        explore_network(lift_to_async(net), "async", DEPTH, store=store)
+        explore_network(net, "async", DEPTH, store=store)
     keys = {id(b) for b in table}
     successors = [s for _, succs in table.values() for s in succs]
     assert all(id(s) in keys for s in successors if s in table)

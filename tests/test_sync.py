@@ -24,6 +24,8 @@ from chorkit import (
     terminated,
 )
 from chorkit.network import gc_behaviour
+from chorkit.terms import Call, Def, transform
+from chorkit.verify import check_epp_async, check_epp_sync, default_state
 
 
 def cfg_of(text, **cells):
@@ -127,6 +129,55 @@ class TestRecursion:
     def test_loop_does_not_hide_later_independent_action(self):
         cfg = cfg_of("def X = { p.1 -> q; X } in r.2 -> s; X")
         assert labels(cfg) == [("Com", ("p", "q")), ("Com", ("r", "s"))]
+
+
+def _shadowing_and_twin():
+    """A term whose inner ``def Y`` shadows an outer one, built directly
+    because the parser rejects it, and its twin with the inner binder
+    renamed ``Z``.  Lexically, the call ``Y`` in ``X`` means the outer
+    ``Y`` in both."""
+    twin = parse_choreography("def Y = { p.1 -> q; Y } in "
+                              "def X = { q.2 -> p; Y } in "
+                              "def Z = { r.3 -> s; Z } in X")
+
+    def rename(n):
+        if type(n) is Def and n.var == "Z":
+            return Def("Y", n.body, n.cont)
+        return Call("Y") if n == Call("Z") else n
+    return transform(twin, rename), twin
+
+
+class TestLexicalScope:
+    @pytest.mark.parametrize("check", [check_epp_sync, check_epp_async])
+    def test_projection_agrees_on_a_shadowing_term(self, check):
+        shadowing, _ = _shadowing_and_twin()
+        sigma = default_state(shadowing)
+        report = check(shadowing, sigma, 6)
+        assert report.verdict == "pass", report.counterexample
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_shadowing_term_runs_as_its_twin(self, mode):
+        shadowing, twin = _shadowing_and_twin()
+        assert render_choreography(shadowing) == (
+            "def Y = { p.1 -> q; Y } in def X = { q.2 -> p; Y } in "
+            "def Y = { r.3 -> s; Y } in X")
+        sigma = default_state(twin)
+        runs = [run_chor(Configuration(c, sigma), mode, LeftmostScheduler(),
+                         max_steps=5) for c in (shadowing, twin)]
+        assert [s.label for s in runs[0].steps] == \
+            [s.label for s in runs[1].steps]
+        assert len(runs[0].steps) == 5
+        assert all("r" not in s.label.subjects for s in runs[0].steps)
+
+    def test_late_process_at_the_end_of_a_long_chain(self):
+        # Every process but r and s is blocked within two steps, so the
+        # walk goes down 2,000 prefixes to the last one.
+        cfg = cfg_of("p.1 -> q; q.2 -> p; " * 1000 + "r.3 -> s; 0")
+        assert labels(cfg) == [("Com", ("p", "q")), ("Com", ("r", "s"))]
+        [(label, succ)] = [s for s in enabled_sync(cfg)
+                           if s[0].subjects == ("r", "s")]
+        assert label.path == ("cont",) * 2000
+        assert render_choreography(succ.chor).endswith("q.2 -> p; 0")
 
 
 class TestGcAndTermination:
