@@ -94,7 +94,7 @@ from .network import (
     normalize_network,
 )
 from .project import epp_async, epp_sync, project_behaviour, \
-    project_network, project_queue, projectable
+    project_network, projectable
 from .congruence import (
     behaviour_equiv,
     canonical,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from .errors import NotACom
 from .terms import (
+    ACTIONS,
+    CHAIN,
     NIL,
     Com,
     Cond,
@@ -100,7 +102,7 @@ def next_action(ctx, r: str) -> NextVerdict:
             kind = type(node)
             if kind is Cond and r != node.decider:
                 todo += ((node.then, env, seen), (node.orelse, env, seen))
-            elif kind in _PREFIXES and r not in head_pn(node):
+            elif kind in ACTIONS and r not in head_pn(node):
                 ctx = node.cont
                 continue
             else:
@@ -180,7 +182,7 @@ def _fold_here(c):
     is no mover, and a node's partner stays on the same side of it).
     """
     tag = _pending_tag(c)
-    if tag is None or type(c.cont) not in _PREFIXES:
+    if tag is None or type(c.cont) not in ACTIONS:
         return None
     nxt = c.cont
     other = _pending_tag(nxt)
@@ -191,10 +193,6 @@ def _fold_here(c):
             and (other is None or not _tag_ahead(other, nxt.cont))):
         return replace_cont(nxt, replace_cont(c, nxt.cont))
     return None
-
-
-_PREFIXES = (Com, RtSend, RtRecv)
-_CHAIN = (Com, RtSend, RtRecv, Def)  # the nodes with one continuation
 
 
 def _pending_tag(c):
@@ -209,7 +207,7 @@ def _pending_tag(c):
 
 def _tag_ahead(tag: Tag, c) -> bool:
     """True if the other half of ``tag``'s pair occurs ahead in this chain."""
-    while type(c) in _PREFIXES:
+    while type(c) in ACTIONS:
         if _pending_tag(c) == tag:
             return True
         c = c.cont
@@ -235,7 +233,7 @@ def harvest_contexts(c):
     and recurses only into the branches of a conditional."""
     found = []  # (spine there, context there, communication)
     spine = ()
-    while type(c) in _CHAIN:
+    while type(c) in CHAIN:
         if type(c) is Com:
             found.append((spine, Hole(c.cont), replace_cont(c, NIL)))
         spine = (c, spine)
@@ -249,31 +247,33 @@ def harvest_contexts(c):
     return [(resume(ctx, spine), com) for spine, ctx, com in found]
 
 
-def check_abstract_async(corpus, sigma_for) -> list:
+def check_abstract_async(corpus, sigma_for) -> tuple:
     """Verify both defining clauses of the abstract asynchronous semantics
-    on every context harvested from ``corpus``.  Returns violations."""
+    on every context harvested from ``corpus``.  Returns the number of
+    contexts and the violations.  A harvested communication plugged back
+    into its context gives the program, so the send clause steps each
+    program once."""
     from .render import render_choreography
 
-    violations = []
+    count, violations = 0, []
     for program in corpus:
         sigma = sigma_for(program)
-        for ctx, com in harvest_contexts(program):
+        contexts = harvest_contexts(program)
+        count += len(contexts)
+        sends = {s for _, s in enabled_async(Configuration(gc(program),
+                                                           sigma))}
+        for ctx, com in contexts:
             p, q = com.src, com.dst
             v = eval_expr(com.expr, sigma, p)
-            sent = plug(ctx, RtRecv(p, v, q, NIL))
-            # (process, clause, term before, term and state after, what)
-            clauses = (
-                (p, "send", plug(ctx, com), sent, sigma,
-                 "detached send not among enabled steps"),
-                (q, "receive", sent, plug(ctx, None), sigma.update(q, v),
-                 "receive commit not among enabled steps"))
-            for r, clause, before, after, sigma_after, what in clauses:
-                if next_action(ctx, r) != NextVerdict.HOLE:
-                    continue
-                want = Configuration(gc(after), sigma_after)
-                start = Configuration(gc(before), sigma)
-                if not any(s == want for _, s in enabled_async(start)):
+            sent = Configuration(gc(plug(ctx, RtRecv(p, v, q, NIL))), sigma)
+            if next_action(ctx, p) == NextVerdict.HOLE and sent not in sends:
+                violations.append(Violation(
+                    render_choreography(program), p, "send",
+                    "detached send not among enabled steps"))
+            if next_action(ctx, q) == NextVerdict.HOLE:
+                want = Configuration(gc(plug(ctx, None)), sigma.update(q, v))
+                if not any(s == want for _, s in enabled_async(sent)):
                     violations.append(Violation(
-                        render_choreography(plug(ctx, com)), r, clause,
-                        what))
-    return violations
+                        render_choreography(program), q, "receive",
+                        "receive commit not among enabled steps"))
+    return count, violations

@@ -15,11 +15,11 @@ from heapq import heapify, heappop, heappush
 
 from .render import render_expr, render_value
 from .terms import (
+    ACTIONS,
     BNil,
     Com,
     Cond,
     Network,
-    RtRecv,
     RtSend,
     Tag,
     fixed,
@@ -45,9 +45,6 @@ def _head_key(node):
     return (2, node.src, node.dst, payload, -1)
 
 
-_ACTIONS = (Com, RtSend, RtRecv)
-
-
 def canonical(c):
     """Normal form under garbage collection and the swap rules: each
     maximal chain of actions in its lexicographic normal form, and nothing
@@ -71,7 +68,7 @@ def _sort_chains(t):
     """``t`` with each maximal chain of actions in lexicographic normal
     form; ``t`` itself when every chain already is."""
     chain = []
-    while type(t) in _ACTIONS:
+    while type(t) in ACTIONS:
         chain.append(t)
         t = t.cont
     t = rebuild(t, [_sort_chains(k) for k in kids(t)])
@@ -136,7 +133,7 @@ def _free_actions(t):
     """The actions of the chain at the top of ``t`` that share no process
     with any action above them, so swaps can bring each to the top."""
     free, above = [], set()
-    while type(t) in _ACTIONS:
+    while type(t) in ACTIONS:
         names = head_pn(t)
         if not names & above:
             free.append(t)

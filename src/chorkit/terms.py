@@ -415,7 +415,9 @@ SUBTERMS = {
     BCond: ("then", "orelse", "cont"), BDef: ("body", "cont"),
 }
 
-_PREFIXES = frozenset({Com, RtSend, RtRecv, BSend, BRecv})
+ACTIONS = frozenset({Com, RtSend, RtRecv})  # choreography actions
+CHAIN = ACTIONS | {Def}  # choreography nodes a chain goes on through
+_PREFIXES = ACTIONS | {BSend, BRecv}
 _CALLS = frozenset({Call, BCall})
 _DEFS = frozenset({Def, BDef})
 _NILS = frozenset({Nil, BNil})

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import is_
 
-from .chor_async import check_abstract_async, enabled_async, \
-    harvest_contexts, well_formed
+from .chor_async import check_abstract_async, enabled_async, well_formed
 from .congruence import network_equiv
 from .errors import IllFormed, NotProjectable
 from .network import StepTable, classify, enabled_asp, enabled_sp, \
@@ -149,12 +148,14 @@ class SuccessorStore:
       or ``enabled_asp``, as tuples of (label, successor) pairs, in one
       table per mode;
     - the :func:`well_formed` result of a choreography;
-    - the normalized projection of a configuration in either mode, or the
-      text of the error that makes it unprojectable;
+    - the normalized projection of a configuration, reached in either
+      mode, taken from the canonical form that :func:`well_formed` gives,
+      or the text of the error that makes it unprojectable;
     - the verdict of each network equivalence question, and the behaviour
       verdicts that :func:`network_equiv` reaches on the way;
-    - per subterm and process, its projected behaviour, so a successor
-      projects only the part its step changed;
+    - per subterm and process, its projected behaviour and the messages
+      in transit to the process, so a successor projects only the part
+      its step changed;
     - per stored behaviour, its head and successor behaviours (a
       :class:`StepTable`), so a network step does not walk behaviours.
 
@@ -166,7 +167,7 @@ class SuccessorStore:
 
     def __init__(self):
         self._steps = {"sync": {}, "async": {}}
-        self._projections = {"sync": {}, "async": {}}
+        self._projections = {}
         self._well_formed = {}
         self._equiv = {}
         self._behaviour_equiv = {}
@@ -202,22 +203,18 @@ class SuccessorStore:
             found = self._well_formed[chor] = well_formed(chor)
         return found
 
-    def projection(self, cfg: Configuration, mode: str):
+    def projection(self, cfg: Configuration):
         """The normalized projection of ``cfg``, or the text of the error
         that makes it unprojectable."""
-        table = self._projections[mode]
-        found = table.get(cfg)
+        found = self._projections.get(cfg)
         if found is None:
             try:
-                if mode == "sync":
-                    net = epp_sync(cfg.chor, cfg.state, self._projected)
-                else:
-                    net = project_network(self.well_formed(cfg.chor)[1],
-                                          cfg.state, self._projected)
+                net = project_network(self.well_formed(cfg.chor)[1],
+                                      cfg.state, self._projected)
                 found = self._cons(normalize_network(net))
             except (NotProjectable, IllFormed) as exc:
                 found = str(exc)
-            table[cfg] = found
+            self._projections[cfg] = found
         return found
 
     def equiv(self, n1: Network, n2: Network) -> bool:
@@ -332,7 +329,7 @@ def check_deadlock_freedom(program, sigma, depth, mode,
         if not store.steps(cfg, mode) and not terminated(cfg.chor):
             failures.append(f"stuck configuration: {cfg.key()[0]}")
     states = len(configs)
-    net = store.projection(Configuration(program, sigma), "sync")
+    net = store.projection(Configuration(program, sigma))
     if not isinstance(net, str):  # a str says why it is not projectable
         nets, ncapped = explore_network(net, mode, depth, store=store)
         capped = capped or ncapped
@@ -371,7 +368,7 @@ def _lockstep(cfg, net, mode, store, failures) -> None:
             failures.append(f"multiplicity mismatch for {sig} at {here()}")
             continue
         for succ in chor_succs:
-            projected = store.projection(succ, mode)
+            projected = store.projection(succ)
             if isinstance(projected, str):
                 failures.append(f"successor of {sig} not projectable "
                                 f"at {here()}")
@@ -384,20 +381,19 @@ def _lockstep(cfg, net, mode, store, failures) -> None:
 
 def _check_epp(theorem, program, sigma, depth, mode, store):
     """Projection lockstep along every configuration explored in ``mode``,
-    against the steps of the projections in the same mode.  Asynchronous
-    configurations that are not well-formed are reported as such and not
-    projected."""
+    against the steps of the projections in the same mode.  Configurations
+    that are not well-formed, which only asynchronous runs reach, are
+    reported as such and not projected."""
     store = SuccessorStore() if store is None else store
     text = render_choreography(program)
     configs, capped = explore_chor(Configuration(program, sigma), mode,
                                    depth, store=store)
     failures = []
     for cfg in configs:
-        # Only asynchronous runs reach runtime terms.
-        if mode == "async" and not store.well_formed(cfg.chor)[0]:
+        if not store.well_formed(cfg.chor)[0]:
             failures.append(f"ill-formed reachable term: {cfg.key()[0]}")
             continue
-        net = store.projection(cfg, mode)
+        net = store.projection(cfg)
         if isinstance(net, str):
             failures.append(f"projection lost along execution: {net}")
             continue
@@ -565,11 +561,11 @@ def check_well_formedness_preservation(program, sigma, depth,
 
 
 def check_abstract_asynchrony(corpus) -> TheoremReport:
-    violations = check_abstract_async(corpus, default_state)
+    contexts, violations = check_abstract_async(corpus, default_state)
     failures = [f"{v.clause} clause fails for {v.process} in {v.context}"
                 for v in violations]
     return _report("abstract-asynchrony", f"corpus of {len(corpus)}",
-                   sum(len(harvest_contexts(c)) for c in corpus), failures)
+                   contexts, failures)
 
 
 # ---------------------------------------------------------------------------

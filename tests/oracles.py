@@ -10,6 +10,8 @@ senders.  A third, the bounded search for a common unfolding, is the
 reference for exact behaviour equivalence; the same search over
 canonical forms, with unfolding by substitution, compares choreographies
 up to precongruence and answers None ("unknown") when its budget runs out.
+A walk of its own lists the messages in transit to each process, the
+reference for the queues that projection seeds.
 
 Nothing in this module may import from the engine code paths it validates
 beyond the shared AST and its traversal core, the expression evaluator,
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from chorkit.congruence import canonical
+from chorkit.errors import IllFormed, NotProjectable
 from chorkit.render import render_choreography, render_expr, render_value
 from chorkit.sync import gc, subst_tag
 from chorkit.terms import (
@@ -352,3 +355,32 @@ def chor_equiv(c1, c2, unfold_budget: int = 0):
     if a is None or b is None:
         return None
     return False
+
+
+# ---------------------------------------------------------------------------
+# Messages in transit
+
+_PENDING = "cannot project a receive whose message is still pending"
+
+
+def project_queue(c, r: str) -> list:
+    """Messages in transit addressed to ``r``, in arrival order."""
+    out = []
+    while True:
+        kind = type(c)
+        if kind is RtRecv:
+            if isinstance(c.payload, Tag):
+                raise IllFormed(_PENDING)
+            if r == c.dst:
+                out.append(Message(c.src, c.payload))
+        elif kind is RtSend:
+            raise IllFormed("cannot project a detached send")
+        elif kind is Cond:
+            then = project_queue(c.then, r)
+            if r != c.decider and then != project_queue(c.orelse, r):
+                raise NotProjectable(
+                    f"in-transit messages for {r!r} differ between branches")
+            return out + then
+        elif kind is not Com and kind is not Def:
+            return out  # Nil, Call
+        c = c.cont

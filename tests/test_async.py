@@ -1,8 +1,6 @@
 """Asynchronous choreography semantics: two-phase communication,
 well-formedness, and the abstract-asynchrony conformance check."""
 
-import sys
-
 import pytest
 
 from chorkit import (
@@ -29,7 +27,10 @@ from chorkit import (
     unfold_com,
     well_formed,
 )
+from chorkit import chor_async
 from chorkit.terms import Call, Def, subterms, transform
+from chorkit.verify import CorpusSpec, generate_corpus
+from helpers import shallow
 
 
 def cfg_of(text, **cells):
@@ -90,15 +91,7 @@ class TestTwoPhaseCommunication:
         # send; filling it in must not recurse along the chain.
         cfg = cfg_of("p.1 ~> [#0]; " + "s.2 -> q; " * 5_998
                      + "s <~ (p, #0); 0")
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
-            steps = enabled_async(cfg)
-        except RecursionError:  # reported below, without 1,000 frames
-            steps = None
-        finally:
-            sys.setrecursionlimit(limit)
-        assert steps is not None, "the step recursed along the chain"
+        steps = shallow(enabled_async, cfg)
         assert sorted((l.subjects, l.tag_id) for l, _ in steps) == [
             (("p",), 0), (("s", "q"), None)]
         [end] = [s.chor for l, s in steps if l.tag_id == 0]
@@ -269,7 +262,7 @@ class TestNextActionAndContexts:
         # 1,500 communications: each walk loops down the chain.
         c = parse_choreography("p.1 -> q; q.2 -> p; " * 749
                                + "r.3 -> s; s.4 -> r; 0")
-        contexts = harvest_contexts(c)
+        contexts = shallow(harvest_contexts, c)
         assert len(contexts) == 1500
         ctx, com = contexts[-2]
         assert render_choreography(com) == "r.3 -> s; 0"
@@ -294,6 +287,29 @@ def test_abstract_async_holds_on_sample_programs():
         "p.1 -> q; r.2 -> s; p.3 -> r; 0",
         "if p.true then { p.1 -> q; 0 } else { p.2 -> q; 0 }",
     )]
-    violations = check_abstract_async(
+    contexts, violations = check_abstract_async(
         corpus, lambda c: GlobalState.uniform(sorted(pn(c))))
     assert violations == []
+    assert contexts == sum(len(harvest_contexts(c)) for c in corpus) == 6
+
+
+def test_abstract_async_reports_each_missing_step(monkeypatch):
+    monkeypatch.setattr(chor_async, "enabled_async", lambda cfg: [])
+    c = parse_choreography("p.1 -> q; 0")
+    contexts, violations = check_abstract_async(
+        [c], lambda c: GlobalState.uniform(["p", "q"]))
+    assert contexts == 1
+    assert [(v.context, v.process, v.clause) for v in violations] == [
+        ("p.1 -> q; 0", "p", "send"), ("p.1 -> q; 0", "q", "receive")]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_harvested_communications_plug_back_into_the_program(seed):
+    # The abstract-asynchrony check steps each program once for the send
+    # clause of all its contexts, which rests on this.
+    contexts = 0
+    for program in generate_corpus(CorpusSpec(seed=seed)):
+        for ctx, com in harvest_contexts(program):
+            assert plug(ctx, com) == program
+            contexts += 1
+    assert contexts > 100

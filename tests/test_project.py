@@ -13,11 +13,11 @@ from chorkit import (
     parse_choreography,
     pn,
     project_behaviour,
-    project_queue,
     projectable,
     render_behaviour,
     render_network,
 )
+from oracles import project_queue
 
 
 def chor(text):
@@ -68,6 +68,18 @@ class TestQueueProjection:
     def test_messages_collected_from_anywhere(self):
         c = chor("p.1 -> s; q <~ (r, 9); 0")
         assert project_queue(c, "q") == [Message("r", IntV(9))]
+
+    def test_branches_must_agree_on_messages_in_transit(self):
+        # q receives once in either branch, so only the queues differ.
+        c = chor("if p.true then { q <~ (r, 1); 0 } "
+                 "else { q <~ (r, 2); 0 }")
+        assert not projectable(c)
+        with pytest.raises(NotProjectable, match="in-transit messages"):
+            epp_async(c, sigma_for(c))
+        # Queues are compared first when the behaviours differ too.
+        c = chor("if p.true then { q <~ (r, 1); 0 } else { 0 }")
+        with pytest.raises(NotProjectable, match="in-transit messages"):
+            epp_async(c, sigma_for(c))
 
 
 class TestEppSync:

@@ -24,6 +24,7 @@ from chorkit import (
     well_formed,
 )
 from chorkit.verify import check_diamond, explore_network
+from helpers import shallow
 
 
 def cfg_of(text):
@@ -177,21 +178,24 @@ class TestDeadDefinitions:
 def test_ten_thousand_communications_need_no_recursion():
     # Every walk on the way from text to traces loops along the chain.  A
     # recursive one would raise RecursionError long before 10,000.
-    rng = random.Random(5)
-    comms = []
-    for i in range(10_000):
-        src, dst = rng.sample("pqrstu", 2)
-        comms.append(f"{src}.(@ + {i % 7}) * 3 -> {dst}")
-    program = parse_choreography("; ".join(comms) + "; 0")
-    sigma = GlobalState.uniform(sorted(pn(program)))
-    ok, canon = well_formed(program)
-    assert ok and canon == program
-    assert render_choreography(program).count(" -> ") == 10_000
-    for mode, project in (("sync", epp_sync), ("async", epp_async)):
-        net = project(program, sigma)
-        assert render_network(net).count("!") == 10_000
-        for trace in (run_chor(Configuration(program, sigma), mode,
-                               make_scheduler("random", 1), 5),
-                      run_network(net, mode, make_scheduler("leftmost"), 5)):
-            assert trace.outcome == "budget"
-            assert len(format_trace(trace).split("\n")) == 6
+    def check():
+        rng = random.Random(5)
+        comms = []
+        for i in range(10_000):
+            src, dst = rng.sample("pqrstu", 2)
+            comms.append(f"{src}.(@ + {i % 7}) * 3 -> {dst}")
+        program = parse_choreography("; ".join(comms) + "; 0")
+        sigma = GlobalState.uniform(sorted(pn(program)))
+        ok, canon = well_formed(program)
+        assert ok and canon == program
+        assert render_choreography(program).count(" -> ") == 10_000
+        for mode, project in (("sync", epp_sync), ("async", epp_async)):
+            net = project(program, sigma)
+            assert render_network(net).count("!") == 10_000
+            for trace in (run_chor(Configuration(program, sigma), mode,
+                                   make_scheduler("random", 1), 5),
+                          run_network(net, mode,
+                                      make_scheduler("leftmost"), 5)):
+                assert trace.outcome == "budget"
+                assert len(format_trace(trace).split("\n")) == 6
+    shallow(check)

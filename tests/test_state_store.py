@@ -38,13 +38,14 @@ from chorkit import (
     normalize_network,
     parse_choreography,
     parse_network,
+    pn,
     render_choreography,
     render_network,
     render_value,
 )
 from chorkit import congruence, network, sync, verify
 from chorkit.network import gc_behaviour
-from chorkit.terms import Term
+from chorkit.terms import Queue, Term, runtime_free
 from chorkit.verify import (
     THEOREMS,
     CorpusSpec,
@@ -55,6 +56,7 @@ from chorkit.verify import (
     generate_corpus,
     verify_corpus,
 )
+from oracles import project_queue
 
 DEPTH = 4
 
@@ -319,6 +321,16 @@ def _direct_projection(cfg, mode):
         return str(exc)
 
 
+def _check_projection(store, cfg):
+    """The store's projection of ``cfg`` is the direct asynchronous one,
+    and for a runtime-free choreography also the synchronous one."""
+    got = store.projection(cfg)
+    assert got == _direct_projection(cfg, "async")
+    if runtime_free(cfg.chor):
+        assert got == _direct_projection(cfg, "sync")
+    return got
+
+
 def test_store_projections_match_direct_projection(explored):
     configs, _ = explored
     sigma = default_state(parse_choreography("p.1 -> q; r.1 -> q; 0"))
@@ -326,19 +338,17 @@ def test_store_projections_match_direct_projection(explored):
         Configuration(parse_choreography(text), sigma) for text in (
             "p.1 -> q; q <~ (p, 2); 0",
             "if p.true then { q.1 -> r; 0 } else { 0 }",
+            "if p.true then { q <~ (r, 1); 0 } else { q <~ (r, 2); 0 }",
             "p.1 ~> [#0]; 0")]
     store = SuccessorStore()
     errors = set()
     for cfg in configs:
-        for mode in ("sync", "async"):
-            got = store.projection(cfg, mode)
-            assert got == _direct_projection(cfg, mode)
-            if isinstance(got, str):
-                errors.add((mode, got))
-            else:
-                assert normalize_network(got) is got
-    assert {mode for mode, _ in errors} == {"sync", "async"}
-    assert len(errors) >= 4
+        got = _check_projection(store, cfg)
+        if isinstance(got, str):
+            errors.add(got)
+        else:
+            assert normalize_network(got) is got
+    assert len(errors) >= 3
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -351,10 +361,32 @@ def test_projections_through_a_shared_memo(seed):
         start = Configuration(program, default_state(program))
         for mode in ("sync", "async"):
             for cfg in explore_chor(start, mode, DEPTH, store=store)[0]:
-                assert store.projection(cfg, mode) == \
-                    _direct_projection(cfg, mode)
+                _check_projection(store, cfg)
                 checked += 1
     assert checked > 500 and store._projected
+
+
+def test_store_queues_match_the_oracle():
+    """Through one store, each process of the projection of every
+    configuration explored asynchronously from two corpora holds the
+    messages in transit to it that the reference walk lists."""
+    store = SuccessorStore()
+    seeded = 0
+    for seed in (42, 7):
+        for program in generate_corpus(CorpusSpec(seed=seed)):
+            start = Configuration(program, default_state(program))
+            for cfg in explore_chor(start, "async", DEPTH, store=store)[0]:
+                net = store.projection(cfg)
+                canon = store.well_formed(cfg.chor)[1]
+                procs = net.as_dict()
+                for name in pn(canon):
+                    want = Queue.of(project_queue(canon, name))
+                    if name in procs:
+                        assert procs[name].queue == want
+                    else:  # done, so dropped by normalization
+                        assert want.is_empty()
+                    seeded += not want.is_empty()
+    assert seeded > 500
 
 
 def _entries(steps, kind):
@@ -374,8 +406,8 @@ def test_each_store_table_computes_each_key_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for name in ("enabled_sync", "enabled_async", "enabled_sp",
-                 "enabled_asp", "well_formed", "epp_sync",
-                 "project_network", "network_equiv"):
+                 "enabled_asp", "well_formed", "project_network",
+                 "network_equiv"):
         counted(verify, name)
     counted(congruence, "behaviour_equiv")
     for program in generate_corpus(CorpusSpec(count=20)):
@@ -398,8 +430,7 @@ def test_each_store_table_computes_each_key_once(monkeypatch):
             "enabled_sp": _entries(store._steps["sync"], Network),
             "enabled_asp": _entries(store._steps["async"], Network),
             "well_formed": store._well_formed,
-            "epp_sync": store._projections["sync"],
-            "project_network": store._projections["async"],
+            "project_network": store._projections,
             "network_equiv": store._equiv,
             "behaviour_equiv": store._behaviour_equiv,
         }

@@ -26,6 +26,7 @@ from chorkit import (
 from chorkit.network import gc_behaviour
 from chorkit.terms import Call, Def, transform
 from chorkit.verify import check_epp_async, check_epp_sync, default_state
+from helpers import shallow
 
 
 def cfg_of(text, **cells):
@@ -173,9 +174,10 @@ class TestLexicalScope:
         # Every process but r and s is blocked within two steps, so the
         # walk goes down 2,000 prefixes to the last one.
         cfg = cfg_of("p.1 -> q; q.2 -> p; " * 1000 + "r.3 -> s; 0")
-        assert labels(cfg) == [("Com", ("p", "q")), ("Com", ("r", "s"))]
-        [(label, succ)] = [s for s in enabled_sync(cfg)
-                           if s[0].subjects == ("r", "s")]
+        steps = shallow(enabled_sync, cfg)
+        assert sorted((l.rule, l.subjects) for l, _ in steps) == \
+            [("Com", ("p", "q")), ("Com", ("r", "s"))]
+        [(label, succ)] = [s for s in steps if s[0].subjects == ("r", "s")]
         assert label.path == ("cont",) * 2000
         assert render_choreography(succ.chor).endswith("q.2 -> p; 0")
 
