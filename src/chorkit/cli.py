@@ -24,7 +24,7 @@ from .project import epp_async, epp_sync, project_network
 from .render import render_choreography, render_network, render_value
 from .run import format_trace, make_scheduler, run_chor, run_network
 from .sync import Configuration
-from .terms import ERR, BoolV, IntV, TagSupply, pn
+from .terms import ERR, BoolV, IntV, pn
 from .values import GlobalState
 from .verify import THEOREMS, CorpusSpec, verify_corpus
 
@@ -97,11 +97,7 @@ def _initial_state(program, spec: str | None) -> GlobalState:
 
 def cmd_check(args) -> int:
     program = parse_choreography(_read(args.file))
-    ok, canon = well_formed(program)
-    if not ok:
-        print("ill-formed: a pending message outruns what its receiver "
-              "is committed to take next", file=sys.stderr)
-        return EXIT_ILL_FORMED
+    canon = well_formed(program)[1]
     project_network(canon, _initial_state(program, None))
     if args.canonical:
         print(render_choreography(canonical(canon)))
@@ -142,8 +138,7 @@ def cmd_run(args) -> int:
         scheduler = InteractiveScheduler()
     else:
         scheduler = make_scheduler(args.scheduler, args.seed)
-    trace = run_chor(cfg, args.mode, scheduler, args.steps,
-                     TagSupply.above(program))
+    trace = run_chor(cfg, args.mode, scheduler, args.steps)
     print(format_trace(trace, args.trace))
     return 0
 

@@ -85,36 +85,30 @@ def network_key(n: Network):
 # Step relations
 
 
-def _conts(node):
-    """The continuations of the head ``node``, before the definitions in
-    scope are put back: one per branch of a conditional (followed by its
-    continuation), one for a send or a receive, none otherwise."""
-    kind = type(node)
-    if kind is BCond:
-        return seq(node.then, node.cont), seq(node.orelse, node.cont)
-    if kind is BSend or kind is BRecv:
-        return (node.cont,)
-    return ()
-
-
 class StepTable(dict):
     """Per collected behaviour, its head and the collected behaviours it
-    continues as, in the order of :func:`_conts`; each is computed on
-    first use.  Successors pass through ``own``, which maps a term to the
-    equal one its owner keeps, so a successor is the very object that
-    later looks up its own entry."""
+    continues as (one per branch of a conditional, followed by its
+    continuation, one after a send or a receive), computed on first use.
+    Successors pass through ``own``, which maps a term to the equal one
+    its owner keeps (by default the term itself), so a successor is the
+    very object that later looks up its own entry."""
 
     __slots__ = ("own",)
 
-    def __init__(self, own):
+    def __init__(self, own=lambda term: term):
         super().__init__()
         self.own = own
 
     def __missing__(self, b):
         node, env = head(b)
+        kind = type(node)
+        if kind is BCond:
+            conts = seq(node.then, node.cont), seq(node.orelse, node.cont)
+        else:
+            conts = (node.cont,) if kind is BSend or kind is BRecv else ()
         own = self.own
         entry = self[b] = (node, tuple(own(gc(resume(k, env)))
-                                       for k in _conts(node)))
+                                       for k in conts))
         return entry
 
 
@@ -135,23 +129,15 @@ def enabled(n: Network, mode: str, table=None):
     when the sender's lane is non-empty.  A conditional head steps alike in
     both: the guard picks a branch, followed by the conditional's
     continuation.  Heads and successor behaviours come from ``table``, a
-    :class:`StepTable`, when one is given."""
+    :class:`StepTable`, or from a fresh one when none is given."""
     if mode == "sync" and any(not p.queue.is_empty() for _, p in n.procs):
         raise NonEmptyQueue("synchronous semantics requires empty queues")
-    procs = n.as_dict()
     if table is None:
-        heads = {name: head(p.behaviour) for name, p in procs.items()}
-
-        def after(name, i):
-            node, env = heads[name]
-            return gc(resume(_conts(node)[i], env))
-    else:
-        heads = {name: table[p.behaviour] for name, p in procs.items()}
-
-        def after(name, i):
-            return heads[name][1][i]
+        table = StepTable()
+    procs = n.as_dict()
+    moves = {name: table[p.behaviour] for name, p in procs.items()}
     steps = []
-    for name, (node, _) in heads.items():
+    for name, (node, after) in moves.items():
         p = procs[name]
         kind = type(node)
         if kind is BCond:
@@ -162,10 +148,10 @@ def enabled(n: Network, mode: str, table=None):
             label = StepLabel("Then" if guard.b else "Else", (name,),
                               (name,), expr=node.expr)
             changed = {name: Process(p.state, p.queue,
-                                     after(name, 0 if guard.b else 1))}
+                                     after[0 if guard.b else 1])}
         elif kind is BSend:
             q = procs.get(node.dst)
-            other = heads.get(node.dst, (None,))[0]
+            other, other_after = moves.get(node.dst, (None, ()))
             if q is None or mode == "sync" and not (
                     type(other) is BRecv and other.src == name):
                 continue  # no such process, or no receive meets the send
@@ -174,11 +160,11 @@ def enabled(n: Network, mode: str, table=None):
                               (name, node.dst), (name,), value=v,
                               expr=node.expr)
             if mode == "sync":  # the receive takes the value at once
-                q = Process(v, q.queue, after(node.dst, 0))
+                q = Process(v, q.queue, other_after[0])
             else:
                 q = Process(q.state, q.queue.enqueue(Message(name, v)),
                             q.behaviour)
-            changed = {name: Process(p.state, p.queue, after(name, 0)),
+            changed = {name: Process(p.state, p.queue, after[0]),
                        node.dst: q}
         elif kind is BRecv and mode == "async":
             popped = p.queue.dequeue_from(node.src)
@@ -186,7 +172,7 @@ def enabled(n: Network, mode: str, table=None):
                 continue
             v, rest = popped
             label = StepLabel("ComR", (node.src, name), (name,), value=v)
-            changed = {name: Process(v, rest, after(name, 0))}
+            changed = {name: Process(v, rest, after[0])}
         else:
             continue
         steps.append(_step(procs, label, changed))

@@ -29,6 +29,7 @@ from .terms import (
     RtRecv,
     RtSend,
     Tag,
+    gc,
     pn,
     runtime_free,
 )
@@ -106,12 +107,12 @@ def project_behaviour(c, r: str):
 
 
 def epp_sync(c, sigma: GlobalState) -> Network:
-    """Projection of a runtime-free choreography: one process per name,
-    every queue empty.  Projectability never depends on the state."""
+    """Projection of the collected form of a runtime-free choreography,
+    every queue empty; projectability never depends on the state."""
     if not runtime_free(c):
         raise IllFormed("synchronous projection requires a program "
                         "without runtime terms")
-    return project_network(c, sigma)
+    return project_network(gc(c), sigma)
 
 
 def epp_async(c, sigma: GlobalState) -> Network:
@@ -140,6 +141,8 @@ def project_network(c, sigma: GlobalState, memo=None) -> Network:
 
 
 def projectable(c) -> bool:
+    """Whether the collected form of ``c`` projects."""
+    c = gc(c)
     try:
         for name in sorted(pn(c)):
             _project(c, name, None)

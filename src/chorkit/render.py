@@ -137,9 +137,11 @@ def render(term, memo=None, prefix: str = "") -> str:
             elif kind is Process:
                 head = f"[{render_value(t.state)}]"
                 if t.queue.lanes:
+                    # One join per lane, so a backlog costs a str per value.
                     head += "<" + ", ".join([
-                        f"({sender}, {render_value(v)})"
-                        for sender, lane in t.queue.lanes for v in lane]) + ">"
+                        f"({sender}, " + f"), ({sender}, ".join(
+                            map(render_value, lane)) + ")"
+                        for sender, lane in t.queue.lanes]) + ">"
                 out.append(head + "{ ")
                 stack.append(" }")
                 t = t.behaviour

@@ -1,5 +1,9 @@
 """Seeded deterministic execution: schedulers, traces and their formats.
 
+Choreographies and networks run through one driver loop: a state with no
+step gets its verdict whatever the step budget, and a run with a step
+left at the budget ends ``budget``.
+
 Trace text format, one line per step:
 
     #<n> <rule> <subjects> [v=<value>] [tag=#k] :: <rendered successor>
@@ -13,10 +17,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .chor_async import enabled_async
-from .network import classify, enabled_asp, enabled_sp, normalize_network
+from .network import StepTable, classify, enabled_asp, enabled_sp, \
+    normalize_network
 from .render import render, render_value
 from .sync import Configuration, StepLabel, enabled_sync, terminated
 from .terms import Network, TagSupply
@@ -58,44 +62,53 @@ class TraceStep:
 @dataclass(frozen=True)
 class Trace:
     steps: tuple
-    outcome: str  # terminated|budget|deadlocked|orphaned-messages|interrupted
+    # terminated|deadlocked|orphaned-messages (the last state has no step),
+    # budget (it has one) or interrupted (the scheduler picked none)
+    outcome: str
 
 
-def run_chor(cfg: Configuration, mode: str, scheduler,
-             max_steps: int = 1000, supply: Optional[TagSupply] = None) -> Trace:
-    """Drive a choreography to termination or the step budget, or until
-    the scheduler picks no step (None)."""
-    if supply is None:
-        supply = TagSupply.above(cfg.chor)
+def _drive(state, step, verdict, scheduler, max_steps: int,
+           relabel=lambda label: label) -> Trace:
+    """Take up to ``max_steps`` steps from ``state``: ``step`` gives a
+    state's (label, successor) pairs, ``verdict`` the outcome of a state
+    with none, and ``relabel`` rewrites each label taken."""
     steps = []
-    for index in range(max_steps):
-        options = enabled_sync(cfg) if mode == "sync" else enabled_async(cfg)
+    while True:
+        options = step(state)
         if not options:
-            outcome = "terminated" if terminated(cfg.chor) else "deadlocked"
-            return Trace(tuple(steps), outcome)
+            return Trace(tuple(steps), verdict(state))
+        if len(steps) >= max_steps:
+            return Trace(tuple(steps), "budget")
         picked = scheduler.pick(options)
         if picked is None:
             return Trace(tuple(steps), "interrupted")
-        label, cfg = picked
-        if label.rule == "ComS" and label.tag_id is None:
-            label = label.with_tag(supply.fresh().id)
-        steps.append(TraceStep(index, label, cfg))
-    outcome = "terminated" if terminated(cfg.chor) else "budget"
-    return Trace(tuple(steps), outcome)
+        label, state = picked
+        steps.append(TraceStep(len(steps), relabel(label), state))
+
+
+def run_chor(cfg: Configuration, mode: str, scheduler,
+             max_steps: int = 1000) -> Trace:
+    """Drive a choreography; an asynchronous send without a tag takes a
+    fresh one above every tag in the term."""
+    supply = TagSupply.above(cfg.chor)
+
+    def tag(label):
+        fresh = label.rule == "ComS" and label.tag_id is None
+        return label.with_tag(supply.fresh().id) if fresh else label
+
+    return _drive(cfg, enabled_sync if mode == "sync" else enabled_async,
+                  lambda c: "terminated" if terminated(c.chor)
+                  else "deadlocked", scheduler, max_steps, tag)
 
 
 def run_network(n: Network, mode: str, scheduler,
                 max_steps: int = 1000) -> Trace:
-    n = normalize_network(n)
-    steps = []
-    for index in range(max_steps):
-        options = enabled_sp(n) if mode == "sync" else enabled_asp(n)
-        if not options:
-            return Trace(tuple(steps), classify(n, mode))
-        label, n = scheduler.pick(options)
-        steps.append(TraceStep(index, label, n))
-    outcome = classify(n, mode)
-    return Trace(tuple(steps), "budget" if outcome == "running" else outcome)
+    """Drive a network, normalized first, with one :class:`StepTable` for
+    the whole run."""
+    table = StepTable()
+    enabled = enabled_sp if mode == "sync" else enabled_asp
+    return _drive(normalize_network(n), lambda state: enabled(state, table),
+                  lambda state: classify(state, mode), scheduler, max_steps)
 
 
 def _format_step(step: TraceStep, fmt: str, memo: dict) -> str:

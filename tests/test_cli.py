@@ -2,8 +2,11 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +58,14 @@ class TestCheck:
         # its lane.
         path = write("ill.mc", "p.1 -> q; q <~ (p, 2); 0")
         assert main(["check", path]) == EXIT_ILL_FORMED
+
+    def test_ill_formed_reads_as_in_async_projection(self, write, capsys):
+        path = write("ill.mc", "p.1 -> q; q <~ (p, 2); 0")
+        assert main(["check", path]) == EXIT_ILL_FORMED
+        checked = capsys.readouterr().err
+        assert main(["project", path, "--mode", "async"]) == EXIT_ILL_FORMED
+        assert capsys.readouterr().err == checked
+        assert checked.startswith("ill-formed: ") and checked.count("\n") == 1
 
     def test_not_projectable(self, write, capsys):
         path = write("np.mc",
@@ -137,6 +148,12 @@ class TestRun:
         assert main(["run", path, "--mode", mode, "--steps", "3"]) == 0
         assert capsys.readouterr().out.strip().endswith("-- budget")
 
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_stuck_program_at_any_budget(self, write, capsys, steps):
+        path = write("stuck.mc", "q <~ (p, #0); 0")
+        assert main(["run", path, "--steps", steps]) == 0
+        assert capsys.readouterr().out == "-- deadlocked\n"
+
 
 class TestInteractive:
     """``run --interactive`` reads each choice from standard input."""
@@ -199,9 +216,53 @@ class TestProject:
         path = write("np.mc", "if p.true then { q.1 -> r; 0 } else { 0 }")
         assert main(["project", path]) == EXIT_NOT_PROJECTABLE
 
+    def test_modes_project_the_collected_program(self, write, capsys):
+        # The loop in the then-branch is never called, so q and r act
+        # alike in both branches once it is collected.
+        path = write("dead.mc", "if p.true then { def X = { q.1 -> r; X } "
+                                "in 0 } else { 0 }")
+        for mode in ("sync", "async"):
+            assert main(["project", path, "--mode", mode]) == 0
+            assert capsys.readouterr().out == \
+                "p[0]{ if true then { 0 } else { 0 } }\n"
+
     def test_sync_projection_of_runtime_term_ill_formed(self, write):
         path = write("rt.mc", "q <~ (p, 7); 0")
         assert main(["project", path, "--mode", "sync"]) == EXIT_ILL_FORMED
+
+
+def _matches(expected, actual):
+    """Whether the lines ``actual`` match ``expected``, in which a line
+    ``...`` stands for any number of lines."""
+    if not expected:
+        return not actual
+    if expected[0] == "...":
+        return any(_matches(expected[1:], actual[i:])
+                   for i in range(len(actual) + 1))
+    return bool(actual) and actual[0] == expected[0] and \
+        _matches(expected[1:], actual[1:])
+
+
+def test_readme_example(tmp_path, capsys, monkeypatch):
+    """The example in README.md, each ``$ chorkit`` line run through
+    :func:`main` and its output compared with the lines below it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Example:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    commands = 0
+    for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+        command, *expected = chunk.rstrip("\n").split("\n")
+        words = shlex.split(command)
+        if words[0] == "echo":
+            assert words[2] == ">" and len(words) == 4, command
+            Path(words[3]).write_text(words[1] + "\n")
+            continue
+        assert words[0] == "chorkit", command
+        assert main(words[1:]) == 0, command
+        actual = capsys.readouterr().out.splitlines()
+        assert _matches(expected, actual), (command, actual)
+        commands += 1
+    assert commands == 2
 
 
 class TestSimulate:

@@ -48,6 +48,15 @@ class TestBehaviourProjection:
             project_behaviour(c, "q")
         assert not projectable(c)
 
+    def test_uncalled_definition_does_not_split_the_branches(self):
+        # Projected as collected, the dead loop leaves q and r nothing to
+        # do in either branch.
+        c = chor("if p.true then { def X = { q.1 -> r; X } in 0 } "
+                 "else { 0 }")
+        assert projectable(c)
+        assert render_network(epp_sync(c, sigma_for(c))) == \
+            render_network(epp_async(c, sigma_for(c)))
+
     def test_recursion_is_structural(self):
         c = chor("def X = { p.1 -> q; X } in X")
         assert render_behaviour(project_behaviour(c, "p")) == \

@@ -23,6 +23,8 @@ from chorkit import (
     run_network,
     well_formed,
 )
+import chorkit.network as network
+from chorkit.terms import head
 from chorkit.verify import check_diamond, explore_network
 from helpers import shallow
 
@@ -57,6 +59,32 @@ class TestSchedulers:
         t = run_chor(loop, "sync", make_scheduler("leftmost"), max_steps=5)
         assert t.outcome == "budget"
         assert len(t.steps) == 5
+
+    def test_a_stuck_state_gets_its_verdict_at_any_budget(self):
+        cfg = cfg_of("q <~ (p, #0); 0")
+        net = parse_network("p[0]{ q?; 0 } | q[0]{ p?; 0 }")
+        for budget in (0, 1):
+            for mode in ("sync", "async"):
+                for trace in (run_chor(cfg, mode, make_scheduler("leftmost"),
+                                       budget),
+                              run_network(net, mode,
+                                          make_scheduler("leftmost"),
+                                          budget)):
+                    assert trace.outcome == "deadlocked"
+                    assert trace.steps == ()
+
+    def test_a_scheduler_that_picks_nothing_interrupts(self):
+        class Quit:
+            def pick(self, steps):
+                return None
+
+        cfg = cfg_of("p.1 -> q; 0")
+        net = epp_sync(cfg.chor, cfg.state)
+        for mode in ("sync", "async"):
+            for trace in (run_chor(cfg, mode, Quit()),
+                          run_network(net, mode, Quit())):
+                assert trace.outcome == "interrupted"
+                assert trace.steps == ()
 
 
 class TestTagsInTraces:
@@ -123,6 +151,23 @@ class TestNetworkRuns:
         delivered = [s.label.value for s in t.steps
                      if s.label.rule == "ComR"]
         assert delivered == [IntV(3), IntV(3)]
+
+    def test_one_step_table_serves_a_run(self, monkeypatch):
+        # Each behaviour of this ring is walked to its head once per run,
+        # not once per step.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return head(*args)
+
+        monkeypatch.setattr(network, "head", counted)
+        n = parse_network("p[0]{ def X = { q!1; r?; X } in X } "
+                          "| q[0]{ def Y = { p?; r!1; Y } in Y } "
+                          "| r[0]{ def Z = { q?; p!1; Z } in Z }")
+        t = run_network(n, "sync", make_scheduler("leftmost"), 1000)
+        assert t.outcome == "budget" and len(t.steps) == 1000
+        assert len(calls) <= 10
 
 
 class TestDeadDefinitions:

@@ -4,17 +4,23 @@ check to detect genuine violations (negative controls)."""
 import pytest
 
 from chorkit import (
+    BCond,
     GlobalState,
+    Queue,
     check_deadlock_freedom,
     check_epp_sync,
     check_sp_asp_simulation,
+    format_trace,
     generate_corpus,
+    make_scheduler,
     parse_choreography,
     parse_network,
     pn,
     projectable,
     render_choreography,
+    run_network,
 )
+import chorkit.network as network
 import chorkit.verify as verify
 from chorkit.verify import (
     CorpusSpec,
@@ -105,6 +111,51 @@ class TestNegativeControls:
             c, GlobalState.uniform(["p", "q"]), 4)
         assert report.verdict == "fail"
         assert report.counterexample
+
+
+class TestNetworkMutants:
+    """Seeded bugs in the network layer turn ``verify`` red on the default
+    corpus at depth 6, and only in the checks named."""
+
+    @staticmethod
+    def failing():
+        reports = verify_corpus(set(verify.THEOREMS), CorpusSpec(), depth=6)
+        return {r.theorem for _, r in reports if r.verdict != "pass"}
+
+    def test_conditional_that_always_continues_as_its_then_branch(
+            self, monkeypatch):
+        net = parse_network("p[0]{ if false then { q!1; 0 } "
+                            "else { q!2; 0 } } | q[0]{ p?; 0 }")
+
+        def simulate():
+            return format_trace(run_network(net, "sync",
+                                            make_scheduler("leftmost")))
+
+        correct = simulate()
+        missing = network.StepTable.__missing__
+
+        def then_only(table, b):
+            node, after = missing(table, b)
+            if type(node) is BCond:
+                table[b] = node, (after[0], after[0])
+            return table[b]
+
+        monkeypatch.setattr(network.StepTable, "__missing__", then_only)
+        assert self.failing() == {"epp-sync-lockstep", "epp-async-lockstep"}
+        # Runs step through the same table as the checks.
+        assert "v=2" in correct and "v=1" in simulate()
+
+    def test_queue_that_drops_a_message_behind_another(self, monkeypatch):
+        enqueue = Queue.enqueue
+
+        def drop(queue, msg):
+            if dict(queue.lanes).get(msg.sender):
+                return queue
+            return enqueue(queue, msg)
+
+        monkeypatch.setattr(Queue, "enqueue", drop)
+        assert self.failing() == {"deadlock-freedom[async]",
+                                  "epp-async-lockstep"}
 
 
 class TestUnknownEquivalence:
