@@ -42,8 +42,8 @@ from .values import eval_expr
 # Step relation
 
 
-def enabled_async(cfg: Configuration):
-    return enabled(cfg, "async")
+def enabled_async(cfg: Configuration, table=None):
+    return enabled(cfg, "async", table)
 
 
 # The subterm a path step enters, by step and constructor.

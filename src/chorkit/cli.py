@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 parse error, 2 not projectable, 3 ill-formed,
 state lookup outside the program, queued messages under the synchronous
 network semantics, a step that is not enabled, or a term nested too deeply
 for Python's recursion limit), 64 usage error (a bad
-flag, a file that cannot be read or written, or a ``--state`` that is not
-a JSON object mapping the program's process names to storable values).
+flag, a negative ``--steps`` or ``--depth``, a file that cannot be read or
+written, or a ``--state`` that is not a JSON object mapping the program's
+process names to storable values).
 """
 
 from __future__ import annotations
@@ -240,6 +241,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        for budget in ("steps", "depth"):
+            if getattr(args, budget, 0) < 0:
+                raise UsageError(f"--{budget} must not be negative")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ what changed between them.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import is_
 
 from .terms import (
     BCall,
@@ -84,6 +85,30 @@ def _memo_expr(memo):
     return expr
 
 
+def _lane(sender, lane, memo, owner):
+    """The text of the messages ``lane`` from ``sender``.  With a
+    ``memo``, the lane last rendered from ``sender`` under ``owner``, the
+    name of the receiving process, is kept, and a lane that adds one
+    message at its end or removes one at its front is rendered from that
+    text, so a trace line costs what its step changed.  A lane is reused
+    only when its messages are the very objects of the kept one, so a
+    wrong ``owner`` costs time, never text."""
+    prev, text = ((), "") if memo is None else memo.get((owner, sender),
+                                                        ((), ""))
+    if lane is prev:
+        return text
+    if prev and len(lane) == len(prev) + 1 and all(map(is_, prev, lane)):
+        text += f", ({sender}, {render_value(lane[-1])})"
+    elif len(lane) == len(prev) - 1 and all(map(is_, lane, prev[1:])):
+        text = text[text.index("), (") + 3:]
+    else:
+        text = f"({sender}, " + f"), ({sender}, ".join(
+            map(render_value, lane)) + ")"
+    if memo is not None:
+        memo[owner, sender] = lane, text
+    return text
+
+
 def render(term, memo=None, prefix: str = "") -> str:
     """Render any choreography, behaviour, process or network term.
 
@@ -137,10 +162,9 @@ def render(term, memo=None, prefix: str = "") -> str:
             elif kind is Process:
                 head = f"[{render_value(t.state)}]"
                 if t.queue.lanes:
-                    # One join per lane, so a backlog costs a str per value.
+                    # In a network, the text before a process is its name.
                     head += "<" + ", ".join([
-                        f"({sender}, " + f"), ({sender}, ".join(
-                            map(render_value, lane)) + ")"
+                        _lane(sender, lane, memo, out[-1])
                         for sender, lane in t.queue.lanes]) + ">"
                 out.append(head + "{ ")
                 stack.append(" }")

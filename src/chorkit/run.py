@@ -22,7 +22,8 @@ from .chor_async import enabled_async
 from .network import StepTable, classify, enabled_asp, enabled_sp, \
     normalize_network
 from .render import render, render_value
-from .sync import Configuration, StepLabel, enabled_sync, terminated
+from .sync import Configuration, MoveTable, StepLabel, enabled_sync, \
+    terminated
 from .terms import Network, TagSupply
 
 
@@ -88,15 +89,18 @@ def _drive(state, step, verdict, scheduler, max_steps: int,
 
 def run_chor(cfg: Configuration, mode: str, scheduler,
              max_steps: int = 1000) -> Trace:
-    """Drive a choreography; an asynchronous send without a tag takes a
-    fresh one above every tag in the term."""
+    """Drive a choreography, with one table of moves for the whole run;
+    an asynchronous send without a tag takes a fresh one above every tag
+    in the term."""
     supply = TagSupply.above(cfg.chor)
+    table = MoveTable()
+    enabled = enabled_sync if mode == "sync" else enabled_async
 
     def tag(label):
         fresh = label.rule == "ComS" and label.tag_id is None
         return label.with_tag(supply.fresh().id) if fresh else label
 
-    return _drive(cfg, enabled_sync if mode == "sync" else enabled_async,
+    return _drive(cfg, lambda state: enabled(state, table),
                   lambda c: "terminated" if terminated(c.chor)
                   else "deadlocked", scheduler, max_steps, tag)
 

@@ -6,7 +6,10 @@ between it and the top of the term shares a process name with it.  Actions
 inside a conditional are enabled only when the same action is enabled in
 both branches.  A call resolves lexically, through the chain of
 definitions in scope, and each definition unfolds at most once on a path
-when exposing redexes.  A brute-force rewriting oracle validating this
+when exposing redexes.  The analysis reads only the shape of the term, so
+its moves are found once per choreography and mode and kept in a table;
+in each configuration, the global state only gives the values sent and
+the branches guards pick.  A brute-force rewriting oracle validating this
 engine lives in the test suite, not here.
 """
 
@@ -68,24 +71,35 @@ class StepLabel(Term):
                          tag_id, self.expr)
 
 
-def _walk(c, sigma, mode, env, entered, blocked, path, everyone):
-    """The enabled steps of ``c`` in the environment ``env``, as (label,
-    successor, state, pending tag substitution) tuples.  The walk loops
-    down the chain of prefixes, definitions and calls, and recurses only
-    into the branches of a conditional.  A call resolves lexically, as in
-    :func:`terms.head`, and each definition unfolds at most once on a
-    path: ``entered`` holds the environment entries unfolded so far.
-    Every step needs a process outside ``blocked``, so the walk stops once
-    ``blocked`` holds ``everyone``, the processes of ``sigma``.
-    Successors are rebuilt once from the spine of visited nodes, chained
-    as :func:`terms.resume` reads it."""
-    found = []  # (spine there, label, successor there, state, subst)
+def _walk(c, mode, env, entered, blocked, path, everyone):
+    """The moves of ``c`` in ``mode`` and the environment ``env``, as
+    (rule, subjects, path, operand, tag, after, settled) tuples, which the
+    global state does not decide.  ``rule`` is Com, ComR, ComS, or Cond
+    for a conditional, whose guard picks Then or Else; ``operand`` is the
+    expression of the value or guard, or the payload of a receive; ``tag``
+    is the tag of a detached send.  ``after`` holds the successors: one,
+    or the then and else successors of a conditional.  An asynchronous
+    send keeps instead the (spine, continuation) that :func:`_sent` builds
+    its successor from, as the receive it leaves carries the value.
+    ``settled`` says that no definition lies above the move, so that its
+    successors are collected when ``c`` is.
+
+    The walk loops down the chain of prefixes, definitions and calls, and
+    recurses only into the branches of a conditional.  A call resolves
+    lexically, as in :func:`terms.head`, and each definition unfolds at
+    most once on a path: ``entered`` holds the environment entries
+    unfolded so far.  Every move needs a process outside ``blocked``, so
+    the walk stops once ``blocked`` holds ``everyone``, a superset of the
+    processes of ``c``.  Successors are rebuilt once from the spine of
+    visited nodes, chained as :func:`terms.resume` reads it."""
+    found = []  # (spine there, fields up to after, after there, settled)
     spine = ()
     path = list(path)
+    settled = True
 
-    def step(rule, subjects, succ, state, subst=None, **fields):
-        label = StepLabel(rule, subjects, tuple(path), **fields)
-        found.append((spine, label, succ, state, subst))
+    def move(rule, subjects, after, operand, tag=None):
+        found.append((spine, (rule, subjects, tuple(path), operand, tag),
+                      after, settled))
 
     while not blocked >= everyone:
         kind = type(c)
@@ -102,50 +116,60 @@ def _walk(c, sigma, mode, env, entered, blocked, path, everyone):
             continue
         if kind is Cond:
             if c.decider not in blocked:
-                v = eval_expr(c.expr, sigma, c.decider)
-                if not isinstance(v, BoolV):
-                    raise GuardNotBoolean(
-                        f"conditional guard at {'/'.join(path) or 'top'}"
-                        f" evaluated to {render_value(v)}")
-                step("Then" if v.b else "Else", (c.decider,),
-                     c.then if v.b else c.orelse, sigma, expr=c.expr)
+                move("Cond", (c.decider,), (c.then, c.orelse), c.expr)
             inner = blocked | {c.decider}
-            left = _walk(c.then, sigma, mode, env, entered, inner,
+            left = _walk(c.then, mode, env, entered, inner,
                          (*path, "then"), everyone)
-            right = _walk(c.orelse, sigma, mode, env, entered, inner,
+            right = _walk(c.orelse, mode, env, entered, inner,
                           (*path, "else"), everyone)
             for a, b in _match_by_key(left, right):
-                found.append((spine, a[0],
-                              Cond(c.decider, c.expr, a[1], b[1]), *a[2:]))
+                if a[0] == "ComS":
+                    after = (c.decider, c.expr, a[5], b[5])
+                else:
+                    after = tuple([Cond(c.decider, c.expr, x, y)
+                                   for x, y in zip(a[5], b[5])])
+                found.append((spine, a[:5], after,
+                              settled and a[6] and b[6]))
             break
         if kind is Def:
             env = (c, env)
+            settled = False
         elif kind is Nil:
             break
         elif mode == "sync":
             if kind is Com and c.src not in blocked and c.dst not in blocked:
-                v = eval_expr(c.expr, sigma, c.src)
-                step("Com", (c.src, c.dst), c.cont, sigma.update(c.dst, v),
-                     value=v, expr=c.expr)
+                move("Com", (c.src, c.dst), (c.cont,), c.expr)
         elif kind is RtRecv:
             if type(c.payload) is not Tag and c.dst not in blocked:
-                step("ComR", (c.src, c.dst), c.cont,
-                     sigma.update(c.dst, c.payload), value=c.payload)
+                move("ComR", (c.src, c.dst), (c.cont,), c.payload)
         elif c.src not in blocked:  # an async send, attached or detached
-            v = eval_expr(c.expr, sigma, c.src)
             if kind is Com:
-                step("ComS", (c.src, c.dst), RtRecv(c.src, v, c.dst, c.cont),
-                     sigma, value=v, expr=c.expr)
+                move("ComS", (c.src, c.dst), c.cont, c.expr)
             else:
-                step("ComS", (c.src,), c.cont, sigma, (c.tag, v), value=v,
-                     tag_id=c.tag.id, expr=c.expr)
+                move("ComS", (c.src,), c.cont, c.expr, c.tag)
         if kind is not Def:
             blocked = blocked | head_pn(c)
         spine = (c, spine)
         c = c.cont
         path.append("in" if kind is Def else "cont")
-    return [(label, resume(chor, spine), state, subst)
-            for spine, label, chor, state, subst in found]
+    return [(*fields, (spine, after) if fields[0] == "ComS"
+             else tuple([resume(t, spine) for t in after]), settled)
+            for spine, fields, after, settled in found]
+
+
+def _sent(after, src, value, dst):
+    """The successor of an asynchronous send of ``value`` from ``src``,
+    built from its ``after`` (see :func:`_walk`): the send leaves behind
+    the receive at ``dst`` that carries the value, or, when it is detached
+    (``dst`` is None), just its continuation."""
+    spine, inner = after
+    if type(inner) is tuple:  # the send in both branches of a conditional
+        decider, expr, then, orelse = inner
+        inner = Cond(decider, expr, _sent(then, src, value, dst),
+                     _sent(orelse, src, value, dst))
+    elif dst is not None:
+        inner = RtRecv(src, value, dst, inner)
+    return resume(inner, spine)
 
 
 def _rebound(env, entry):
@@ -165,17 +189,24 @@ def _rebound(env, entry):
 
 
 def _match_by_key(left, right):
-    """Pair up steps enabled in both conditional branches with identical
-    redex identity; unpaired steps are not enabled."""
+    """Pair up moves enabled in both conditional branches with identical
+    redex identity, the fields of a move before its successors but the
+    path; unpaired moves are not enabled."""
     pool = {}
     for b in right:
-        pool.setdefault(b[0].key(), []).append(b)
+        pool.setdefault(_redex(b), []).append(b)
     pairs = []
     for a in left:
-        bucket = pool.get(a[0].key())
+        bucket = pool.get(_redex(a))
         if bucket:
             pairs.append((a, bucket.pop(0)))
     return pairs
+
+
+def _redex(move):
+    """A move's redex identity: what :meth:`StepLabel.key` gives its
+    labels in every global state."""
+    return move[:2] + move[3:5]
 
 
 def subst_tag(c, tag: Tag, value: Value):
@@ -189,22 +220,92 @@ def terminated(c) -> bool:
     return isinstance(gc(c), Nil)
 
 
-def enabled(cfg: Configuration, mode: str):
-    """All transitions from ``cfg`` in one rule application under arbitrary
-    precongruence rewriting, as (label, successor configuration) pairs."""
-    everyone = frozenset(name for name, _ in cfg.state.cells)
-    steps = _walk(cfg.chor, cfg.state, mode, (), frozenset(), frozenset(),
-                  (), everyone)
+class MoveTable(dict):
+    """The moves of each (choreography, mode) that :func:`enabled` has
+    been asked for, as :func:`_fill` gives them.  ``made`` holds the ids
+    of the successors the moves keep: they are collected, and the table
+    keeps them alive, so their ids stay theirs."""
+
+    __slots__ = ("made",)
+
+    def __init__(self):
+        super().__init__()
+        self.made = set()
+
+
+def _fill(table, chor, mode, everyone):
+    """The moves of ``chor`` in ``mode``, as :func:`_walk` finds them but
+    with collected successors, and with ``settled`` replaced by
+    ``collect``: whether an asynchronous send's successor, built in each
+    configuration, still needs collecting.  A settled successor of a
+    collected term is collected already, and ``table`` knows its own
+    successors to be collected."""
+    moves = _walk(chor, mode, (), frozenset(), frozenset(), (), everyone)
+    made = table.made
+    collected = any(m[6] for m in moves) and (id(chor) in made
+                                             or gc(chor) is chor)
     out = []
-    for label, chor, state, subst in steps:
-        if subst is not None:
-            chor = subst_tag(chor, *subst)
-        out.append((label, Configuration(gc(chor), state)))
+    for *fields, after, settled in moves:
+        clean = collected and settled
+        if fields[0] != "ComS":
+            if not clean:
+                after = tuple(map(gc, after))
+            made.update(map(id, after))
+        out.append((*fields, after, not clean))
+    return tuple(out)
+
+
+def enabled(cfg: Configuration, mode: str, table=None):
+    """All transitions from ``cfg`` in one rule application under arbitrary
+    precongruence rewriting, as (label, successor configuration) pairs.
+    The moves of ``cfg.chor`` come from ``table``, a :class:`MoveTable`
+    that a caller keeps across related configurations, or from a fresh
+    one; this evaluates each value and guard of them once in
+    ``cfg.state``.  A guard that is not boolean raises only when its
+    conditional can step."""
+    if table is None:
+        table = MoveTable()
+    sigma = cfg.state
+    moves = table.get((cfg.chor, mode))
+    if moves is None:
+        moves = table[cfg.chor, mode] = _fill(
+            table, cfg.chor, mode, frozenset(name for name, _ in sigma.cells))
+    out = []
+    for rule, subjects, path, operand, tag, after, collect in moves:
+        if rule == "ComR":
+            label = StepLabel(rule, subjects, path, operand)
+            succ, state = after[0], sigma.update(subjects[1], operand)
+        else:
+            v = eval_expr(operand, sigma, subjects[0])
+            if rule == "Cond":
+                if not isinstance(v, BoolV):
+                    raise GuardNotBoolean(
+                        f"conditional guard at {'/'.join(path) or 'top'}"
+                        f" evaluated to {render_value(v)}")
+                label = StepLabel("Then" if v.b else "Else", subjects, path,
+                                  expr=operand)
+                succ, state = after[0 if v.b else 1], sigma
+            elif rule == "Com":
+                label = StepLabel(rule, subjects, path, v, expr=operand)
+                succ, state = after[0], sigma.update(subjects[1], v)
+            else:  # an asynchronous send, attached or detached
+                if tag is None:
+                    label = StepLabel(rule, subjects, path, v, expr=operand)
+                    succ = _sent(after, subjects[0], v, subjects[1])
+                else:
+                    label = StepLabel(rule, subjects, path, v, tag.id,
+                                      operand)
+                    succ = subst_tag(_sent(after, subjects[0], v, None),
+                                     tag, v)
+                state = sigma
+                if collect:
+                    succ = gc(succ)
+        out.append((label, Configuration(succ, state)))
     return out
 
 
-def enabled_sync(cfg: Configuration):
-    return enabled(cfg, "sync")
+def enabled_sync(cfg: Configuration, table=None):
+    return enabled(cfg, "sync", table)
 
 
 def step_com(cfg: Configuration, redex: StepLabel) -> Configuration:

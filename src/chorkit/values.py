@@ -44,10 +44,11 @@ class GlobalState(Term):
         raise UnknownProcess(p)
 
     def update(self, p: str, v: Value) -> "GlobalState":
-        if all(name != p for name, _ in self.cells):
-            raise UnknownProcess(p)
-        return GlobalState(tuple(sorted(
-            (name, v if name == p else old) for name, old in self.cells)))
+        cells = self.cells
+        for i, (name, _) in enumerate(cells):
+            if name == p:
+                return GlobalState((*cells[:i], (p, v), *cells[i + 1:]))
+        raise UnknownProcess(p)
 
 
 def eval_expr(e, sigma: GlobalState, p: str) -> Value:

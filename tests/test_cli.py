@@ -364,6 +364,33 @@ class TestFilesAndRuntimeErrors:
         assert one_line_error(capsys, "runtime error: term nested too deeply")
 
 
+class TestBudgets:
+    """A negative step budget or depth is a usage error with a one-line
+    message and no output; a budget of 0 is a run of no step."""
+
+    FILES = {"run": ("p.mc", "p.1 -> q; 0"),
+             "simulate": ("p.sp", "p[0]{ q!1; 0 } | q[0]{ p?; 0 }")}
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "p.mc", "--steps", "-3"], "--steps"),
+        (["simulate", "p.sp", "--steps", "-3"], "--steps"),
+        (["verify", "--depth", "-2"], "--depth")])
+    def test_negative_budget_is_a_usage_error(self, write, capsys, argv,
+                                              flag):
+        if argv[0] in self.FILES:
+            argv = [argv[0], write(*self.FILES[argv[0]]), *argv[2:]]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {flag} must not be negative\n"
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    def test_zero_steps(self, write, capsys, command):
+        path = write(*self.FILES[command])
+        assert main([command, path, "--steps", "0"]) == 0
+        assert capsys.readouterr().out == "-- budget\n"
+
+
 class TestVerify:
     def test_wf_alone(self, capsys):
         assert main(["verify", "--theorem", "wf", "--depth", "2"]) == 0

@@ -24,6 +24,7 @@ from chorkit import (
     well_formed,
 )
 import chorkit.network as network
+import chorkit.sync as sync
 from chorkit.terms import head
 from chorkit.verify import check_diamond, explore_network
 from helpers import shallow
@@ -166,6 +167,26 @@ class TestNetworkRuns:
                           "| q[0]{ def Y = { p?; r!1; Y } in Y } "
                           "| r[0]{ def Z = { q?; p!1; Z } in Z }")
         t = run_network(n, "sync", make_scheduler("leftmost"), 1000)
+        assert t.outcome == "budget" and len(t.steps) == 1000
+        assert len(calls) <= 10
+
+
+class TestChoreographyRuns:
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_one_choreography_table_serves_a_run(self, monkeypatch, mode):
+        # The values are constant, so this ring revisits a few
+        # choreographies, and each is walked once per run, not once per
+        # step.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        walk = sync._walk
+        monkeypatch.setattr(sync, "_walk", counted)
+        cfg = cfg_of("def X = { p.1 -> q; q.2 -> r; r.3 -> p; X } in X")
+        t = run_chor(cfg, mode, make_scheduler("random", 5), 1000)
         assert t.outcome == "budget" and len(t.steps) == 1000
         assert len(calls) <= 10
 

@@ -43,7 +43,7 @@ from chorkit import (
     render_network,
     render_value,
 )
-from chorkit import congruence, network, sync, verify
+from chorkit import chor_async, congruence, network, sync, verify
 from chorkit.network import gc_behaviour
 from chorkit.terms import Queue, Term, runtime_free
 from chorkit.verify import (
@@ -290,6 +290,21 @@ def test_network_steps_through_one_table_are_pinned(monkeypatch):
                                               table=table))
     test_network_steps_are_pinned()
     assert len(table) > 100
+
+
+def test_configuration_steps_through_one_table_are_pinned(monkeypatch):
+    """The pinned steps again, each configuration's steps now read from
+    one table of moves shared by all of them, with one entry per
+    choreography and mode."""
+    table = sync.MoveTable()
+    enabled = sync.enabled
+    for module in (sync, chor_async):
+        monkeypatch.setattr(module, "enabled",
+                            lambda cfg, mode, _=None:
+                            enabled(cfg, mode, table))
+    test_configuration_steps_are_pinned()
+    modes = collections.Counter(mode for _, mode in table)
+    assert modes["sync"] > 100 and modes["async"] > 100
 
 
 def test_successor_behaviours_are_the_tables_own():

@@ -113,6 +113,16 @@ class TestConditionals:
         with pytest.raises(GuardNotBoolean):
             enabled_sync(cfg)
 
+    def test_guard_is_evaluated_only_when_its_conditional_can_step(self):
+        # The inner conditional is in one branch only, so it cannot step
+        # before the outer one fires; its guard raises after that.
+        cfg = cfg_of("if p.true then { if q.@ + 1 then { 0 } else { 0 } }"
+                     " else { 0 }")
+        [(label, succ)] = enabled_sync(cfg)
+        assert label.rule == "Then"
+        with pytest.raises(GuardNotBoolean):
+            enabled_sync(succ)
+
 
 class TestRecursion:
     def test_call_unfolds_once_per_exposure(self):

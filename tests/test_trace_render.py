@@ -2,6 +2,7 @@
 trace renderer with one-shot rendering."""
 
 import hashlib
+import importlib
 import json
 import random
 
@@ -14,6 +15,7 @@ from chorkit import (
     epp_sync,
     format_trace,
     make_scheduler,
+    parse_choreography,
     pn,
     projectable,
     render,
@@ -67,6 +69,32 @@ def test_traces_are_pinned(tmp_path, capsys):
                         digest.update(_out(capsys, argv).encode())
     assert digest.hexdigest() == (
         "25abe20e2bbeebbd97699d5bb1c08d58f444fd7307b04a51adf84d09c47ecbc4")
+
+
+def test_a_queue_line_costs_what_its_step_changed(monkeypatch):
+    # Leftmost async simulation of the producer piles messages up, and
+    # random simulation also drains them; each line still shows what a
+    # one-shot render shows, with a bounded number of values rendered.
+    program = parse_choreography(PRODUCER)
+    net = epp_sync(program, default_state(program))
+    module = importlib.import_module("chorkit.render")
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return render_value(v)
+
+    for sched in ("leftmost", "random"):
+        trace = run_network(net, "async", make_scheduler(sched, 3), 300)
+        monkeypatch.setattr(module, "render_value", counted)
+        lines = format_trace(trace).split("\n")
+        monkeypatch.undo()
+        assert len(calls) <= 5 * len(trace.steps)
+        calls.clear()
+        for line, step in zip(lines, trace.steps):
+            assert line.split(" :: ", 1)[1] == render(step.result)
+    assert max(len(lane) for _, p in trace.steps[-1].result.procs
+               for _, lane in p.queue.lanes) > 1
 
 
 @given(st.integers(0, 2 ** 32), st.integers(0, 99),

@@ -5,6 +5,7 @@ import pytest
 
 from chorkit import (
     BCond,
+    Configuration,
     GlobalState,
     Queue,
     check_deadlock_freedom,
@@ -18,9 +19,11 @@ from chorkit import (
     pn,
     projectable,
     render_choreography,
+    run_chor,
     run_network,
 )
 import chorkit.network as network
+import chorkit.sync as sync
 import chorkit.verify as verify
 from chorkit.verify import (
     CorpusSpec,
@@ -156,6 +159,35 @@ class TestNetworkMutants:
         monkeypatch.setattr(Queue, "enqueue", drop)
         assert self.failing() == {"deadlock-freedom[async]",
                                   "epp-async-lockstep"}
+
+
+class TestChoreographyMutants:
+    """The choreography twin of :class:`TestNetworkMutants`: a seeded bug
+    in the table of choreography moves turns ``verify`` red on the default
+    corpus at depth 6, and only in the checks named."""
+
+    def test_conditional_that_always_continues_as_its_then_branch(
+            self, monkeypatch):
+        program = parse_choreography(
+            "if p.false then { p.1 -> q; 0 } else { p.2 -> q; 0 }")
+
+        def run():
+            return format_trace(run_chor(
+                Configuration(program, default_state(program)), "sync",
+                make_scheduler("leftmost")))
+
+        correct = run()
+        fill = sync._fill
+
+        def then_only(*args):
+            return tuple((*m[:5], (m[5][0], m[5][0]), m[6])
+                         if m[0] == "Cond" else m for m in fill(*args))
+
+        monkeypatch.setattr(sync, "_fill", then_only)
+        assert TestNetworkMutants.failing() == {"epp-sync-lockstep",
+                                                "epp-async-lockstep"}
+        # Runs step through the same table as the checks.
+        assert "v=2" in correct and "v=1" in run()
 
 
 class TestUnknownEquivalence:
