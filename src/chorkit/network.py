@@ -88,16 +88,7 @@ def network_key(n: Network):
 class StepTable(dict):
     """Per collected behaviour, its head and the collected behaviours it
     continues as (one per branch of a conditional, followed by its
-    continuation, one after a send or a receive), computed on first use.
-    Successors pass through ``own``, which maps a term to the equal one
-    its owner keeps (by default the term itself), so a successor is the
-    very object that later looks up its own entry."""
-
-    __slots__ = ("own",)
-
-    def __init__(self, own=lambda term: term):
-        super().__init__()
-        self.own = own
+    continuation, one after a send or a receive), computed on first use."""
 
     def __missing__(self, b):
         node, env = head(b)
@@ -106,9 +97,7 @@ class StepTable(dict):
             conts = seq(node.then, node.cont), seq(node.orelse, node.cont)
         else:
             conts = (node.cont,) if kind is BSend or kind is BRecv else ()
-        own = self.own
-        entry = self[b] = (node, tuple(own(gc(resume(k, env)))
-                                       for k in conts))
+        entry = self[b] = (node, tuple(gc(resume(k, env)) for k in conts))
         return entry
 
 

@@ -2,14 +2,17 @@
 
 All nodes are frozen, slotted dataclasses: terms are immutable after
 construction, so subterms are shared freely between successors, and each
-node computes its structural hash once.  Terms therefore serve directly as
-keys of state sets.  The only mutable object in this module is
-:class:`TagSupply`.
+node caches its structural hash.  Terms therefore serve directly as keys
+of state sets.  In the scope of an intern table, which a
+``verify.SuccessorStore`` owns, equal terms are built as one object;
+outside it, equality stays structural.  The only mutable objects in this
+module are the tables and :class:`TagSupply`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter, is_
 from typing import Optional, Union
 
@@ -17,10 +20,10 @@ from .errors import BindError, DupTagError
 
 
 class Term:
-    """Base of every frozen term: equality is structural, and the structural
-    hash is kept in the ``_h`` slot after its first use.  Both walk along
-    the chain of last fields in a loop, so a sequence of any length hashes
-    and compares without recursion."""
+    """Base of every frozen term: equality is structural, and the
+    structural hash is kept in the ``_h`` slot from its first use, or from
+    construction in an intern table's scope.  Both loop along the chain
+    of last fields, so a sequence of any length needs no recursion."""
 
     __slots__ = ("_h",)
 
@@ -28,7 +31,18 @@ class Term:
         try:
             return self._h
         except AttributeError:
-            return _first_hash(self)
+            pass
+        # First use: cache hash((type, *fields)) down the chain, deepest first.
+        spine, t = [self], self
+        while t._last is not None:
+            t = t._last(t)
+            if not isinstance(t, Term) or hasattr(t, "_h"):
+                break
+            spine.append(t)
+        for t in reversed(spine):
+            h = hash(t._type_and_fields(t))
+            _cache(t, h)
+        return h
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -52,42 +66,99 @@ class Term:
 
 
 _cache = Term._h.__set__  # stores a hash past the frozen __setattr__
+_alloc = object.__new__
+_table = None  # the intern table in scope, if any
 
 
-def _first_hash(t):
-    """Hash ``t`` as ``hash((type(t), *fields))``, first caching the hash
-    of each term down its chain of last fields that has none yet."""
-    spine = [t]
-    last = t._last
-    while last is not None:
-        t = last(t)
-        if not isinstance(t, Term) or hasattr(t, "_h"):
+@contextmanager
+def interning(table: dict):
+    """Make ``table``, a dict from ``(class, *fields)`` to the term built
+    with them, the intern table in scope, for every thread, until the scope
+    ends.  Its terms live as long as the table."""
+    global _table
+    previous, _table = _table, table
+    try:
+        yield
+    finally:
+        _table = previous
+
+
+def intern(t):
+    """``t`` as the table in scope keeps it: the equal node the table
+    holds, or else ``t`` with each field interned first, stored as it is
+    if its fields are unchanged and rebuilt if not.  It loops along the
+    chain of last fields."""
+    spine = []
+    while isinstance(t, Term) and t._last is not None:
+        found = _table.get(t._type_and_fields(t))
+        if found is not None:
+            t = found
             break
         spine.append(t)
-        last = t._last
-    for t in reversed(spine):
-        h = hash(t._type_and_fields(t))
-        _cache(t, h)
-    return h
+        t = t._last(t)
+    if type(t) is tuple:
+        new = tuple(map(intern, t))
+        t = t if all(map(is_, new, t)) else new
+    for node in reversed(spine):
+        kind, *parts = node._type_and_fields(node)
+        new = (*map(intern, parts[:-1]), t)
+        if all(map(is_, new, parts)):
+            t = _table[(kind, *new)] = node
+        else:
+            t = kind(*new)
+    return t
 
 
-def keep_hash(copy, original):
-    """Give ``copy``, a term equal to ``original``, the hash that
-    ``original`` has cached."""
-    _cache(copy, original._h)
+def _constructor(cls, names):
+    """The ``__new__`` of ``cls``, whose fields are ``names``: the node
+    the table in scope keeps under ``(cls, *fields)``, stored first if
+    new, or a new node when no table is in scope.  It sets the slots
+    itself, so no ``__init__`` frame follows."""
+    source = """
+def make({setters}):
+    def __new__(cls, {names}):
+        table = _table
+        if table is not None:
+            key = (cls, {names})
+            if (node := table.get(key)) is not None:
+                return node
+        node = _alloc(cls)
+        {sets}
+        if table is not None:
+            _cache(node, hash(key))
+            table[key] = node
+        return node
+    return __new__"""
+    scope = {}
+    exec(source.format(setters=", ".join("_set_" + n for n in names),
+                       names=", ".join(names),
+                       sets="; ".join(f"_set_{n}(node, {n})" for n in names)),
+         globals(), scope)
+    new = scope["make"](*(vars(cls)[n].__set__ for n in names))
+    new.__defaults__ = tuple(f.default for f in fields(cls)
+                             if f.default is not MISSING) or None
+    return new
 
 
 def term(cls):
     """Make ``cls`` (a :class:`Term` subclass) a frozen, slotted dataclass
-    that keeps the cached hash and the looping equality.  The class gets
-    the getters these use: ``_type_and_fields`` (the tuple of its class
-    and every field, which the hash is of), ``_last`` (the last field;
-    None if there is none) and ``_init`` (the fields before it; None if
-    there are none)."""
+    that keeps the cached hash and the looping equality, built by
+    :func:`_constructor` (a class without fields has one node).  The
+    class gets the getters these use: ``_type_and_fields`` (the tuple of
+    its class and every field, which the hash is of), ``_last`` (the
+    last field; None if there is none) and ``_init`` (the fields before
+    it; None if there are none)."""
     cls.__hash__ = Term.__hash__  # explicit, so dataclass keeps them
     cls.__eq__ = Term.__eq__
-    cls = dataclass(frozen=True, slots=True)(cls)
+    # With a docstring, dataclass need not parse object's signature.
+    cls.__doc__ = cls.__doc__ or f"{cls.__name__}{tuple(cls.__annotations__)}"
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
     names = cls.__slots__
+    if names:
+        cls.__new__ = _constructor(cls, names)
+    else:
+        only = _alloc(cls)
+        cls.__new__ = lambda kind: only
     cls._type_and_fields = (attrgetter("__class__", *names) if names
                             else staticmethod(lambda t: (type(t),)))
     cls._last = attrgetter(names[-1]) if names else None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from operator import is_
 
 from .chor_async import check_abstract_async, enabled_async, well_formed
@@ -22,9 +21,8 @@ from .network import StepTable, classify, enabled_asp, enabled_sp, \
 from .project import epp_sync, project_network, projectable
 from .render import render_choreography
 from .sync import Configuration, enabled_sync, terminated
-from .terms import SUBTERMS, BinOp, BoolV, Cell, Com, Cond, Def, IntV, \
-    Lit, NIL, Call, Network, Nil, Process, keep_hash, kids, pn, rebuild, \
-    seq
+from .terms import BinOp, BoolV, Cell, Com, Cond, Def, IntV, Lit, NIL, \
+    Call, Network, Nil, intern, interning, pn, seq
 from .values import GlobalState
 
 STATE_CAP = 50_000
@@ -159,10 +157,11 @@ class SuccessorStore:
     - per stored behaviour, its head and successor behaviours (a
       :class:`StepTable`), so a network step does not walk behaviours.
 
-    Labels, states, choreographies and networks are hash-consed: a stored
-    term has every subterm replaced by the stored equal one, so each
-    distinct configuration, network and subterm exists once, and equal
-    networks are the same object.
+    The store owns an intern table (:func:`chorkit.terms.interning`), in
+    scope while it computes steps, projections and well-formedness: each
+    label, configuration, network and subterm it reaches exists once, and
+    the start of an exploration is interned on entry.  Terms built
+    outside the scope still compare structurally.
     """
 
     def __init__(self):
@@ -171,12 +170,9 @@ class SuccessorStore:
         self._well_formed = {}
         self._equiv = {}
         self._behaviour_equiv = {}
-        self._stored = {}
-        # Neither ``_cons`` nor the step table holds the store itself, so
-        # a dropped store is freed at once, not by the cycle collector.
-        self._cons = partial(_cons, self._stored)
+        self._table = {}
         self._projected = {}
-        self._moves = StepTable(self._cons)
+        self._moves = StepTable()
 
     def steps(self, state, mode: str) -> tuple:
         """The steps of a configuration, or of a normalized network.  The
@@ -186,21 +182,21 @@ class SuccessorStore:
         table = self._steps[mode]
         found = table.get(state)
         if found is None:
-            if type(state) is Configuration:
-                raw = (enabled_sync(state) if mode == "sync"
-                       else enabled_async(state))
-            else:
-                raw = (enabled_sp(state, self._moves) if mode == "sync"
-                       else enabled_asp(state, self._moves))
-            cons = self._cons
-            found = table[state] = tuple((cons(label), cons(succ))
-                                         for label, succ in raw)
+            with interning(self._table):
+                if type(state) is Configuration:
+                    raw = (enabled_sync(state) if mode == "sync"
+                           else enabled_async(state))
+                else:
+                    raw = (enabled_sp(state, self._moves) if mode == "sync"
+                           else enabled_asp(state, self._moves))
+            found = table[state] = tuple(raw)
         return found
 
     def well_formed(self, chor) -> tuple:
         found = self._well_formed.get(chor)
         if found is None:
-            found = self._well_formed[chor] = well_formed(chor)
+            with interning(self._table):
+                found = self._well_formed[chor] = well_formed(chor)
         return found
 
     def projection(self, cfg: Configuration):
@@ -209,9 +205,10 @@ class SuccessorStore:
         found = self._projections.get(cfg)
         if found is None:
             try:
-                net = project_network(self.well_formed(cfg.chor)[1],
-                                      cfg.state, self._projected)
-                found = self._cons(normalize_network(net))
+                with interning(self._table):
+                    net = project_network(self.well_formed(cfg.chor)[1],
+                                          cfg.state, self._projected)
+                    found = normalize_network(net)
             except (NotProjectable, IllFormed) as exc:
                 found = str(exc)
             self._projections[cfg] = found
@@ -224,77 +221,50 @@ class SuccessorStore:
         return self._equiv[key]
 
 
-def _cons(stored, t):
-    """The object in ``stored`` equal to ``t``; a new configuration,
-    network, process, choreography or behaviour node, or tuple of them, is
-    stored after its parts are."""
-    found = stored.get(t)
-    if found is not None:
-        return found
-    kind = type(t)
-    new = t
-    if kind is Configuration:
-        chor, state = _cons(stored, t.chor), _cons(stored, t.state)
-        if chor is not t.chor or state is not t.state:
-            new = Configuration(chor, state)
-    elif kind is Network:
-        procs = _cons(stored, t.procs)
-        if procs is not t.procs:
-            new = Network(procs)
-    elif kind is tuple:  # a network's entries, or one (name, process)
-        parts = tuple(_cons(stored, x) for x in t)
-        if any(a is not b for a, b in zip(parts, t)):
-            new = parts
-    elif kind is Process:
-        state, queue = _cons(stored, t.state), _cons(stored, t.queue)
-        b = _cons(stored, t.behaviour)
-        if state is not t.state or queue is not t.queue \
-                or b is not t.behaviour:
-            new = Process(state, queue, b)
-    elif kind in SUBTERMS:
-        new = rebuild(t, [_cons(stored, k) for k in kids(t)])
-    if new is not t:
-        if kind is not tuple:  # ``t`` was hashed by the lookup above
-            keep_hash(new, t)
-        t = new
-    stored[t] = t
-    return t
-
-
-def _explore(store, start, mode: str, depth: int):
-    """Breadth-first search from ``start`` along the steps of ``mode``, up
-    to :data:`STATE_CAP` states; returns (states, capped flag)."""
+def _search(store, start, mode: str, depth: int, cap=STATE_CAP, goal=()):
+    """Breadth-first search from ``start``, interned first, along the
+    steps of ``mode``, up to ``depth`` steps and ``cap`` states, that stops
+    at a state in ``goal``.  Returns the states seen, in order, and how it
+    ended: "goal", "cap", "depth", or "exhausted" when no new state was
+    left.  Without a store, a new one explores."""
     store = SuccessorStore() if store is None else store
-    start = store._cons(start)
+    with interning(store._table):
+        start = intern(start)
     seen = {start: None}
+    if start in goal:
+        return list(seen), "goal"
     frontier = [start]
     for _ in range(depth):
         nxt = []
         for c in frontier:
             for _, succ in store.steps(c, mode):
+                if succ in goal:
+                    return list(seen), "goal"
                 if succ not in seen:
-                    if len(seen) >= STATE_CAP:
-                        return list(seen), True
+                    if len(seen) >= cap:
+                        return list(seen), "cap"
                     seen[succ] = None
                     nxt.append(succ)
         if not nxt:
-            break
+            return list(seen), "exhausted"
         frontier = nxt
-    return list(seen), False
+    return list(seen), "depth"
 
 
 def explore_chor(cfg: Configuration, mode: str, depth: int,
                  store: SuccessorStore | None = None):
     """Unique reachable configurations up to the depth, in breadth-first
     order; returns (configs, capped flag)."""
-    return _explore(store, cfg, mode, depth)
+    configs, end = _search(store, cfg, mode, depth)
+    return configs, end == "cap"
 
 
 def explore_network(n, mode: str, depth: int,
                     store: SuccessorStore | None = None):
     """Unique reachable networks from the normalized ``n``, as
     :func:`explore_chor` gives configurations."""
-    return _explore(store, normalize_network(n), mode, depth)
+    nets, end = _search(store, normalize_network(n), mode, depth)
+    return nets, end == "cap"
 
 
 def _report(theorem, program, states, failures, capped=False):
@@ -329,7 +299,7 @@ def check_deadlock_freedom(program, sigma, depth, mode,
         if not store.steps(cfg, mode) and not terminated(cfg.chor):
             failures.append(f"stuck configuration: {cfg.key()[0]}")
     states = len(configs)
-    net = store.projection(Configuration(program, sigma))
+    net = store.projection(configs[0])  # the start, as the store keeps it
     if not isinstance(net, str):  # a str says why it is not projectable
         nets, ncapped = explore_network(net, mode, depth, store=store)
         capped = capped or ncapped
@@ -381,7 +351,8 @@ def _lockstep(cfg, net, mode, store, failures) -> None:
 
 def _check_epp(theorem, program, sigma, depth, mode, store):
     """Projection lockstep along every configuration explored in ``mode``,
-    against the steps of the projections in the same mode.  Configurations
+    against the steps of the projections in the same mode; each
+    projection must also hold the configuration's state.  Configurations
     that are not well-formed, which only asynchronous runs reach, are
     reported as such and not projected."""
     store = SuccessorStore() if store is None else store
@@ -397,6 +368,8 @@ def _check_epp(theorem, program, sigma, depth, mode, store):
         if isinstance(net, str):
             failures.append(f"projection lost along execution: {net}")
             continue
+        if any(p.state != cfg.state.get(name) for name, p in net.procs):
+            failures.append(f"projection loses the state at {cfg.key()[0]}")
         _lockstep(cfg, net, mode, store, failures)
     return _report(theorem, text, len(configs), failures, capped)
 
@@ -452,6 +425,8 @@ def check_async_equivalence(program, sigma, depth,
     sync_configs, capped1 = explore_chor(start, "sync", depth + join_depth,
                                          store=store)
     sync_set = set(sync_configs)
+    # ``is_`` suffices: the store builds every successor in the scope of
+    # its intern table, so equal configurations are one object.
     failures = [
         f"conditional step unmatched at {cfg.key()[0]}"
         if label.rule in ("Then", "Else") else
@@ -495,25 +470,8 @@ def _greedy_join(cfg, sync_set, budget, store) -> bool:
 def _join_search(cfg, sync_set, depth, store):
     """BFS over async steps for a synchronously reachable configuration.
     Returns (found, search exhausted)."""
-    seen = {cfg}
-    frontier = [cfg]
-    if cfg in sync_set:
-        return True, True
-    for _ in range(depth):
-        nxt = []
-        for c in frontier:
-            for _, succ in store.steps(c, "async"):
-                if succ in sync_set:
-                    return True, True
-                if succ not in seen:
-                    if len(seen) >= JOIN_CAP:
-                        return False, False
-                    seen.add(succ)
-                    nxt.append(succ)
-        if not nxt:
-            return False, True
-        frontier = nxt
-    return False, False
+    end = _search(store, cfg, "async", depth, JOIN_CAP, sync_set)[1]
+    return end == "goal", end in ("goal", "exhausted")
 
 
 def check_diamond(program, sigma, depth, store=None) -> TheoremReport:

@@ -10,7 +10,8 @@ normalizing the whole network; the store's projections agree with
 projecting and normalizing directly, and each of its tables computes each
 key once.  Networks stepped through a shared step table, and
 configurations projected through a shared memo, give what the direct
-computations give.
+computations give.  Every term a store reaches is the one its intern
+table keeps, so equal terms there are one object.
 """
 
 import collections
@@ -45,7 +46,7 @@ from chorkit import (
 )
 from chorkit import chor_async, congruence, network, sync, verify
 from chorkit.network import gc_behaviour
-from chorkit.terms import Queue, Term, runtime_free
+from chorkit.terms import Queue, Term, interning, runtime_free
 from chorkit.verify import (
     THEOREMS,
     CorpusSpec,
@@ -171,6 +172,75 @@ class TestIdentityPreservingNormalization:
         once = normalize_network(done)
         assert once.names() == ["q", "r"]
         assert normalize_network(once) is once
+
+
+@pytest.fixture(scope="module")
+def reached():
+    """One store that every check has run through, for each program of
+    the seed-42 corpus."""
+    store = SuccessorStore()
+    for program in generate_corpus(CorpusSpec()):
+        sigma = default_state(program)
+        for mode in ("sync", "async"):
+            check_deadlock_freedom(program, sigma, DEPTH, mode, store=store)
+        check_epp_sync(program, sigma, DEPTH, store=store)
+        check_epp_async(program, sigma, DEPTH, store=store)
+        check_async_equivalence(program, sigma, DEPTH, store=store)
+        check_diamond(program, sigma, DEPTH, store=store)
+        check_sp_asp_simulation(epp_sync(program, sigma), DEPTH,
+                                store=store)
+        check_well_formedness_preservation(program, sigma, DEPTH,
+                                           store=store)
+    return store
+
+
+def _fields(t):
+    return tuple(getattr(t, f.name) for f in dataclasses.fields(t))
+
+
+def _reached_networks(store):
+    """Every network the store has stepped, reached or projected."""
+    nets = [n for steps in store._steps.values() for state, found
+            in steps.items() for n in (state, *(s for _, s in found))
+            if type(n) is Network]
+    return nets + [n for n in store._projections.values()
+                   if type(n) is Network]
+
+
+class TestSharing:
+    def test_reached_terms_are_the_tables_own(self, reached):
+        """Each configuration, network, label and subterm in the store's
+        tables hashes as its type and fields do, and rebuilding it from
+        its fields in the store's scope gives the very object."""
+        stack = [reached._steps, reached._projections, reached._well_formed,
+                 reached._moves]
+        seen = set()
+        with interning(reached._table):
+            while stack:
+                t = stack.pop()
+                if isinstance(t, dict):
+                    stack.extend(t.items())
+                elif isinstance(t, tuple):
+                    stack.extend(t)
+                elif isinstance(t, Term) and id(t) not in seen:
+                    seen.add(id(t))
+                    fields = _fields(t)
+                    assert hash(t) == hash((type(t), *fields))
+                    assert type(t)(*fields) is t
+                    stack.extend(fields)
+        assert len(seen) > 5000
+
+    def test_projection_memo_holds_the_reached_behaviours(self, reached):
+        """No behaviour in the projection memo is equal to a behaviour of
+        a reached network without being it."""
+        behaviours = {}
+        for net in _reached_networks(reached):
+            for _, p in net.procs:
+                behaviours.setdefault(p.behaviour, p.behaviour)
+        memo = [b for seen in reached._projected.values()
+                for b, _ in seen.values()]
+        assert sum(b in behaviours for b in memo) > 1000
+        assert all(behaviours.get(b, b) is b for b in memo)
 
 
 def test_direct_checks_match_the_shared_store():

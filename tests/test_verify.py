@@ -24,7 +24,9 @@ from chorkit import (
 )
 import chorkit.network as network
 import chorkit.sync as sync
+import chorkit.terms as terms
 import chorkit.verify as verify
+from chorkit.terms import Process, RtRecv
 from chorkit.verify import (
     CorpusSpec,
     check_async_equivalence,
@@ -188,6 +190,49 @@ class TestChoreographyMutants:
                                                 "epp-async-lockstep"}
         # Runs step through the same table as the checks.
         assert "v=2" in correct and "v=1" in run()
+
+
+class TestSharingMutants:
+    """A seeded bug in the intern key, which drops one field, turns
+    ``verify`` red at depth 4, and only in the checks named: in a store's
+    scope, a node that differs from a stored one only in that field is
+    then the stored one."""
+
+    @staticmethod
+    def drop_from_key(monkeypatch, cls, field):
+        new = cls.__new__
+        i = cls.__slots__.index(field)
+
+        def mutant(kind, *args):
+            table = terms._table
+            key = (field, kind, *args[:i], *args[i + 1:])
+            found = None if table is None else table.get(key)
+            if found is None:
+                found = new(kind, *args)
+                if table is not None:
+                    table[key] = found
+            return found
+
+        monkeypatch.setattr(cls, "__new__", mutant)
+
+    @staticmethod
+    def failing(seed):
+        reports = verify_corpus(set(verify.THEOREMS), CorpusSpec(seed=seed),
+                                depth=4)
+        return {r.theorem for _, r in reports if r.verdict != "pass"}
+
+    def test_process_state(self, monkeypatch):
+        # Projections and network steps share the stale process alike, so
+        # only the locksteps' check of each projection's state sees it.
+        self.drop_from_key(monkeypatch, Process, "state")
+        assert self.failing(42) == {"epp-sync-lockstep",
+                                    "epp-async-lockstep"}
+
+    def test_payload_of_a_receive(self, monkeypatch):
+        # Seed 42 never holds two in-flight receives that differ only in
+        # their value; seed 102 does.
+        self.drop_from_key(monkeypatch, RtRecv, "payload")
+        assert self.failing(102) == {"async-equivalence"}
 
 
 class TestUnknownEquivalence:
