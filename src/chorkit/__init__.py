@@ -22,14 +22,10 @@ from .errors import (
     UnknownProcess,
 )
 from .terms import (
-    BNIL,
     EMPTY_NETWORK,
     ERR,
     NIL,
-    BCall,
     BCond,
-    BDef,
-    BNil,
     BRecv,
     BSend,
     BinOp,

@@ -75,13 +75,16 @@ def _initial_state(program, spec: str | None) -> GlobalState:
         cells = json.loads(spec)
     except json.JSONDecodeError as exc:
         raise UsageError(f"--state is not valid JSON: {exc}") from None
+    except ValueError:  # more digits than ``int`` reads
+        raise UsageError("--state: integer outside the 64-bit range") \
+            from None
     if not isinstance(cells, dict):
         raise UsageError("--state must be a JSON object of cell values")
     base = GlobalState.uniform(names)
     for name, raw in cells.items():
         if isinstance(raw, bool):
             value = BoolV(raw)
-        elif isinstance(raw, int):
+        elif isinstance(raw, int) and -2**63 <= raw < 2**63:
             value = IntV(raw)
         elif raw == "err":
             value = ERR

@@ -16,10 +16,10 @@ from heapq import heapify, heappop, heappush
 from .render import render_expr, render_value
 from .terms import (
     ACTIONS,
-    BNil,
     Com,
     Cond,
     Network,
+    Nil,
     RtSend,
     Tag,
     fixed,
@@ -189,7 +189,7 @@ def network_equiv(n1: Network, n2: Network, memo=None) -> bool:
         return True
     memo = {} if memo is None else memo
     live = [[(name, p) for name, p in n.procs
-             if type(head(p.behaviour)[0]) is not BNil
+             if type(head(p.behaviour)[0]) is not Nil
              or not p.queue.is_empty()] for n in (n1, n2)]
     if len(live[0]) != len(live[1]):
         return False

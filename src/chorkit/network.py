@@ -17,12 +17,12 @@ from .render import render_network, render_value
 from .sync import StepLabel
 from .terms import (
     BCond,
-    BNil,
     BoolV,
     BRecv,
     BSend,
     Message,
     Network,
+    Nil,
     Process,
     gc,
     head,
@@ -44,7 +44,7 @@ gc_behaviour = gc
 
 def _done(p) -> bool:
     """Behaviour 0 and an empty queue."""
-    return type(p.behaviour) is BNil and p.queue.is_empty()
+    return type(p.behaviour) is Nil and p.queue.is_empty()
 
 
 def _drop_done(procs: dict) -> None:
@@ -186,7 +186,7 @@ def classify(n: Network, mode: str) -> str:
     steps = enabled_sp(norm) if mode == "sync" else enabled_asp(norm)
     if steps:
         return "running"
-    done = all(type(p.behaviour) is BNil for _, p in norm.procs)
+    done = all(type(p.behaviour) is Nil for _, p in norm.procs)
     if done and any(not p.queue.is_empty() for _, p in norm.procs):
         return "orphaned-messages"
     return "deadlocked"

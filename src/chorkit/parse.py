@@ -29,12 +29,9 @@ import re
 
 from .errors import DupProcessError, ParseError
 from .terms import (
-    BNIL,
     ERR,
     NIL,
-    BCall,
     BCond,
-    BDef,
     BinOp,
     BoolV,
     BRecv,
@@ -155,12 +152,21 @@ class _Parser:
     def ident(self):
         return self.expect("ident").text
 
+    def integer(self, tok, digits, sign=1):
+        """``sign`` times the decimal ``digits`` of ``tok``, which must be
+        in the 64-bit range; digits are counted before ``int`` reads them."""
+        digits = digits.lstrip("0") or "0"
+        if len(digits) <= 19 and -2**63 <= sign * int(digits) < 2**63:
+            return sign * int(digits)
+        self.fail("integer outside the 64-bit range", tok)
+
     def value(self):
         tok = self.next()
         if tok.kind == "-":
-            return IntV(-int(self.expect("int").text))
+            tok = self.expect("int")
+            return IntV(self.integer(tok, tok.text, -1))
         if tok.kind == "int":
-            return IntV(int(tok.text))
+            return IntV(self.integer(tok, tok.text))
         if tok.kind == "true":
             return BoolV(True)
         if tok.kind == "false":
@@ -171,7 +177,7 @@ class _Parser:
 
     def tag(self):
         tok = self.expect("tag")
-        return Tag(int(tok.text[1:]))
+        return Tag(self.integer(tok, tok.text[1:]))
 
     # -- expressions (precedence climbing)
 
@@ -218,13 +224,13 @@ class _Parser:
         self.expect("}")
         return t
 
-    def definition(self, make, term):
+    def definition(self, term):
         self.expect("def")
         var = self.ident()
         self.expect("=")
         body = self.braced(term)
         self.expect("in")
-        return make, (var, body)
+        return Def, (var, body)
 
     @staticmethod
     def fold(prefixes, tail):
@@ -232,17 +238,17 @@ class _Parser:
             tail = make(*args, tail)
         return tail
 
-    def leaf(self, nil, call, what):
+    def leaf(self, what):
         """A term without subterms: 0 or a recursion call."""
         tok = self.peek()
         if tok.kind == "int":
             if tok.text == "0":
                 self.next()
-                return nil
+                return NIL
             self.fail(f"a {what} term cannot start with an integer")
         if tok.kind == "ident":
             self.next()
-            return call(tok.text)
+            return Call(tok.text)
         self.fail(f"expected a {what} term, found "
                   f"{tok.text or 'end of input'!r}")
 
@@ -257,12 +263,12 @@ class _Parser:
             elif kind == "ident" and nxt == "<~":
                 prefixes.append(self.chor_recv())
             elif kind == "def":
-                prefixes.append(self.definition(Def, self.choreography))
+                prefixes.append(self.definition(self.choreography))
             elif kind == "if":
                 return self.fold(prefixes, self.chor_cond())
             else:
                 return self.fold(prefixes,
-                                 self.leaf(NIL, Call, "choreography"))
+                                 self.leaf("choreography"))
 
     def chor_cond(self):
         self.expect("if")
@@ -333,7 +339,7 @@ class _Parser:
                 self.expect(";")
                 prefixes.append((BRecv, (src,)))
             elif kind == "def":
-                prefixes.append(self.definition(BDef, self.behaviour))
+                prefixes.append(self.definition(self.behaviour))
             elif kind == "if":
                 self.next()
                 guard = self.expr()
@@ -344,9 +350,9 @@ class _Parser:
                 self.eat(";")
                 prefixes.append((BCond, (guard, then, orelse)))
                 if self.peek().kind not in _TERM_START:
-                    tail = BNIL
+                    tail = NIL
             else:
-                tail = self.leaf(BNIL, BCall, "behaviour")
+                tail = self.leaf("behaviour")
         return self.fold(prefixes, tail)
 
     # -- networks

@@ -12,13 +12,10 @@ from __future__ import annotations
 from .errors import IllFormed, NotProjectable
 from .chor_async import well_formed
 from .terms import (
-    BNIL,
-    BCall,
+    NIL,
     BCond,
-    BDef,
     BRecv,
     BSend,
-    Call,
     Com,
     Cond,
     Def,
@@ -31,6 +28,7 @@ from .terms import (
     Tag,
     gc,
     pn,
+    rebuild,
     runtime_free,
 )
 from .values import GlobalState
@@ -84,7 +82,7 @@ def _project_end(c, r: str, memo) -> tuple:
         then, queue = _project(c.then, r, memo)
         orelse, other = _project(c.orelse, r, memo)
         if r == c.decider:
-            return BCond(c.expr, then, orelse, BNIL), queue
+            return BCond(c.expr, then, orelse, NIL), queue
         if queue != other:
             raise NotProjectable(
                 f"in-transit messages for {r!r} differ between branches")
@@ -95,10 +93,8 @@ def _project_end(c, r: str, memo) -> tuple:
     if isinstance(c, Def):
         body = _project(c.body, r, memo)[0]
         cont, queue = _project(c.cont, r, memo)
-        return BDef(c.var, body, cont), queue
-    if isinstance(c, Call):
-        return BCall(c.var), ()
-    return BNIL, ()  # Nil
+        return rebuild(c, (body, cont)), queue
+    return c, ()  # a call or 0 projects to itself
 
 
 def project_behaviour(c, r: str):

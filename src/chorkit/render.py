@@ -13,14 +13,11 @@ from itertools import accumulate
 from operator import is_
 
 from .terms import (
-    BCall,
     BCond,
-    BDef,
     BinOp,
     BoolV,
     BRecv,
     BSend,
-    BNil,
     Call,
     Cell,
     Com,
@@ -153,10 +150,10 @@ def render(term, memo=None, prefix: str = "") -> str:
                 out.append(f"{t.dst}!{expr(t.expr, 6)}; ")
             elif kind is BRecv:
                 out.append(f"{t.src}?; ")
-            elif kind is Nil or kind is BNil:
+            elif kind is Nil:
                 out.append("0")
                 break
-            elif kind is Call or kind is BCall:
+            elif kind is Call:
                 out.append(t.var)
                 break
             elif kind is Process:
@@ -174,7 +171,7 @@ def render(term, memo=None, prefix: str = "") -> str:
                 guard = (expr(t.expr) if kind is BCond
                          else f"{t.decider}.{expr(t.expr)}")
                 out.append(f"if {guard} then {{ ")
-                if kind is BCond and type(t.cont) is not BNil:
+                if kind is BCond and type(t.cont) is not Nil:
                     stack.append(t.cont)
                     stack.append("; ")
                 stack.append(" }")
@@ -182,7 +179,7 @@ def render(term, memo=None, prefix: str = "") -> str:
                 stack.append(" } else { ")
                 t = t.then
                 continue
-            elif kind is Def or kind is BDef:
+            elif kind is Def:
                 out.append(f"def {t.var} = {{ ")
                 stack.append(t.cont)
                 stack.append(" } in ")

@@ -274,10 +274,15 @@ class Cond(Term):
     orelse: "Chor"
 
 
+# A definition, a recursion call and 0 are the same in a behaviour as in a
+# choreography: projection maps each to itself, so both families share
+# these three constructors.
+
+
 @term
 class Def(Term):
     var: str
-    body: "Chor"
+    body: "Chor"  # or "Behaviour", as ``cont`` is
     cont: "Chor"
 
 
@@ -353,26 +358,7 @@ class BCond(Term):
     cont: "Behaviour"
 
 
-@term
-class BDef(Term):
-    var: str
-    body: "Behaviour"
-    cont: "Behaviour"
-
-
-@term
-class BCall(Term):
-    var: str
-
-
-@term
-class BNil(Term):
-    pass
-
-
-BNIL = BNil()
-
-Behaviour = Union[BSend, BRecv, BCond, BDef, BCall, BNil]
+Behaviour = Union[BSend, BRecv, BCond, Def, Call, Nil]
 
 
 # ---------------------------------------------------------------------------
@@ -477,22 +463,20 @@ EMPTY_NETWORK = Network(())
 #
 # The table names each constructor's subterm fields, which are always its
 # trailing fields; constructors absent from it (calls and 0) have none.  The
-# walks below are written once on it, for choreographies and behaviours.
+# walks below are written once on it, for choreographies and behaviours,
+# whose definitions, calls and 0 are the same constructors.
 
 SUBTERMS = {
     Com: ("cont",), RtSend: ("cont",), RtRecv: ("cont",), Hole: ("cont",),
     Cond: ("then", "orelse"), Def: ("body", "cont"),
     BSend: ("cont",), BRecv: ("cont",),
-    BCond: ("then", "orelse", "cont"), BDef: ("body", "cont"),
+    BCond: ("then", "orelse", "cont"),
 }
 
 ACTIONS = frozenset({Com, RtSend, RtRecv})  # choreography actions
 CHAIN = ACTIONS | {Def}  # choreography nodes a chain goes on through
 _PREFIXES = ACTIONS | {BSend, BRecv}
-_CALLS = frozenset({Call, BCall})
-_DEFS = frozenset({Def, BDef})
-_NILS = frozenset({Nil, BNil})
-_INERT = _CALLS | _DEFS | _NILS  # every other constructor is an action
+_INERT = frozenset({Def, Call, Nil})  # every other constructor is an action
 _NO_CALLS = frozenset()
 
 
@@ -626,9 +610,9 @@ def check_bound(t) -> None:
     while stack:
         t, bound = stack.pop()
         kind = type(t)
-        if kind in _CALLS and t.var not in bound:
+        if kind is Call and t.var not in bound:
             raise BindError(f"unbound recursion variable {t.var}")
-        if kind in _DEFS:
+        if kind is Def:
             if t.var in bound:
                 raise BindError(f"shadowed recursion variable {t.var}")
             bound = bound | {t.var}
@@ -663,30 +647,23 @@ def _gc(t):
         t = t.cont
     kind = type(t)
     free = _NO_CALLS
-    if kind is Cond:
-        (then, free), (orelse, more) = _gc(t.then), _gc(t.orelse)
-        free |= more
-        if then is not t.then or orelse is not t.orelse:
-            t = Cond(t.decider, t.expr, then, orelse)
-    elif kind is BCond:
-        (then, free), (orelse, more), (cont, rest) = \
-            _gc(t.then), _gc(t.orelse), _gc(t.cont)
-        free |= more | rest
-        if then is not t.then or orelse is not t.orelse or cont is not t.cont:
-            t = BCond(t.expr, then, orelse, cont)
-    elif kind in _DEFS:
+    if kind is Cond or kind is BCond:
+        done = [_gc(k) for k in _KIDS[kind](t)]
+        free = free.union(*[calls for _, calls in done])
+        t = rebuild(t, [k for k, _ in done])
+    elif kind is Def:
         (body, inner), (cont, free) = _gc(t.body), _gc(t.cont)
         if t.var not in free:
             t = cont  # nothing calls the definition
         else:
             free = (inner | free) - {t.var}
             if body is not t.body or cont is not t.cont:
-                t = kind(t.var, body, cont)
+                t = Def(t.var, body, cont)
             # A collected subterm that starts with an action keeps ``t``.
             if (not free and type(body) in _INERT and type(cont) in _INERT
                     and all(type(s) in _INERT for s in subterms(t))):
-                t = NIL if kind is Def else BNIL
-    elif kind in _CALLS:
+                t = NIL
+    elif kind is Call:
         free = frozenset((t.var,))
     for node in reversed(spine):
         t = node if t is node.cont else replace_cont(node, t)
@@ -715,15 +692,15 @@ def head(t, env=()):
     cycle = set()
     while True:
         kind = type(t)
-        if kind in _DEFS:
+        if kind is Def:
             env = (t, env)
             t = t.cont
-        elif kind in _CALLS:
+        elif kind is Call:
             env = binder(env, t.var)
             if not env:
                 return t, env
             if env in cycle:
-                return (NIL if kind is Call else BNIL), ()
+                return NIL, ()
             cycle.add(env)
             t = env[0].body
         else:
@@ -820,7 +797,7 @@ def seq(first, cont):
     own, so ``cont`` goes into both branches; recursion calls never return,
     so their leaves are left alone.
     """
-    if type(cont) in _NILS:
+    if type(cont) is Nil:
         return first
     spine = []
     while type(first) in SUBTERMS and type(first) is not Cond:
@@ -830,7 +807,7 @@ def seq(first, cont):
         t = Cond(first.decider, first.expr, seq(first.then, cont),
                  seq(first.orelse, cont))
     else:
-        t = cont if type(first) in _NILS else first
+        t = cont if type(first) is Nil else first
     for node in reversed(spine):
         t = replace_cont(node, t)
     return t

@@ -29,8 +29,6 @@ from chorkit.render import render_choreography, render_expr, render_value
 from chorkit.sync import gc, subst_tag
 from chorkit.terms import (
     NIL,
-    BCall,
-    BDef,
     Call,
     Com,
     Cond,
@@ -289,7 +287,7 @@ def bounded_behaviour_equiv(b1, b2, unfold_budget: int):
         right |= {gc(v) for b in right for v in unfold_variants(b)}
         if left & right:
             return True
-    if any(type(s) is BDef for b in (b1, b2) for s in subterms(b)):
+    if any(type(s) is Def for b in (b1, b2) for s in subterms(b)):
         return None
     return False
 
@@ -303,15 +301,15 @@ def subst_call(t, var: str, body):
     shadows by ``body`` (one unfolding: calls inside the substituted body
     are left alone)."""
     return transform(
-        t, lambda n: body if type(n) in (Call, BCall) and n.var == var
-        else n, lambda n: not (type(n) in (Def, BDef) and n.var == var))
+        t, lambda n: body if type(n) is Call and n.var == var
+        else n, lambda n: not (type(n) is Def and n.var == var))
 
 
 def unfold_variants(t):
     """All terms reachable by one recursion unfolding somewhere in ``t``, a
     choreography or a behaviour."""
     out = []
-    if type(t) in (Def, BDef):
+    if type(t) is Def:
         out.append(rebuild(t, (t.body, subst_call(t.cont, t.var, t.body))))
     for i, k in enumerate(kids(t)):
         out.extend(replace_kid(t, i, v) for v in unfold_variants(k))

@@ -321,6 +321,21 @@ class TestFilesAndRuntimeErrors:
         assert main(["check", str(path)]) == EXIT_PARSE
         assert one_line_error(capsys, "parse error")
 
+    @pytest.mark.parametrize("command", ["check", "run", "project"])
+    @pytest.mark.parametrize("digits", ["9" * 23, "9" * 5000],
+                             ids=["23-digits", "5000-digits"])
+    def test_integer_outside_64_bits_is_a_parse_error(
+            self, write, capsys, command, digits):
+        path = write("big.mc", f"p.{digits} -> q; 0")
+        assert main([command, path]) == EXIT_PARSE
+        assert one_line_error(capsys, "parse error")
+
+    def test_state_outside_64_bits_in_a_network_is_a_parse_error(
+            self, write, capsys):
+        path = write("big.sp", "p[" + "9" * 5000 + "]{ 0 }")
+        assert main(["simulate", path]) == EXIT_PARSE
+        assert one_line_error(capsys, "parse error")
+
     def test_unwritable_out(self, write, tmp_path, capsys):
         path = write("p.mc", "p.1 -> q; 0")
         out = str(tmp_path / "no-such-dir" / "net.sp")
@@ -404,7 +419,8 @@ class TestInitialState:
     message, never a traceback or the parse-error code."""
 
     BAD = ["{bad", "[1]", '{"p": 1.5}', '{"z": 1}', '{"p": null}',
-           '{"p": "x\\ny"}', '{"p\\nq": 1}']
+           '{"p": "x\\ny"}', '{"p\\nq": 1}', '{"p": 9223372036854775808}',
+           '{"p": -9223372036854775809}', '{"p": 1%s}' % ("0" * 30)]
 
     @pytest.mark.parametrize("command", ["run", "project"])
     @pytest.mark.parametrize("state", BAD)
@@ -416,6 +432,12 @@ class TestInitialState:
         err = captured.err.strip()
         assert err.startswith("usage error: --state")
         assert "\n" not in err
+
+    def test_more_digits_than_int_reads(self, write, capsys):
+        path = write("s.mc", "p.@ -> q; 0")
+        state = '{"p": %s}' % ("9" * 5000)
+        assert main(["run", path, "--state", state]) == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: --state")
 
     @pytest.mark.parametrize("command", ["run", "project"])
     def test_good_state_still_accepted(self, write, capsys, command):

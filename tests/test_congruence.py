@@ -9,9 +9,9 @@ from oracles import bounded_behaviour_equiv, chor_equiv, closure_min, \
     precongruent, rewrite_closure
 
 from chorkit import (
-    BCall,
-    BDef,
     BSend,
+    Call,
+    Def,
     GlobalState,
     IntV,
     Lit,
@@ -187,18 +187,18 @@ class TestBehaviourEquivalence:
         # def X = { q!1; def X = { q!2; X } in X } in X.
         def send(n, cont):
             return BSend("q", Lit(IntV(n)), cont)
-        inner = BDef("X", send(2, BCall("X")), BCall("X"))
-        outer = BDef("X", send(1, inner), BCall("X"))
+        inner = Def("X", send(2, Call("X")), Call("X"))
+        outer = Def("X", send(1, inner), Call("X"))
         assert behaviour_equiv(outer, send(1, inner)) is True
-        assert behaviour_equiv(outer, BDef("X", send(1, BCall("X")),
-                                           BCall("X"))) is False
+        assert behaviour_equiv(outer, Def("X", send(1, Call("X")),
+                                          Call("X"))) is False
 
     def test_plainly_different(self):
         assert behaviour_equiv(beh("q!1; 0"), beh("q!2; 0")) is False
 
     def test_free_calls_are_leaves(self):
         def send(var):
-            return BSend("q", Lit(IntV(1)), BCall(var))
+            return BSend("q", Lit(IntV(1)), Call(var))
         assert behaviour_equiv(send("X"), send("X")) is True
         assert behaviour_equiv(send("X"), send("Y")) is False
 

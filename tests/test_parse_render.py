@@ -5,10 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorkit import (
-    BCall,
     BCond,
-    BDef,
-    BNIL,
     BRecv,
     BSend,
     BinOp,
@@ -115,6 +112,35 @@ class TestChoreographyParsing:
             parse_choreography("p.1 ->\n; 0")
         assert exc.value.line == 2
 
+    def test_integers_in_the_64_bit_range(self):
+        c = parse_choreography("p.9223372036854775807 -> q; "
+                               "q.-9223372036854775808 -> p; "
+                               "p.1 ~> [#9223372036854775807]; "
+                               "q <~ (p, #9223372036854775807); 0")
+        assert c.expr == Lit(IntV(2**63 - 1))
+        assert c.cont.expr == Lit(IntV(-2**63))
+        assert c.cont.cont.tag == Tag(2**63 - 1)
+        assert parse_expr("000000000000000000000007") == Lit(IntV(7))
+
+    @pytest.mark.parametrize("text", [
+        "p.9223372036854775808 -> q; 0",
+        "p.-9223372036854775809 -> q; 0",
+        "p.99999999999999999999999 -> q; 0",
+        "p." + "9" * 5000 + " -> q; 0",
+        "p.1 ~> [#9223372036854775808]; 0",
+        "q <~ (p, #" + "1" * 5000 + "); 0",
+    ], ids=["max+1", "min-1", "23-digits", "5000-digits", "tag-max+1",
+            "tag-5000-digits"])
+    def test_integers_outside_the_64_bit_range_rejected(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_choreography(text)
+        assert exc.value.message == "integer outside the 64-bit range"
+
+    def test_state_outside_the_64_bit_range_rejected(self):
+        for state in ("9223372036854775808", "-" + "9" * 5000):
+            with pytest.raises(ParseError):
+                parse_network(f"p[{state}]{{ 0 }}")
+
     def test_garbage_rejected(self):
         for text in ["p.1 -> q", "p.1 -> q; 0 extra", "if p then { 0 }",
                      "p..1 -> q; 0", "$"]:
@@ -130,12 +156,12 @@ class TestNetworkParsing:
         d = n.as_dict()
         assert d["p"] == Process(IntV(0), Queue.empty(),
                                  BSend("q", Lit(IntV(1)),
-                                       BRecv("r", BNIL)))
+                                       BRecv("r", NIL)))
         assert d["q"].state == BoolV(True)
         assert d["q"].queue == Queue.of([Message("p", IntV(2)),
                                          Message("r", IntV(3))])
-        assert d["q"].behaviour == BDef("X", BRecv("p", BCall("X")),
-                                        BCall("X"))
+        assert d["q"].behaviour == Def("X", BRecv("p", Call("X")),
+                                       Call("X"))
 
     def test_unbound_behaviour_call_rejected(self):
         with pytest.raises(BindError):
@@ -151,7 +177,7 @@ class TestNetworkParsing:
             length += 1
             b = b.cont
         assert length == 5000
-        assert b == BNIL
+        assert b == NIL
 
     def test_empty_network(self):
         assert parse_network("").procs == ()
@@ -165,9 +191,9 @@ class TestNetworkParsing:
             "p[err]{ def X = { if @ < 1 then { q!@; 0 } else { 0 }; X } "
             "in X }")
         b = n.as_dict()["p"].behaviour
-        assert isinstance(b, BDef)
+        assert isinstance(b, Def)
         assert isinstance(b.body, BCond)
-        assert b.body.cont == BCall("X")
+        assert b.body.cont == Call("X")
         assert n.as_dict()["p"].state == ERR
 
 
@@ -258,9 +284,9 @@ def _chor_strategy(bound=(), depth=3):
 
 
 def _behaviour_strategy(bound=(), depth=3):
-    leaves = [st.just(BNIL)]
+    leaves = [st.just(NIL)]
     if bound:
-        leaves.append(st.sampled_from([BCall(v) for v in bound]))
+        leaves.append(st.sampled_from([Call(v) for v in bound]))
     leaf = st.one_of(leaves)
     if depth == 0:
         return leaf
@@ -271,7 +297,7 @@ def _behaviour_strategy(bound=(), depth=3):
         st.builds(BSend, _NAMES, _EXPRS, sub),
         st.builds(BRecv, _NAMES, sub),
         st.builds(BCond, _EXPRS, sub, sub, sub),
-        st.builds(lambda body, k: BDef(var, body, k),
+        st.builds(lambda body, k: Def(var, body, k),
                   _behaviour_strategy(bound + (var,), depth - 1),
                   _behaviour_strategy(bound + (var,), depth - 1)),
     )
@@ -309,5 +335,4 @@ def test_network_round_trip_property(procs):
 
 def test_render_dispatches_on_term_kind():
     assert render(NIL) == "0"
-    assert render(BNIL) == "0"
     assert render(parse_network("p[0]{ 0 }")) == "p[0]{ 0 }"

@@ -3,6 +3,7 @@
 import pytest
 
 from chorkit import (
+    Configuration,
     GlobalState,
     IllFormed,
     IntV,
@@ -17,6 +18,8 @@ from chorkit import (
     render_behaviour,
     render_network,
 )
+from chorkit.terms import Call, subterms
+from chorkit.verify import SuccessorStore, explore_chor
 from oracles import project_queue
 
 
@@ -66,6 +69,32 @@ class TestBehaviourProjection:
         c = chor("q <~ (p, 7); 0")
         assert render_behaviour(project_behaviour(c, "q")) == "p?; 0"
         assert render_behaviour(project_behaviour(c, "p")) == "0"
+
+
+class TestSharedNodes:
+    """A definition, a call and 0 are one constructor in both families,
+    so projection gives back the choreography's own calls and 0."""
+
+    def test_calls_and_0_are_the_choreography_nodes(self):
+        c = chor("def X = { p.1 -> q; X } in X")
+        for name in ("p", "q"):
+            b = project_behaviour(c, name)
+            assert b.cont is c.cont
+            assert b.body.cont is c.body.cont
+        c = chor("p.1 -> q; 0")
+        assert project_behaviour(c, "p").cont is c.cont
+        assert project_behaviour(c, "r") is c.cont
+
+    def test_store_projection_reuses_the_call(self):
+        c = chor("def X = { p.1 -> q; X } in X")
+        store = SuccessorStore()
+        configs, _ = explore_chor(Configuration(c, sigma_for(c)), "async",
+                                  4, store=store)
+        for cfg in configs:
+            calls = {id(t) for t in subterms(cfg.chor) if type(t) is Call}
+            for _, proc in store.projection(cfg).procs:
+                assert {id(t) for t in subterms(proc.behaviour)
+                        if type(t) is Call} == calls
 
 
 class TestQueueProjection:

@@ -4,7 +4,6 @@ conditionals, recursion, garbage collection."""
 import pytest
 
 from chorkit import (
-    BNIL,
     Configuration,
     GlobalState,
     GuardNotBoolean,
@@ -233,8 +232,8 @@ class TestGcAndTermination:
     @pytest.mark.parametrize("text", COLLECTED_INSIDE)
     def test_behaviour_collected_inside_in_one_call(self, text):
         b = project_behaviour(parse_choreography(text), "p")
-        assert b != BNIL
-        assert gc_behaviour(b) == BNIL
+        assert b != NIL
+        assert gc_behaviour(b) is NIL
 
     def test_uncalled_definition_before_an_action_collected(self):
         # Nothing calls Y, though its continuation starts with an action.

@@ -8,11 +8,7 @@ import dataclasses
 import pytest
 
 from chorkit import (
-    BCall,
     BCond,
-    BDef,
-    BNIL,
-    BNil,
     BRecv,
     BSend,
     Call,
@@ -51,7 +47,7 @@ from chorkit.verify import (
 from helpers import shallow
 
 CHOREOGRAPHY = (Com, Cond, Def, Call, Nil, RtSend, RtRecv, Hole)
-BEHAVIOUR = (BSend, BRecv, BCond, BDef, BCall, BNil)
+BEHAVIOUR = (BSend, BRecv, BCond)  # with Def, Call and Nil, shared
 
 
 def subterm_fields(cls):
@@ -117,8 +113,7 @@ def test_new_subterms_replace_the_old_ones(corpus):
             names = SUBTERMS.get(type(node), ())
             if not names:
                 continue
-            nil = BNIL if type(node) in BEHAVIOUR else NIL
-            new = tuple(Call("Z") if k == nil else nil for k in kids(node))
+            new = tuple(Call("Z") if k == NIL else NIL for k in kids(node))
             want = dataclasses.replace(node, **dict(zip(names, new)))
             assert rebuild(node, new) == want
             if names[-1] == "cont":

@@ -23,10 +23,11 @@ from chorkit import (
     run_network,
 )
 import chorkit.network as network
+import chorkit.project as project
 import chorkit.sync as sync
 import chorkit.terms as terms
 import chorkit.verify as verify
-from chorkit.terms import Process, RtRecv
+from chorkit.terms import NIL, Call, Def, Process, RtRecv
 from chorkit.verify import (
     CorpusSpec,
     check_async_equivalence,
@@ -190,6 +191,37 @@ class TestChoreographyMutants:
                                                 "epp-async-lockstep"}
         # Runs step through the same table as the checks.
         assert "v=2" in correct and "v=1" in run()
+
+
+class TestInertMutants:
+    """Seeded bugs in the code shared by definitions, calls and 0 of both
+    families turn ``verify`` red on the default corpus at depth 6, and
+    only in the checks named."""
+
+    def test_projection_of_a_call_as_0(self, monkeypatch):
+        end = project._project_end
+
+        def call_as_0(c, r, memo):
+            return (NIL, ()) if type(c) is Call else end(c, r, memo)
+
+        monkeypatch.setattr(project, "_project_end", call_as_0)
+        assert TestNetworkMutants.failing() == {"epp-sync-lockstep",
+                                                "epp-async-lockstep"}
+
+    def test_gc_that_drops_a_called_definition(self, monkeypatch):
+        collect = terms._gc
+
+        def drop_called(t):
+            t, free = collect(t)
+            if type(t) is Def:  # kept, so its continuation calls it
+                return t.cont, free | {t.var}
+            return t, free
+
+        monkeypatch.setattr(terms, "_gc", drop_called)
+        assert TestNetworkMutants.failing() == {
+            "deadlock-freedom[sync]", "deadlock-freedom[async]",
+            "epp-sync-lockstep", "epp-async-lockstep", "diamond",
+            "abstract-asynchrony"}
 
 
 class TestSharingMutants:
