@@ -19,6 +19,7 @@ from .errors import (
     NotEnabled,
     NotProjectable,
     ParseError,
+    TagsExhausted,
     UnknownProcess,
 )
 from .terms import (

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 parse error, 2 not projectable, 3 ill-formed,
 4 verification failure, 5 runtime error (a guard that is not boolean, a
 state lookup outside the program, queued messages under the synchronous
-network semantics, a step that is not enabled, or a term nested too deeply
-for Python's recursion limit), 64 usage error (a bad
+network semantics, a step that is not enabled, an asynchronous run that
+needs a fresh tag past 2^63-1, or a term nested too deeply for the engines
+to walk within Python's recursion limit), 64 usage error (a bad
 flag, a negative ``--steps`` or ``--depth``, a file that cannot be read or
 written, or a ``--state`` that is not a JSON object mapping the program's
 process names to storable values).
@@ -19,7 +20,7 @@ import sys
 from .chor_async import well_formed
 from .congruence import canonical
 from .errors import ChorError, GuardNotBoolean, IllFormed, NonEmptyQueue, \
-    NotEnabled, NotProjectable, ParseError, UnknownProcess
+    NotEnabled, NotProjectable, ParseError, TagsExhausted, UnknownProcess
 from .parse import parse_choreography, parse_network
 from .project import epp_async, epp_sync, project_network
 from .render import render_choreography, render_network, render_value
@@ -36,7 +37,8 @@ EXIT_VERIFY = 4
 EXIT_RUNTIME = 5
 EXIT_USAGE = 64
 
-RUNTIME_ERRORS = (GuardNotBoolean, UnknownProcess, NonEmptyQueue, NotEnabled)
+RUNTIME_ERRORS = (GuardNotBoolean, UnknownProcess, NonEmptyQueue, NotEnabled,
+                  TagsExhausted)
 
 
 class UsageError(Exception):
@@ -210,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="parse and validate a choreography")
     p.add_argument("file")
     p.add_argument("--canonical", action="store_true",
-                   help="print the receives-first canonical form")
+                   help="print the canonical form: independent actions "
+                   "in the order communications, detached sends, "
+                   "receives")
     p.set_defaults(func=cmd_check)
 
     p = executor("run", "execute a choreography", cmd_run)

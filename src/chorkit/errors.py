@@ -37,6 +37,10 @@ class NotEnabled(ChorError):
     """A step was requested at a redex that is not enabled."""
 
 
+class TagsExhausted(ChorError):
+    """A run needs a fresh tag above the largest that fits in 64 bits."""
+
+
 class NotACom(ChorError):
     """Runtime expansion was requested at a node that is not a communication."""
 

@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer and recursive-descent parsers.
+"""Concrete syntax: tokenizer and one reader loop for both term families.
 
 Choreography files (".mc"):
 
@@ -21,6 +21,10 @@ A trailing choreography after a conditional is grafted onto the terminated
 leaves of both branches (the abstract syntax has no conditional
 continuation).  Whitespace is insignificant; ``#`` introduces a tag, not a
 comment.
+
+Terms are read without recursion, so blocks nest to any depth: one loop
+reads the prefixes of both families, and each open block waits on an
+explicit stack.  Only parenthesised and negated expressions recurse.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import DupProcessError, ParseError
 from .terms import (
     ERR,
     NIL,
+    PRECEDENCE,
     BCond,
     BinOp,
     BoolV,
@@ -58,12 +63,12 @@ from .terms import (
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<arrow>->|~>|<~)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
   | (?P<tag>\#\d+)
-  | (?P<sym>[{}()\[\];,.|!?=+\-*<>@])
-""", re.VERBOSE)
+  | (?P<sym>->|~>|<~|[{}()\[\];,.|!?=+\-*<>@])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 # Tokens that can start a term: after a conditional, one of them starts its
 # continuation.
@@ -73,301 +78,263 @@ _KEYWORDS = {"if", "then", "else", "def", "in", "true", "false", "err",
              "and", "or", "not"}
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"{self.kind}({self.text!r})"
-
-
-def _tokenize(text):
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            if kind == "ident" and chunk in _KEYWORDS:
-                kind = chunk
-            elif kind in ("arrow", "sym"):
-                kind = chunk
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _graft(decider, guard, then, orelse, cont):
+    """The choreography conditional followed by ``cont``: the abstract
+    syntax has no conditional continuation, so ``cont`` goes onto the
+    terminated leaves of both branches."""
+    return Cond(decider, guard, seq(then, cont), seq(orelse, cont))
 
 
 class _Parser:
+    """Tokens are ``(kind, text, offset)`` tuples; the kind of a keyword
+    or a symbol is its text.  Two end-of-input tokens close the list, so
+    the token after the next one can always be looked at."""
+
     def __init__(self, text):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            kind, chunk = m.lastgroup, m.group()
+            if kind == "ws":
+                continue
+            if kind == "bad":
+                self.fail(f"unexpected character {chunk!r}", m.start())
+            if kind == "sym" or chunk in _KEYWORDS:
+                kind = chunk
+            tokens.append((kind, chunk, m.start()))
+        tokens += [("eof", "", len(text))] * 2
         self.pos = 0
 
     # -- token plumbing
 
-    def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def place(self, offset):
+        """The line and column of ``offset``, both counted from 1."""
+        return (self.text.count("\n", 0, offset) + 1,
+                offset - self.text.rfind("\n", 0, offset))
+
+    def fail(self, message, offset=None):
+        """Raise a ParseError at ``offset``, by default the next token's."""
+        if offset is None:
+            offset = self.tokens[self.pos][2]
+        raise ParseError(message, *self.place(offset))
 
     def next(self):
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def expect(self, kind):
-        tok = self.next()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok)
-        return tok
-
-    def at(self, kind):
-        return self.peek().kind == kind
+        """The text of the next token, which must be of ``kind``."""
+        found, text, offset = self.next()
+        if found != kind:
+            self.fail(f"expected {kind!r}, found {text or 'end of input'!r}",
+                      offset)
+        return text
 
     def eat(self, kind):
-        if self.at(kind):
-            self.next()
+        if self.tokens[self.pos][0] == kind:
+            self.pos += 1
             return True
         return False
 
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    # -- values and expressions
 
-    # -- shared pieces
-
-    def ident(self):
-        return self.expect("ident").text
-
-    def integer(self, tok, digits, sign=1):
-        """``sign`` times the decimal ``digits`` of ``tok``, which must be
-        in the 64-bit range; digits are counted before ``int`` reads them."""
+    def integer(self, digits, offset, sign=1):
+        """``sign`` times the decimal ``digits``, which must be in the
+        64-bit range; digits are counted before ``int`` reads them."""
         digits = digits.lstrip("0") or "0"
         if len(digits) <= 19 and -2**63 <= sign * int(digits) < 2**63:
             return sign * int(digits)
-        self.fail("integer outside the 64-bit range", tok)
+        self.fail("integer outside the 64-bit range", offset)
 
     def value(self):
-        tok = self.next()
-        if tok.kind == "-":
-            tok = self.expect("int")
-            return IntV(self.integer(tok, tok.text, -1))
-        if tok.kind == "int":
-            return IntV(self.integer(tok, tok.text))
-        if tok.kind == "true":
-            return BoolV(True)
-        if tok.kind == "false":
-            return BoolV(False)
-        if tok.kind == "err":
+        kind, text, offset = self.next()
+        if kind == "-":
+            offset = self.tokens[self.pos][2]
+            return IntV(self.integer(self.expect("int"), offset, -1))
+        if kind == "int":
+            return IntV(self.integer(text, offset))
+        if kind == "true" or kind == "false":
+            return BoolV(kind == "true")
+        if kind == "err":
             return ERR
-        self.fail(f"expected a value, found {tok.text!r}", tok)
+        self.fail(f"expected a value, found {text!r}", offset)
 
     def tag(self):
-        tok = self.expect("tag")
-        return Tag(self.integer(tok, tok.text[1:]))
+        offset = self.tokens[self.pos][2]
+        return Tag(self.integer(self.expect("tag")[1:], offset))
 
-    # -- expressions (precedence climbing)
-
-    _LEVELS = [("or",), ("and",), ("=", "<"), ("+", "-"), ("*",)]
-
-    def expr(self, level=0):
-        if level == len(self._LEVELS):
-            return self.expr_unary()
-        left = self.expr(level + 1)
-        while self.peek().kind in self._LEVELS[level]:
-            op = self.next().kind
-            right = self.expr(level + 1)
-            left = BinOp(op, left, right)
+    def expr(self, floor=1):
+        """An expression whose binary operators bind at least as tightly
+        as ``floor``, read by precedence climbing over PRECEDENCE."""
+        left = self.operand()
+        while PRECEDENCE.get(self.tokens[self.pos][0], 0) >= floor:
+            op = self.next()[0]
+            left = BinOp(op, left, self.expr(PRECEDENCE[op] + 1))
         return left
 
-    def expr_unary(self):
-        if self.eat("not"):
-            return Not(self.expr_unary())
-        return self.expr_atom()
-
-    def expr_atom(self):
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
+    def operand(self):
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "not":
+            self.pos += 1
+            return Not(self.operand())
+        if kind == "(":
+            self.pos += 1
             e = self.expr()
             self.expect(")")
             return e
-        if tok.kind == "@":
-            self.next()
+        if kind == "@":
+            self.pos += 1
             return Cell()
-        if tok.kind in ("int", "true", "false", "err", "-"):
+        if kind in ("int", "true", "false", "err", "-"):
             return Lit(self.value())
-        self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+        self.fail(f"expected an expression, found {text or 'end of input'!r}")
 
-    # -- terms (shared pieces)
-    #
-    # Interaction, definition and behaviour-conditional prefixes are read in
-    # a loop and folded right, so straight-line programs of any length parse
-    # without recursion.
+    # -- action prefixes, each read after looking at its second token; each
+    # gives the constructor and the fields before the continuation
 
-    def braced(self, term):
-        self.expect("{")
-        t = term()
-        self.expect("}")
-        return t
-
-    def definition(self, term):
-        self.expect("def")
-        var = self.ident()
-        self.expect("=")
-        body = self.braced(term)
-        self.expect("in")
-        return Def, (var, body)
-
-    @staticmethod
-    def fold(prefixes, tail):
-        for make, args in reversed(prefixes):
-            tail = make(*args, tail)
-        return tail
-
-    def leaf(self, what):
-        """A term without subterms: 0 or a recursion call."""
-        tok = self.peek()
-        if tok.kind == "int":
-            if tok.text == "0":
-                self.next()
-                return NIL
-            self.fail(f"a {what} term cannot start with an integer")
-        if tok.kind == "ident":
-            self.next()
-            return Call(tok.text)
-        self.fail(f"expected a {what} term, found "
-                  f"{tok.text or 'end of input'!r}")
-
-    # -- choreographies
-
-    def choreography(self):
-        prefixes = []
-        while True:
-            kind, nxt = self.peek().kind, self.peek(1).kind
-            if kind == "ident" and nxt == ".":
-                prefixes.append(self.chor_interaction())
-            elif kind == "ident" and nxt == "<~":
-                prefixes.append(self.chor_recv())
-            elif kind == "def":
-                prefixes.append(self.definition(self.choreography))
-            elif kind == "if":
-                return self.fold(prefixes, self.chor_cond())
-            else:
-                return self.fold(prefixes,
-                                 self.leaf("choreography"))
-
-    def chor_cond(self):
-        self.expect("if")
-        decider = self.ident()
-        self.expect(".")
-        guard = self.expr()
-        self.expect("then")
-        then = self.braced(self.choreography)
-        self.expect("else")
-        orelse = self.braced(self.choreography)
-        self.eat(";")
-        cont = NIL
-        if self.peek().kind in _TERM_START:
-            cont = self.choreography()
-        return Cond(decider, guard, seq(then, cont), seq(orelse, cont))
-
-    def chor_interaction(self):
-        src_tok = self.peek()
-        src = self.ident()
-        self.expect(".")
+    def interaction(self):
+        _, src, offset = self.next()
+        self.pos += 1  # "."
         expr = self.expr()
-        arrow = self.next()
-        if arrow.kind == "->":
-            dst = self.ident()
+        kind, text, arrow = self.next()
+        if kind == "->":
+            dst = self.expect("ident")
             if dst == src:
                 self.fail(f"process {src!r} cannot communicate with itself",
-                          src_tok)
+                          offset)
             self.expect(";")
             return Com, (src, expr, dst)
-        if arrow.kind == "~>":
+        if kind == "~>":
             self.expect("[")
             tag = self.tag()
             self.expect("]")
             self.expect(";")
             return RtSend, (src, expr, tag)
-        self.fail(f"expected '->' or '~>', found {arrow.text!r}", arrow)
+        self.fail(f"expected '->' or '~>', found {text!r}", arrow)
 
-    def chor_recv(self):
-        dst_tok = self.peek()
-        dst = self.ident()
-        self.expect("<~")
+    def receive(self):
+        _, dst, offset = self.next()
+        self.pos += 1  # "<~"
         self.expect("(")
-        src = self.ident()
+        src = self.expect("ident")
         if src == dst:
-            self.fail(f"process {dst!r} cannot receive from itself", dst_tok)
+            self.fail(f"process {dst!r} cannot receive from itself", offset)
         self.expect(",")
-        payload = self.tag() if self.at("tag") else self.value()
+        payload = self.tag() if self.tokens[self.pos][0] == "tag" \
+            else self.value()
         self.expect(")")
         self.expect(";")
         return RtRecv, (src, payload, dst)
 
-    # -- behaviours
+    def send(self):
+        dst = self.next()[1]
+        self.pos += 1  # "!"
+        expr = self.expr()
+        self.expect(";")
+        return BSend, (dst, expr)
 
-    def behaviour(self):
-        prefixes = []
-        tail = None
-        while tail is None:
-            kind, nxt = self.peek().kind, self.peek(1).kind
-            if kind == "ident" and nxt == "!":
-                dst = self.ident()
-                self.next()
-                expr = self.expr()
-                self.expect(";")
-                prefixes.append((BSend, (dst, expr)))
-            elif kind == "ident" and nxt == "?":
-                src = self.ident()
-                self.next()
-                self.expect(";")
-                prefixes.append((BRecv, (src,)))
+    def recv(self):
+        src = self.next()[1]
+        self.pos += 1  # "?"
+        self.expect(";")
+        return BRecv, (src,)
+
+    # A term family: its action prefixes by their second token, the
+    # constructor that completes its conditional, and its name in errors.
+    CHOREOGRAPHY = ({".": interaction, "<~": receive}, _graft,
+                    "choreography")
+    BEHAVIOUR = ({"!": send, "?": recv}, BCond, "behaviour")
+
+    # -- terms
+
+    def term(self, family):
+        """A term of ``family``, read in one loop.  Prefixes wait in
+        ``prefixes`` until the leaf that ends them is read, and are then
+        applied to it from the innermost out.  Each open block waits on
+        ``blocks`` with the prefixes read before it, the constructor and
+        fields that its ``}`` completes, and the token that must follow
+        that ``}``: ``in`` after a body, ``else`` after a then branch, or
+        an optional ``;`` after an else branch.  A definition and a
+        conditional become prefixes of the term around them; a
+        conditional's continuation is what its block reads next, so it
+        is ``0`` when the block ends there."""
+        actions, cond, what = family
+        tokens = self.tokens
+        prefixes, blocks = [], []
+        while True:
+            kind = tokens[self.pos][0]
+            action = actions.get(tokens[self.pos + 1][0])
+            if kind == "ident" and action is not None:
+                prefixes.append(action(self))
             elif kind == "def":
-                prefixes.append(self.definition(self.behaviour))
+                self.pos += 1
+                fields = (self.expect("ident"),)
+                self.expect("=")
+                prefixes = self.open_block(blocks, prefixes, Def, fields, "in")
             elif kind == "if":
-                self.next()
-                guard = self.expr()
+                self.pos += 1
+                fields = ()
+                if cond is _graft:  # a choreography names its decider
+                    fields = (self.expect("ident"),)
+                    self.expect(".")
+                fields += (self.expr(),)
                 self.expect("then")
-                then = self.braced(self.behaviour)
-                self.expect("else")
-                orelse = self.braced(self.behaviour)
-                self.eat(";")
-                prefixes.append((BCond, (guard, then, orelse)))
-                if self.peek().kind not in _TERM_START:
-                    tail = NIL
+                prefixes = self.open_block(blocks, prefixes, cond, fields,
+                                           "else")
             else:
-                tail = self.leaf("behaviour")
-        return self.fold(prefixes, tail)
+                t = self.leaf(what)
+                while True:  # close blocks until one reads on
+                    for make, fields in reversed(prefixes):
+                        t = make(*fields, t)
+                    if not blocks:
+                        return t
+                    prefixes, make, fields, after = blocks.pop()
+                    self.expect("}")
+                    if after == "else":
+                        self.expect("else")
+                        prefixes = self.open_block(blocks, prefixes, make,
+                                             (*fields, t), ";")
+                        break
+                    prefixes.append((make, (*fields, t)))
+                    if after == "in":
+                        self.expect("in")
+                        break
+                    self.eat(";")
+                    if tokens[self.pos][0] in _TERM_START:
+                        break
+                    t = NIL
+
+    def open_block(self, blocks, prefixes, make, fields, after):
+        """Read a block's ``{`` and put it on ``blocks``; the block's own
+        prefixes start empty."""
+        self.expect("{")
+        blocks.append((prefixes, make, fields, after))
+        return []
+
+    def leaf(self, what):
+        """A term without subterms: 0 or a recursion call."""
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "ident" or text == "0":
+            self.pos += 1
+            return Call(text) if kind == "ident" else NIL
+        if kind == "int":
+            self.fail(f"a {what} term cannot start with an integer")
+        self.fail(f"expected a {what} term, found {text or 'end of input'!r}")
 
     # -- networks
 
     def network(self):
-        if self.at("eof"):
+        if self.tokens[self.pos][0] == "eof":
             return Network(())
         procs = {}
         while True:
-            name_tok = self.peek()
-            name = self.ident()
+            offset = self.tokens[self.pos][2]
+            name = self.expect("ident")
             if name in procs:
-                raise DupProcessError(
-                    f"process {name!r} defined twice "
-                    f"(line {name_tok.line}, column {name_tok.col})")
+                line, col = self.place(offset)
+                raise DupProcessError(f"process {name!r} defined twice "
+                                      f"(line {line}, column {col})")
             self.expect("[")
             state = self.value()
             self.expect("]")
@@ -376,7 +343,7 @@ class _Parser:
                 messages = []
                 while True:
                     self.expect("(")
-                    sender = self.ident()
+                    sender = self.expect("ident")
                     self.expect(",")
                     payload = self.value()
                     self.expect(")")
@@ -385,7 +352,9 @@ class _Parser:
                         break
                 self.expect(">")
                 queue = Queue.of(messages)
-            procs[name] = Process(state, queue, self.braced(self.behaviour))
+            self.expect("{")
+            procs[name] = Process(state, queue, self.term(self.BEHAVIOUR))
+            self.expect("}")
             if not self.eat("|"):
                 break
         self.expect("eof")
@@ -394,7 +363,7 @@ class _Parser:
 
 def parse_choreography(text: str):
     parser = _Parser(text)
-    chor = parser.choreography()
+    chor = parser.term(_Parser.CHOREOGRAPHY)
     parser.expect("eof")
     check_bound(chor)
     check_tag_linearity(chor)

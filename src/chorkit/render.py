@@ -13,6 +13,7 @@ from itertools import accumulate
 from operator import is_
 
 from .terms import (
+    PRECEDENCE,
     BCond,
     BinOp,
     BoolV,
@@ -35,8 +36,6 @@ from .terms import (
     Tag,
 )
 
-_PREC = {"or": 1, "and": 2, "=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
-
 
 def render_value(v) -> str:
     if isinstance(v, IntV):
@@ -56,7 +55,7 @@ def render_expr(e, parent_prec: int = 0) -> str:
     if isinstance(e, Not):
         return f"not {render_expr(e.arg, 6)}"
     if isinstance(e, BinOp):
-        prec = _PREC[e.op]
+        prec = PRECEDENCE[e.op]
         text = (f"{render_expr(e.left, prec)} {e.op} "
                 f"{render_expr(e.right, prec + 1)}")
         return f"({text})" if prec < parent_prec else text
@@ -76,7 +75,7 @@ def _memo_expr(memo):
         text = memo.get(id(e))
         if text is None:
             text = memo[id(e)] = render_expr(e)
-        if type(e) is BinOp and _PREC[e.op] < parent_prec:
+        if type(e) is BinOp and PRECEDENCE[e.op] < parent_prec:
             return f"({text})"
         return text
     return expr

@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter, is_
 from typing import Optional, Union
 
-from .errors import BindError, DupTagError
+from .errors import BindError, DupTagError, TagsExhausted
 
 
 class Term:
@@ -206,9 +206,14 @@ class Cell(Term):
 
 @term
 class BinOp(Term):
-    op: str  # one of + - * = < and or
+    op: str  # a key of PRECEDENCE
     left: "Expr"
     right: "Expr"
+
+
+# How tightly each binary operator binds, for the parser and the renderer
+# alike; every one of them associates to the left.
+PRECEDENCE = {"or": 1, "and": 2, "=": 3, "<": 3, "+": 4, "-": 4, "*": 5}
 
 
 @term
@@ -236,6 +241,11 @@ class TagSupply:
         self._next = start
 
     def fresh(self) -> Tag:
+        """The next tag; TagsExhausted past 2^63-1, as no larger tag
+        parses."""
+        if self._next >= 2**63:
+            raise TagsExhausted(f"no fresh tag above #{2**63 - 1}, the "
+                                f"largest 64-bit tag")
         t = Tag(self._next)
         self._next += 1
         return t
@@ -605,18 +615,24 @@ def check_bound(t) -> None:
     variable, or on a definition inside another of the same variable.  The
     engines resolve calls lexically with or without distinct binders; the
     parsers still reject shadowing, as a program that shadows is hard to
-    read."""
-    stack = [(t, frozenset())]
+    read.  The variables in scope are one set: a definition's variable
+    leaves it when the walk pops the name it left under its subterms, so
+    nested definitions cost linear time."""
+    bound, stack = set(), [t]
     while stack:
-        t, bound = stack.pop()
+        t = stack.pop()
         kind = type(t)
+        if kind is str:
+            bound.remove(t)
+            continue
         if kind is Call and t.var not in bound:
             raise BindError(f"unbound recursion variable {t.var}")
         if kind is Def:
             if t.var in bound:
                 raise BindError(f"shadowed recursion variable {t.var}")
-            bound = bound | {t.var}
-        stack.extend((k, bound) for k in reversed(kids(t)))
+            bound.add(t.var)
+            stack.append(t.var)
+        stack.extend(reversed(kids(t)))
 
 
 def runtime_free(c) -> bool:

@@ -20,6 +20,7 @@ from chorkit.cli import (
     EXIT_USAGE,
     main,
 )
+from helpers import shallow
 
 
 def one_line_error(capsys, prefix):
@@ -102,6 +103,29 @@ class TestCheck:
         text = f"if p.true then {{ {body}0 }} else {{ {body}0 }}"
         assert main(["check", write("deep.mc", text)]) == 0
         assert capsys.readouterr().out.strip() == "ok"
+
+
+class TestNesting:
+    """Blocks nested more deeply than the parser could once read, through
+    every command that reads a choreography, at the default recursion
+    limit."""
+
+    DEPTH = 400
+
+    @pytest.mark.parametrize("argv, last", [
+        (["check"], "ok"),
+        (["project", "--mode", "sync"], "q[0]{ p?; 0 }"),
+        (["project", "--mode", "async"], "q[0]{ p?; 0 }"),
+        (["run", "--mode", "sync"], "-- terminated"),
+        (["run", "--mode", "async"], "-- terminated"),
+    ], ids=["check", "project-sync", "project-async", "run-sync",
+            "run-async"])
+    def test_nested_conditionals(self, write, capsys, argv, last):
+        n = self.DEPTH
+        path = write("nested.mc", "if p.true then { " * n + "p.1 -> q; 0" +
+                     " } else { p.1 -> q; 0 }" * n)
+        assert shallow(main, [argv[0], path, *argv[1:]]) == 0
+        assert capsys.readouterr().out.strip().endswith(last)
 
 
 class TestRun:
@@ -347,6 +371,14 @@ class TestFilesAndRuntimeErrors:
         assert main(["verify", "--theorem", "t1", "--depth", "1",
                      "--report", report]) == EXIT_USAGE
         assert one_line_error(capsys, "usage error: cannot write")
+
+    def test_fresh_tag_past_64_bits_in_run(self, write, capsys):
+        # Every tag up to 2^63-1 is taken, and no larger one parses.
+        path = write("t.mc", "p.1 ~> [#9223372036854775807]; "
+                     "q <~ (p, #9223372036854775807); p.2 -> q; 0")
+        assert main(["run", path, "--mode", "async"]) == EXIT_RUNTIME
+        assert one_line_error(capsys, "runtime error: no fresh tag above "
+                              "#9223372036854775807")
 
     def test_non_boolean_guard_in_run(self, write, capsys):
         path = write("g.mc", "if p.1 then { 0 } else { 0 }")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import shallow
 from chorkit import (
     BCond,
     BRecv,
@@ -148,6 +149,69 @@ class TestChoreographyParsing:
                 parse_choreography(text)
 
 
+# One input per error path of the parser, with the message, line and column
+# it must report.  ``expr`` inputs go through parse_expr, ``net`` inputs
+# through parse_network and the rest through parse_choreography.
+PARSE_ERRORS = [
+    ("chor", "p.1 -> q; $", "unexpected character '$'", 1, 11),
+    ("chor", "p.1 -> q;\n  q.2 -> p;\n\ufffd 0",
+     "unexpected character '\ufffd'", 3, 1),
+    ("chor", "p.1 -> q", "expected ';', found 'end of input'", 1, 9),
+    ("chor", "0 extra", "expected 'eof', found 'extra'", 1, 3),
+    ("chor", "if p then { 0 }", "expected '.', found 'then'", 1, 6),
+    ("chor", "def X = { p.1 -> q; X } X", "expected 'in', found 'X'", 1, 25),
+    ("chor", "if p.true then { 0 } { 0 }", "expected 'else', found '{'",
+     1, 22),
+    ("net", "p[0]<(q, 1) { 0 }", "expected '>', found '{'", 1, 13),
+    ("expr", "(1 + 2", "expected ')', found 'end of input'", 1, 7),
+    ("net", "p[x]{ 0 }", "expected a value, found 'x'", 1, 3),
+    ("chor", "q <~ (p, x); 0", "expected a value, found 'x'", 1, 10),
+    ("chor", "q <~ (p, ", "expected a value, found ''", 1, 10),
+    ("chor", "p. -> q; 0", "expected an expression, found '->'", 1, 4),
+    ("expr", "1 +", "expected an expression, found 'end of input'", 1, 4),
+    ("expr", "not", "expected an expression, found 'end of input'", 1, 4),
+    ("chor", "p.1 <~ q; 0", "expected '->' or '~>', found '<~'", 1, 5),
+    ("chor", "p.1 q; 0", "expected '->' or '~>', found 'q'", 1, 5),
+    ("chor", "p.1 -> p; 0", "process 'p' cannot communicate with itself",
+     1, 1),
+    ("chor", "r.1 -> s;\n   p <~ (p, 1); 0",
+     "process 'p' cannot receive from itself", 2, 4),
+    ("chor", "p.9223372036854775808 -> q; 0",
+     "integer outside the 64-bit range", 1, 3),
+    ("net", "p[-9223372036854775809]{ 0 }",
+     "integer outside the 64-bit range", 1, 4),
+    ("chor", "p.1 ~> [#9223372036854775808]; 0",
+     "integer outside the 64-bit range", 1, 9),
+    ("chor", "p.1 -> q; 5", "a choreography term cannot start with an integer",
+     1, 11),
+    ("net", "p[0]{ q!1; 7 }", "a behaviour term cannot start with an integer",
+     1, 12),
+    ("chor", "p.1 -> q;", "expected a choreography term, found 'end of input'",
+     1, 10),
+    ("chor", "if p.true then { } else { 0 }",
+     "expected a choreography term, found '}'", 1, 18),
+    ("net", "p[0]{ }", "expected a behaviour term, found '}'", 1, 7),
+]
+
+
+@pytest.mark.parametrize("family, text, message, line, col", PARSE_ERRORS)
+def test_parse_error_paths(family, text, message, line, col):
+    parse = {"chor": parse_choreography, "net": parse_network,
+             "expr": parse_expr}[family]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert type(exc.value) is ParseError
+    assert (exc.value.message, exc.value.line, exc.value.col) == \
+        (message, line, col)
+    assert str(exc.value) == f"{line}:{col}: {message}"
+
+
+def test_duplicate_process_error_names_its_place():
+    with pytest.raises(DupProcessError) as exc:
+        parse_network("p[0]{ 0 } |\n  q[1]{ 0 } | p[2]{ 0 }")
+    assert str(exc.value) == "process 'p' defined twice (line 2, column 15)"
+
+
 class TestNetworkParsing:
     def test_processes_queues_behaviours(self):
         n = parse_network(
@@ -195,6 +259,70 @@ class TestNetworkParsing:
         assert isinstance(b.body, BCond)
         assert b.body.cont == Call("X")
         assert n.as_dict()["p"].state == ERR
+
+
+class TestNesting:
+    """Blocks nest to any depth at the default recursion limit.  The
+    10,000-level programs have no trailing continuation after a
+    conditional: grafting one is cubic in the nesting depth, as
+    ``terms.seq`` walks again every continuation already grafted below
+    it (about 0.6 s at depth 100 and 13 s at depth 300)."""
+
+    DEPTH = 10_000
+
+    @staticmethod
+    def depth(t, kind, field):
+        """How many ``kind`` nodes lie along ``field`` from ``t``, and the
+        term below them."""
+        n = 0
+        while type(t) is kind:
+            t, n = getattr(t, field), n + 1
+        return n, t
+
+    def test_conditionals_nested_in_then(self):
+        n = self.DEPTH
+        c = shallow(parse_choreography, "if p.true then { " * n +
+                    "p.1 -> q; 0" + " } else { 0 }" * n)
+        assert self.depth(c, Cond, "then") == \
+            (n, Com("p", Lit(IntV(1)), "q", NIL))
+
+    def test_conditionals_nested_in_else(self):
+        n = self.DEPTH
+        c = shallow(parse_choreography, "if p.true then { 0 } else { " * n +
+                    "p.1 -> q; 0" + " }" * n)
+        assert self.depth(c, Cond, "orelse") == \
+            (n, Com("p", Lit(IntV(1)), "q", NIL))
+
+    def test_definitions_nested_in_bodies(self):
+        n = self.DEPTH
+        c = shallow(parse_choreography,
+                    "".join(f"def X{i} = {{ " for i in range(n)) + "X0" +
+                    "".join(f" }} in X{i}" for i in reversed(range(n))))
+        assert self.depth(c, Def, "body") == (n, Call("X0"))
+        assert c.var == "X0" and c.cont == Call("X0")
+
+    def test_behaviour_conditionals_nested_in_a_network(self):
+        n = self.DEPTH
+        net = shallow(parse_network, "p[0]{ " + "if @ < 1 then { " * n +
+                      "q!1; 0" + " } else { 0 }" * n + " } | q[0]{ p?; 0 }")
+        assert self.depth(net.procs[0][1].behaviour, BCond, "then") == \
+            (n, BSend("q", Lit(IntV(1)), NIL))
+
+    def test_trailing_continuations_are_grafted_at_every_level(self):
+        # Each level's continuation goes onto every leaf below it, so the
+        # else branch of level k (from 1, outermost) ends in k copies of
+        # it and the innermost then branch in all of them.
+        n = 100
+        c = shallow(parse_choreography, "if p.(@ < 1) then { " * n +
+                    "p.1 -> q; 0" +
+                    " } else { p.1 -> q; 0 }; q.2 -> p; 0" * n)
+        for k in range(1, n + 1):
+            assert type(c) is Cond
+            count, end = self.depth(c.orelse.cont, Com, "cont")
+            assert (count, end) == (k, NIL)
+            c = c.then
+        assert c.expr == Lit(IntV(1)) and c.cont.expr == Lit(IntV(2))
+        assert self.depth(c.cont, Com, "cont") == (n, NIL)
 
 
 # ---------------------------------------------------------------------------
