@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Choreographic programming toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def executor(name, what, func):
+    def executor(name, what):
         """A subcommand that runs a program under a scheduler."""
         p = sub.add_parser(name, help=what)
         p.add_argument("file")
@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, default=1000)
         p.add_argument("--trace", choices=("human", "records"),
                        default="human")
-        p.set_defaults(func=func)
         return p
 
     p = sub.add_parser("check", help="parse and validate a choreography")
@@ -215,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the canonical form: independent actions "
                    "in the order communications, detached sends, "
                    "receives")
-    p.set_defaults(func=cmd_check)
 
-    p = executor("run", "execute a choreography", cmd_run)
+    p = executor("run", "execute a choreography")
     p.add_argument("--state", help="JSON object of initial cell values")
     p.add_argument("--interactive", action="store_true",
                    help="choose each step by hand")
@@ -227,9 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("sync", "async"), default="sync")
     p.add_argument("--state", help="JSON object of initial cell values")
     p.add_argument("--out", help="write the network here instead of stdout")
-    p.set_defaults(func=cmd_project)
 
-    executor("simulate", "execute a process network", cmd_simulate)
+    executor("simulate", "execute a process network")
 
     p = sub.add_parser("verify", help="check the metatheory on a corpus")
     p.add_argument("--theorem", default="all",
@@ -237,21 +234,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-seed", type=int, default=42)
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--report", help="write the per-program report here")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+_parser = None  # built by the first call of main, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` names.  The parser is built once per
+    process, and the command's ``cmd_*`` function is looked up in this
+    module at each call, so a wrapper set there sees every call."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         for budget in ("steps", "depth"):
             if getattr(args, budget, 0) < 0:
                 raise UsageError(f"--{budget} must not be negative")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -158,7 +158,8 @@ class _Parser:
             return BoolV(kind == "true")
         if kind == "err":
             return ERR
-        self.fail(f"expected a value, found {text!r}", offset)
+        self.fail(f"expected a value, found {text or 'end of input'!r}",
+                  offset)
 
     def tag(self):
         offset = self.tokens[self.pos][2]

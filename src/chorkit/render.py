@@ -112,15 +112,19 @@ def render(term, memo=None, prefix: str = "") -> str:
     each node's continuation, so terms of any length render without
     recursion.  ``memo``, a dict the caller keeps across calls, makes the
     cost follow what changed between related terms.  It maps the id of
-    every node rendered so far to its text's place in the first rendered
-    text that contained it, so a node seen again costs one slice.  Ids stay
-    valid only while the caller keeps every term it passed alive.  Each
-    entry is a position, not a string, so the memo grows with the number of
-    nodes, not with the summed length of their texts.  Expressions are
-    kept as their text, which has no continuation; values are rendered
-    afresh, as their text costs no more than a lookup.  ``prefix`` is put
-    before the term's text, so that a caller's line can be the text the
-    memo points into.
+    every choreography or behaviour node rendered so far to its text's
+    place in the first rendered text that contained it, so a node seen
+    again costs one slice.  Each entry is a position, not a string, so the
+    memo grows with the number of nodes, not with the summed length of
+    their texts.  Processes are new objects at every step, so the memo
+    keeps instead, under the key ``Network``, the text of each process of
+    the last network rendered, by name and id: a network reuses it for
+    every process object that did not change and renders only the new
+    ones, each after its name.  Ids stay valid only while the caller
+    keeps every term it passed alive.  Expressions are kept as their text,
+    which has no continuation; values are rendered afresh, as their text
+    costs no more than a lookup.  ``prefix`` is put before the term's
+    text, so that a caller's line can be the text the memo points into.
     """
     out, stack = [prefix], [term]
     fresh = None if memo is None else []  # [node id, first, end piece]
@@ -132,7 +136,20 @@ def render(term, memo=None, prefix: str = "") -> str:
             if kind is str:
                 out.append(t)
                 break
-            if memo is not None:
+            if kind is Network:
+                # Only the previous network's process texts are kept.
+                last = {} if memo is None else memo.get(Network, {})
+                line = {}
+                for i, (name, p) in enumerate(t.procs):
+                    text = last.get((name, id(p)))
+                    if text is None:
+                        text = render(p, memo, name)
+                    line[name, id(p)] = text
+                    out.append(f" | {text}" if i else text)
+                if memo is not None:
+                    memo[Network] = line
+                break
+            if memo is not None and kind is not Process:
                 if kind is int:  # the end of the fresh node numbered t
                     fresh[t][2] = len(out)
                     break
@@ -189,12 +206,6 @@ def render(term, memo=None, prefix: str = "") -> str:
                 out.append(f"{t.dst} <~ ({t.src}, {payload}); ")
             elif kind is RtSend:
                 out.append(f"{t.src}.{expr(t.expr, 6)} ~> [#{t.tag.id}]; ")
-            elif kind is Network:
-                for i in range(len(t.procs) - 1, -1, -1):
-                    name, proc = t.procs[i]
-                    stack.append(proc)
-                    stack.append(f" | {name}" if i else name)
-                break
             else:
                 raise TypeError(f"not a renderable term: {t!r}")
             t = t.cont

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .chor_async import enabled_async
-from .network import StepTable, classify, enabled_asp, enabled_sp, \
+from .network import ControlTable, classify, enabled_asp, enabled_sp, \
     normalize_network
 from .render import render, render_value
 from .sync import Configuration, MoveTable, StepLabel, enabled_sync, \
@@ -107,9 +107,9 @@ def run_chor(cfg: Configuration, mode: str, scheduler,
 
 def run_network(n: Network, mode: str, scheduler,
                 max_steps: int = 1000) -> Trace:
-    """Drive a network, normalized first, with one :class:`StepTable` for
-    the whole run."""
-    table = StepTable()
+    """Drive a network, normalized first, with one :class:`ControlTable`
+    for the whole run."""
+    table = ControlTable()
     enabled = enabled_sp if mode == "sync" else enabled_asp
     return _drive(normalize_network(n), lambda state: enabled(state, table),
                   lambda state: classify(state, mode), scheduler, max_steps)

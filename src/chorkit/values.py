@@ -57,17 +57,17 @@ def eval_expr(e, sigma: GlobalState, p: str) -> Value:
 
 
 def eval_with_cell(e, cell: Value) -> Value:
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Cell):
+    kind = type(e)
+    if kind is BinOp:
+        return _apply(e.op, eval_with_cell(e.left, cell),
+                      eval_with_cell(e.right, cell))
+    if kind is Cell:
         return cell
-    if isinstance(e, Not):
+    if kind is Lit:
+        return e.value
+    if kind is Not:
         v = eval_with_cell(e.arg, cell)
-        return BoolV(not v.b) if isinstance(v, BoolV) else ERR
-    if isinstance(e, BinOp):
-        lv = eval_with_cell(e.left, cell)
-        rv = eval_with_cell(e.right, cell)
-        return _apply(e.op, lv, rv)
+        return BoolV(not v.b) if type(v) is BoolV else ERR
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -16,7 +16,7 @@ from operator import is_
 from .chor_async import check_abstract_async, enabled_async, well_formed
 from .congruence import network_equiv
 from .errors import IllFormed, NotProjectable
-from .network import StepTable, classify, enabled_asp, enabled_sp, \
+from .network import ControlTable, classify, enabled_asp, enabled_sp, \
     network_key, normalize_network
 from .project import epp_sync, project_network, projectable
 from .render import render_choreography
@@ -154,8 +154,8 @@ class SuccessorStore:
     - per subterm and process, its projected behaviour and the messages
       in transit to the process, so a successor projects only the part
       its step changed;
-    - per stored behaviour, its head and successor behaviours (a
-      :class:`StepTable`), so a network step does not walk behaviours.
+    - per control state of a network, its moves (a
+      :class:`ControlTable`), so a network step does not walk behaviours.
 
     The store owns an intern table (:func:`chorkit.terms.interning`), in
     scope while it computes steps, projections and well-formedness: each
@@ -172,7 +172,7 @@ class SuccessorStore:
         self._behaviour_equiv = {}
         self._table = {}
         self._projected = {}
-        self._moves = StepTable()
+        self._moves = ControlTable()
 
     def steps(self, state, mode: str) -> tuple:
         """The steps of a configuration, or of a normalized network.  The

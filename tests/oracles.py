@@ -11,7 +11,10 @@ reference for exact behaviour equivalence; the same search over
 canonical forms, with unfolding by substitution, compares choreographies
 up to precongruence and answers None ("unknown") when its budget runs out.
 A walk of its own lists the messages in transit to each process, the
-reference for the queues that projection seeds.
+reference for the queues that projection seeds.  The network steps are
+read off the semantics directly, each head found afresh and each
+successor the whole network rebuilt, the reference for the network
+engine's table of moves.
 
 Nothing in this module may import from the engine code paths it validates
 beyond the shared AST and its traversal core, the expression evaluator,
@@ -29,24 +32,32 @@ from chorkit.render import render_choreography, render_expr, render_value
 from chorkit.sync import gc, subst_tag
 from chorkit.terms import (
     NIL,
+    BCond,
+    BRecv,
+    BSend,
     Call,
     Com,
     Cond,
     Def,
     Message,
+    Network,
     Nil,
+    Process,
     Queue,
     RtRecv,
     RtSend,
     Tag,
+    head,
     head_pn,
     kids,
     rebuild,
     replace_kid,
+    resume,
+    seq,
     subterms,
     transform,
 )
-from chorkit.values import eval_expr
+from chorkit.values import eval_expr, eval_with_cell
 
 # ---------------------------------------------------------------------------
 # Rewrite closure
@@ -382,3 +393,60 @@ def project_queue(c, r: str) -> list:
         elif kind is not Com and kind is not Def:
             return out  # Nil, Call
         c = c.cont
+
+
+# ---------------------------------------------------------------------------
+# Network steps
+
+
+def network_steps(n, mode):
+    """The steps of the network ``n`` in ``mode``, in process order, as
+    (rule, subjects, path, value, expr, successor) tuples.  Each head is
+    found afresh, and each successor is the whole network with the
+    changed processes replaced, not yet normalized."""
+    procs = dict(n.procs)
+    heads = {name: head(p.behaviour) for name, p in procs.items()}
+
+    def after(name, k):
+        return gc(resume(k, heads[name][1]))
+
+    steps = []
+    for name, p in procs.items():
+        node = heads[name][0]
+        kind = type(node)
+        if kind is BCond:
+            guard = eval_with_cell(node.expr, p.state)
+            branch = node.then if guard.b else node.orelse
+            behaviour = after(name, seq(branch, node.cont))
+            step = ("Then" if guard.b else "Else", (name,), None, node.expr,
+                    {name: Process(p.state, p.queue, behaviour)})
+        elif kind is BSend and node.dst in procs:
+            other = heads[node.dst][0]
+            if mode == "sync" and not (type(other) is BRecv
+                                       and other.src == name):
+                continue
+            v = eval_with_cell(node.expr, p.state)
+            changed = {name: Process(p.state, p.queue, after(name, node.cont))}
+            q = changed.get(node.dst, procs[node.dst])
+            if mode == "sync":
+                q = Process(v, q.queue, after(node.dst, other.cont))
+                rule = "Com"
+            else:
+                q = Process(q.state, q.queue.enqueue(Message(name, v)),
+                            q.behaviour)
+                rule = "ComS"
+            changed[node.dst] = q
+            step = (rule, (name, node.dst), v, node.expr, changed)
+        elif kind is BRecv and mode == "async":
+            popped = p.queue.dequeue_from(node.src)
+            if popped is None:
+                continue
+            v, rest = popped
+            step = ("ComR", (node.src, name), v, None,
+                    {name: Process(v, rest, after(name, node.cont))})
+        else:
+            continue
+        rule, subjects, value, expr, changed = step
+        succ = Network(tuple(sorted({**procs, **changed}.items())))
+        steps.append((rule, subjects, (name,), value, expr, succ))
+    return steps

@@ -38,6 +38,24 @@ def write(tmp_path):
     return _write
 
 
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(
+        write, capsys, monkeypatch):
+    # A wrapper set on a command after the parser exists still sees every
+    # call, as the benchmark's tracer and these tests rely on.
+    path = write("ok.mc", "p.1 -> q; 0")
+    monkeypatch.setattr(cli, "_parser", None)
+    built, seen = [], []
+    build, check = cli.build_parser, cli.cmd_check
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    assert main(["check", path]) == 0
+    monkeypatch.setattr(cli, "cmd_check",
+                        lambda args: seen.append(args.file) or check(args))
+    assert main(["check", path]) == main(["check", path]) == 0
+    assert built == [1] and seen == [path, path]
+    assert capsys.readouterr().out.split() == ["ok"] * 3
+
+
 class TestCheck:
     def test_ok(self, write, capsys):
         path = write("ok.mc", "p.1 -> q; 0")

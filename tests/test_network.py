@@ -1,8 +1,10 @@
 """Process networks: rendezvous and queue-based semantics, queues as
-per-sender lanes, classification of stuck states."""
+per-sender lanes, classification of stuck states, and the table of moves
+a network run reads."""
 
 import pytest
 
+import chorkit.network as network
 from chorkit import (
     BoolV,
     IntV,
@@ -12,10 +14,17 @@ from chorkit import (
     classify,
     enabled_asp,
     enabled_sp,
+    epp_sync,
+    format_trace,
+    make_scheduler,
     normalize_network,
+    parse_choreography,
     parse_network,
     render_network,
+    run_network,
 )
+from chorkit.terms import Term
+from chorkit.verify import default_state
 
 
 def net(text):
@@ -99,6 +108,15 @@ class TestAsynchronousNetwork:
         assert qproc.queue.messages() == [Message("p", IntV(1)),
                                           Message("p", IntV(2))]
 
+    def test_a_send_to_itself_moves_on(self):
+        n = net("p[0]{ p!1; p?; 0 }")
+        assert classify(n, "sync") == "deadlocked"
+        [(label, n)] = enabled_asp(n)
+        assert label.rule == "ComS"
+        assert render_network(n) == "p[0]<(p, 1)>{ p?; 0 }"
+        [(label, n)] = enabled_asp(n)
+        assert label.rule == "ComR" and n.is_empty()
+
     def test_orphaned_messages_detected(self):
         n = net("p[0]<(q, 1)>{ 0 } | q[0]{ 0 }")
         assert classify(n, "async") == "orphaned-messages"
@@ -142,3 +160,54 @@ def test_classification_values():
     running = net("p[0]{ q!1; 0 } | q[0]{ p?; 0 }")
     assert classify(running, "sync") == "running"
     assert classify(running, "async") == "running"
+
+
+class TestControlTable:
+    """A network run reads each step's moves from one table, keyed on the
+    control state: the processes' names and behaviours."""
+
+    RING = "def X = { p.@ + 1 -> q; q.@ * 2 -> r; r.@ - 3 -> p; X } in X"
+
+    @staticmethod
+    def simulate(mode):
+        program = parse_choreography(TestControlTable.RING)
+        net = epp_sync(program, default_state(program))
+        trace = run_network(net, mode, make_scheduler("leftmost"), 1000)
+        format_trace(trace)
+        assert len(trace.steps) == 1000
+        return trace
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_a_ring_fills_few_entries(self, mode, monkeypatch):
+        fills = []
+        fill = network._fill
+
+        def counted(*args):
+            fills.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(network, "_fill", counted)
+        self.simulate(mode)
+        assert len(fills) <= 10
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_a_ring_compares_few_terms(self, mode, monkeypatch):
+        # A loop that comes back to an equal behaviour comes back to the
+        # object the table keeps, so lookups hit by identity.
+        calls, depth = [0], [0]
+
+        def counting(eq):
+            def counted(a, b):
+                calls[0] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return eq(a, b)
+                finally:
+                    depth[0] -= 1
+            return counted
+
+        for cls in Term.__subclasses__():
+            monkeypatch.setattr(cls, "__eq__", counting(cls.__eq__))
+        self.simulate(mode)
+        monkeypatch.undo()
+        assert calls[0] <= 50

@@ -166,7 +166,8 @@ PARSE_ERRORS = [
     ("expr", "(1 + 2", "expected ')', found 'end of input'", 1, 7),
     ("net", "p[x]{ 0 }", "expected a value, found 'x'", 1, 3),
     ("chor", "q <~ (p, x); 0", "expected a value, found 'x'", 1, 10),
-    ("chor", "q <~ (p, ", "expected a value, found ''", 1, 10),
+    ("chor", "q <~ (p, ", "expected a value, found 'end of input'", 1,
+     10),
     ("chor", "p. -> q; 0", "expected an expression, found '->'", 1, 4),
     ("expr", "1 +", "expected an expression, found 'end of input'", 1, 4),
     ("expr", "not", "expected an expression, found 'end of input'", 1, 4),

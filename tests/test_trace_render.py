@@ -16,6 +16,7 @@ from chorkit import (
     format_trace,
     make_scheduler,
     parse_choreography,
+    parse_network,
     pn,
     projectable,
     render,
@@ -24,6 +25,7 @@ from chorkit import (
     run_network,
 )
 from chorkit.cli import main
+from chorkit.terms import interning
 from chorkit.verify import CorpusSpec, _random_program, default_state
 
 # A straight-line chain of 40 communications over four processes, with
@@ -37,6 +39,12 @@ RING = "def X = { p.@ + 1 -> q; q.@ * 2 -> r; r.@ - 3 -> p; X } in X\n"
 # p sends and never receives, so leftmost async simulation piles its
 # messages up in the queues of q and r.
 PRODUCER = "def X = { p.@ + 1 -> q; p.@ * 3 -> r; X } in X\n"
+
+# p is done after its send, but q names it until its guard picks the then
+# branch, so p stays until that step and goes with it.
+NAMED_WHILE_DONE = ("p[0]{ q!1; 0 } | q[0]{ p?; r!@; "
+                    "if @ = 1 then { r!2; 0 } else { p?; 0 } } "
+                    "| r[0]{ q?; q?; 0 }")
 
 # (program, steps) for run and simulate under each mode, scheduler and
 # trace format.
@@ -126,3 +134,45 @@ def test_trace_renders_like_one_shot_render(seed, run_seed, fmt):
                     name: render_value(v) for name, v in result.state.cells}
             else:
                 assert json.loads(line)["state"] == render(result)
+
+
+def _simulation_lines_match_one_shot_render(net, mode, steps):
+    for sched in ("leftmost", "random"):
+        trace = run_network(net, mode, make_scheduler(sched, 5), steps)
+        human = format_trace(trace, "human").split("\n")
+        records = format_trace(trace, "records").split("\n")
+        for step, line, record in zip(trace.steps, human, records):
+            text = render(step.result)
+            assert line.split(" :: ", 1)[1] == text
+            assert json.loads(record)["state"] == text
+    return trace
+
+
+def test_simulation_lines_match_one_shot_render():
+    # A line reuses the previous line's text for every process object that
+    # did not change; each must still be what a one-shot render gives.
+    for text, steps in PINNED:
+        program = parse_choreography(text)
+        sigma = default_state(program)
+        for mode in ("sync", "async"):
+            project = epp_sync if mode == "sync" else epp_async
+            _simulation_lines_match_one_shot_render(project(program, sigma),
+                                                    mode, steps)
+    for mode in ("sync", "async"):
+        trace = _simulation_lines_match_one_shot_render(
+            parse_network(NAMED_WHILE_DONE), mode, 20)
+        names = [step.result.names() for step in trace.steps]
+        rules = [step.label.rule for step in trace.steps]
+        gone = rules.index("Then")
+        assert all("p" in n for n in names[:gone])
+        assert all("p" not in n for n in names[gone:])
+        assert trace.outcome == "terminated"
+    # Under interning, equal processes of different names are one object,
+    # so a line must not take another name's text for it.
+    with interning({}):
+        nets = [parse_network(f"{name}[0]{{ r!1; 0 }} | r[0]{{ p?; 0 }}")
+                for name in ("p", "q", "p")]
+    assert nets[0].procs[0][1] is nets[1].procs[0][1]
+    memo = {}
+    for net in nets:
+        assert render(net, memo) == render(net)

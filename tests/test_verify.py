@@ -151,6 +151,30 @@ class TestNetworkMutants:
         # Runs step through the same table as the checks.
         assert "v=2" in correct and "v=1" in simulate()
 
+    def test_table_keyed_without_a_process_behaviour(self, monkeypatch):
+        # Networks that differ only in their first process's behaviour
+        # then share one entry of moves.  The four checks that step
+        # networks catch it, t7 among them.
+        net = parse_network("p[0]{ q!1; q!2; 0 } "
+                            "| q[0]{ def Y = { p?; Y } in Y }")
+
+        def simulate():
+            return format_trace(run_network(net, "sync",
+                                            make_scheduler("leftmost"), 5))
+
+        correct = simulate()
+        key = network.control_state
+
+        def blind(procs, mode):
+            return (*key(procs[1:], mode), *[name for name, _ in procs[:1]])
+
+        monkeypatch.setattr(network, "control_state", blind)
+        assert self.failing() == {"deadlock-freedom[async]",
+                                  "epp-sync-lockstep", "epp-async-lockstep",
+                                  "sp-asp-simulation"}
+        assert correct.count("v=1") == 1 and correct.endswith("deadlocked")
+        assert simulate().count("v=1") == 5
+
     def test_queue_that_drops_a_message_behind_another(self, monkeypatch):
         enqueue = Queue.enqueue
 
