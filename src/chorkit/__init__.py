@@ -16,7 +16,6 @@ from .errors import (
     IllFormed,
     NonEmptyQueue,
     NotACom,
-    NotEnabled,
     NotProjectable,
     ParseError,
     TagsExhausted,
@@ -69,15 +68,12 @@ from .render import (
 from .sync import (
     Configuration,
     StepLabel,
-    enabled_sync,
-    step_com,
-    step_cond,
+    enabled,
     terminated,
 )
 from .chor_async import (
     NextVerdict,
     check_abstract_async,
-    enabled_async,
     harvest_contexts,
     next_action,
     plug,

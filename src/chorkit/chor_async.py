@@ -35,16 +35,9 @@ from .terms import (
     runtime_free,
     transform,
 )
+from .render import render_choreography
 from .sync import Configuration, enabled, gc
 from .values import eval_expr
-
-# ---------------------------------------------------------------------------
-# Step relation
-
-
-def enabled_async(cfg: Configuration, table=None):
-    return enabled(cfg, "async", table)
-
 
 # The subterm a path step enters, by step and constructor.
 _PATH_STEPS = {("cont", Com): 0, ("cont", RtSend): 0, ("cont", RtRecv): 0,
@@ -253,15 +246,13 @@ def check_abstract_async(corpus, sigma_for) -> tuple:
     contexts and the violations.  A harvested communication plugged back
     into its context gives the program, so the send clause steps each
     program once."""
-    from .render import render_choreography
-
     count, violations = 0, []
     for program in corpus:
         sigma = sigma_for(program)
         contexts = harvest_contexts(program)
         count += len(contexts)
-        sends = {s for _, s in enabled_async(Configuration(gc(program),
-                                                           sigma))}
+        sends = {s for _, s in enabled(Configuration(gc(program), sigma),
+                                       "async")}
         for ctx, com in contexts:
             p, q = com.src, com.dst
             v = eval_expr(com.expr, sigma, p)
@@ -272,7 +263,7 @@ def check_abstract_async(corpus, sigma_for) -> tuple:
                     "detached send not among enabled steps"))
             if next_action(ctx, q) == NextVerdict.HOLE:
                 want = Configuration(gc(plug(ctx, None)), sigma.update(q, v))
-                if not any(s == want for _, s in enabled_async(sent)):
+                if not any(s == want for _, s in enabled(sent, "async")):
                     violations.append(Violation(
                         render_choreography(program), q, "receive",
                         "receive commit not among enabled steps"))

@@ -3,12 +3,12 @@
 Exit codes: 0 success, 1 parse error, 2 not projectable, 3 ill-formed,
 4 verification failure, 5 runtime error (a guard that is not boolean, a
 state lookup outside the program, queued messages under the synchronous
-network semantics, a step that is not enabled, an asynchronous run that
-needs a fresh tag past 2^63-1, or a term nested too deeply for the engines
-to walk within Python's recursion limit), 64 usage error (a bad
-flag, a negative ``--steps`` or ``--depth``, a file that cannot be read or
-written, or a ``--state`` that is not a JSON object mapping the program's
-process names to storable values).
+network semantics, an asynchronous run that needs a fresh tag past
+2^63-1, or a term nested too deeply for the engines to walk within
+Python's recursion limit), 64 usage error (a bad flag, a negative
+``--steps`` or ``--depth``, a file that cannot be read or written, or a
+``--state`` that is not a JSON object mapping the program's process names
+to storable values).
 """
 
 from __future__ import annotations
@@ -20,15 +20,16 @@ import sys
 from .chor_async import well_formed
 from .congruence import canonical
 from .errors import ChorError, GuardNotBoolean, IllFormed, NonEmptyQueue, \
-    NotEnabled, NotProjectable, ParseError, TagsExhausted, UnknownProcess
+    NotProjectable, ParseError, TagsExhausted, UnknownProcess
 from .parse import parse_choreography, parse_network
 from .project import epp_async, epp_sync, project_network
 from .render import render_choreography, render_network, render_value
-from .run import format_trace, make_scheduler, run_chor, run_network
+from .run import format_trace, make_scheduler, run_chor, run_network, \
+    step_order
 from .sync import Configuration
-from .terms import ERR, BoolV, IntV, pn
+from .terms import ERR, BoolV, IntV
 from .values import GlobalState
-from .verify import THEOREMS, CorpusSpec, verify_corpus
+from .verify import THEOREMS, CorpusSpec, default_state, verify_corpus
 
 EXIT_PARSE = 1
 EXIT_NOT_PROJECTABLE = 2
@@ -37,7 +38,7 @@ EXIT_VERIFY = 4
 EXIT_RUNTIME = 5
 EXIT_USAGE = 64
 
-RUNTIME_ERRORS = (GuardNotBoolean, UnknownProcess, NonEmptyQueue, NotEnabled,
+RUNTIME_ERRORS = (GuardNotBoolean, UnknownProcess, NonEmptyQueue,
                   TagsExhausted)
 
 
@@ -70,9 +71,9 @@ def _output(path: str | None, text: str) -> None:
 
 
 def _initial_state(program, spec: str | None) -> GlobalState:
-    names = sorted(pn(program))
+    base = default_state(program)
     if spec is None:
-        return GlobalState.uniform(names)
+        return base
     try:
         cells = json.loads(spec)
     except json.JSONDecodeError as exc:
@@ -82,7 +83,6 @@ def _initial_state(program, spec: str | None) -> GlobalState:
             from None
     if not isinstance(cells, dict):
         raise UsageError("--state must be a JSON object of cell values")
-    base = GlobalState.uniform(names)
     for name, raw in cells.items():
         if isinstance(raw, bool):
             value = BoolV(raw)
@@ -118,7 +118,7 @@ class InteractiveScheduler:
     user quits."""
 
     def pick(self, steps):
-        options = sorted(steps, key=lambda s: (s[0].path, s[0].key()))
+        options = sorted(steps, key=step_order)
         print()
         for i, (label, succ) in enumerate(options, 1):
             extra = ("" if label.value is None
@@ -169,15 +169,11 @@ def cmd_verify(args) -> int:
     theorems = set(THEOREMS) if args.theorem == "all" else {args.theorem}
     spec = CorpusSpec(seed=args.corpus_seed)
     reports = verify_corpus(theorems, spec, depth=args.depth)
-    failed = False
     lines = []
     for pid, report in reports:
         lines.append(f"{report.theorem} {pid}: {report.verdict} "
                      f"({report.states} states)")
-        if report.verdict != "pass":
-            failed = True
-            for ce in report.counterexample:
-                lines.append(f"  counterexample: {ce}")
+        lines += [f"  counterexample: {ce}" for ce in report.counterexample]
     _output(args.report, "\n".join(lines))
     by_theorem = {}
     for _, report in reports:
@@ -186,6 +182,7 @@ def cmd_verify(args) -> int:
         agg[idx] += 1
     for theorem, (ok, bad, budget) in sorted(by_theorem.items()):
         print(f"{theorem}: {ok} pass, {bad} fail, {budget} budget-exceeded")
+    failed = any(report.verdict != "pass" for _, report in reports)
     return EXIT_VERIFY if failed else 0
 
 
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the metatheory on a corpus")
     p.add_argument("--theorem", default="all",
-                   choices=("all",) + THEOREMS + ("wf",))
+                   choices=("all", *THEOREMS))
     p.add_argument("--corpus-seed", type=int, default=42)
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--report", help="write the per-program report here")

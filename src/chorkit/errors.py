@@ -33,10 +33,6 @@ class GuardNotBoolean(ChorError):
     """A conditional guard evaluated to a non-boolean value."""
 
 
-class NotEnabled(ChorError):
-    """A step was requested at a redex that is not enabled."""
-
-
 class TagsExhausted(ChorError):
     """A run needs a fresh tag above the largest that fits in 64 bits."""
 

@@ -17,21 +17,26 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .chor_async import enabled_async
 from .network import ControlTable, classify, enabled_asp, enabled_sp, \
     normalize_network
 from .render import render, render_value
-from .sync import Configuration, MoveTable, StepLabel, enabled_sync, \
-    terminated
+from .sync import Configuration, MoveTable, StepLabel, enabled, terminated
 from .terms import Network, TagSupply
+
+
+def step_order(step):
+    """The order schedulers list (label, successor) steps in: the redex
+    closest to the top of the term first."""
+    return step[0].path, step[0].key()
 
 
 class LeftmostScheduler:
     """Picks the step whose redex is closest to the top of the term."""
 
     def pick(self, steps):
-        return min(steps, key=lambda s: (s[0].path, s[0].key()))
+        return min(steps, key=step_order)
 
 
 class RandomScheduler:
@@ -41,8 +46,7 @@ class RandomScheduler:
         self._rng = random.Random(seed)
 
     def pick(self, steps):
-        ordered = sorted(steps, key=lambda s: (s[0].path, s[0].key()))
-        return ordered[self._rng.randrange(len(ordered))]
+        return self._rng.choice(sorted(steps, key=step_order))
 
 
 def make_scheduler(name: str, seed: int = 0):
@@ -53,8 +57,7 @@ def make_scheduler(name: str, seed: int = 0):
     raise ValueError(f"unknown scheduler {name!r}")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     index: int
     label: StepLabel
     result: object  # Configuration or Network
@@ -94,13 +97,12 @@ def run_chor(cfg: Configuration, mode: str, scheduler,
     in the term."""
     supply = TagSupply.above(cfg.chor)
     table = MoveTable()
-    enabled = enabled_sync if mode == "sync" else enabled_async
 
     def tag(label):
         fresh = label.rule == "ComS" and label.tag_id is None
         return label.with_tag(supply.fresh().id) if fresh else label
 
-    return _drive(cfg, lambda state: enabled(state, table),
+    return _drive(cfg, lambda state: enabled(state, mode, table),
                   lambda c: "terminated" if terminated(c.chor)
                   else "deadlocked", scheduler, max_steps, tag)
 
@@ -110,8 +112,8 @@ def run_network(n: Network, mode: str, scheduler,
     """Drive a network, normalized first, with one :class:`ControlTable`
     for the whole run."""
     table = ControlTable()
-    enabled = enabled_sp if mode == "sync" else enabled_asp
-    return _drive(normalize_network(n), lambda state: enabled(state, table),
+    step = enabled_sp if mode == "sync" else enabled_asp
+    return _drive(normalize_network(n), lambda state: step(state, table),
                   lambda state: classify(state, mode), scheduler, max_steps)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import GuardNotBoolean, NotEnabled
+from .errors import GuardNotBoolean
 from .render import render_choreography, render_value
 from .terms import (
     BoolV,
@@ -302,26 +302,3 @@ def enabled(cfg: Configuration, mode: str, table=None):
                     succ = gc(succ)
         out.append((label, Configuration(succ, state)))
     return out
-
-
-def enabled_sync(cfg: Configuration, table=None):
-    return enabled(cfg, "sync", table)
-
-
-def step_com(cfg: Configuration, redex: StepLabel) -> Configuration:
-    if redex.rule != "Com":
-        raise NotEnabled(f"not a communication redex: {redex}")
-    return _fire(cfg, redex, "sync")
-
-
-def step_cond(cfg: Configuration, redex: StepLabel) -> Configuration:
-    if redex.rule not in ("Then", "Else"):
-        raise NotEnabled(f"not a conditional redex: {redex}")
-    return _fire(cfg, redex, "sync")
-
-
-def _fire(cfg, redex, mode):
-    for label, succ in enabled(cfg, mode):
-        if label == redex:
-            return succ
-    raise NotEnabled(f"redex not enabled here: {redex}")

@@ -13,14 +13,14 @@ import random
 from dataclasses import dataclass
 from operator import is_
 
-from .chor_async import check_abstract_async, enabled_async, well_formed
+from .chor_async import check_abstract_async, well_formed
 from .congruence import network_equiv
 from .errors import IllFormed, NotProjectable
 from .network import ControlTable, classify, enabled_asp, enabled_sp, \
     network_key, normalize_network
 from .project import epp_sync, project_network, projectable
 from .render import render_choreography
-from .sync import Configuration, enabled_sync, terminated
+from .sync import Configuration, enabled, terminated
 from .terms import BinOp, BoolV, Cell, Com, Cond, Def, IntV, Lit, NIL, \
     Call, Network, Nil, intern, interning, pn, seq
 from .values import GlobalState
@@ -36,10 +36,6 @@ class TheoremReport:
     states: int
     verdict: str  # pass | fail | budget-exceeded
     counterexample: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +137,11 @@ class SuccessorStore:
     """The explored state space of one program, shared by all its checks.
 
     Each entry is computed once and kept until the store is dropped:
-    - the steps of a configuration under ``enabled_sync`` or
-      ``enabled_async``, and of a normalized network under ``enabled_sp``
-      or ``enabled_asp``, as tuples of (label, successor) pairs, in one
-      table per mode;
+    - the states that a breadth-first search reaches from each start, in
+      each mode and up to each depth, as :func:`_search` gives them;
+    - the steps of a configuration under ``enabled``, and of a normalized
+      network under ``enabled_sp`` or ``enabled_asp``, as tuples of
+      (label, successor) pairs, in one table per mode;
     - the :func:`well_formed` result of a choreography;
     - the normalized projection of a configuration, reached in either
       mode, taken from the canonical form that :func:`well_formed` gives,
@@ -165,6 +162,7 @@ class SuccessorStore:
     """
 
     def __init__(self):
+        self._explored = {}
         self._steps = {"sync": {}, "async": {}}
         self._projections = {}
         self._well_formed = {}
@@ -184,12 +182,23 @@ class SuccessorStore:
         if found is None:
             with interning(self._table):
                 if type(state) is Configuration:
-                    raw = (enabled_sync(state) if mode == "sync"
-                           else enabled_async(state))
+                    raw = enabled(state, mode)
                 else:
                     raw = (enabled_sp(state, self._moves) if mode == "sync"
                            else enabled_asp(state, self._moves))
             found = table[state] = tuple(raw)
+        return found
+
+    def explored(self, start, mode: str, depth: int) -> tuple:
+        """The states reachable from ``start``, interned first, along the
+        steps of ``mode`` up to ``depth``, and how the search ended, as
+        :func:`_search` gives them; each search runs once per store."""
+        with interning(self._table):
+            start = intern(start)
+        key = start, mode, depth
+        found = self._explored.get(key)
+        if found is None:
+            found = self._explored[key] = _search(self, start, mode, depth)
         return found
 
     def well_formed(self, chor) -> tuple:
@@ -222,14 +231,11 @@ class SuccessorStore:
 
 
 def _search(store, start, mode: str, depth: int, cap=STATE_CAP, goal=()):
-    """Breadth-first search from ``start``, interned first, along the
-    steps of ``mode``, up to ``depth`` steps and ``cap`` states, that stops
-    at a state in ``goal``.  Returns the states seen, in order, and how it
-    ended: "goal", "cap", "depth", or "exhausted" when no new state was
-    left.  Without a store, a new one explores."""
-    store = SuccessorStore() if store is None else store
-    with interning(store._table):
-        start = intern(start)
+    """Breadth-first search from ``start``, a state ``store`` interned,
+    along the steps of ``mode``, up to ``depth`` steps and ``cap`` states,
+    that stops at a state in ``goal``.  Returns the states seen, in order,
+    and how it ended: "goal", "cap", "depth", or "exhausted" when no new
+    state was left."""
     seen = {start: None}
     if start in goal:
         return list(seen), "goal"
@@ -254,8 +260,9 @@ def _search(store, start, mode: str, depth: int, cap=STATE_CAP, goal=()):
 def explore_chor(cfg: Configuration, mode: str, depth: int,
                  store: SuccessorStore | None = None):
     """Unique reachable configurations up to the depth, in breadth-first
-    order; returns (configs, capped flag)."""
-    configs, end = _search(store, cfg, mode, depth)
+    order, explored once per ``store`` (a new one without); returns
+    (configs, capped flag)."""
+    configs, end = (store or SuccessorStore()).explored(cfg, mode, depth)
     return configs, end == "cap"
 
 
@@ -263,21 +270,32 @@ def explore_network(n, mode: str, depth: int,
                     store: SuccessorStore | None = None):
     """Unique reachable networks from the normalized ``n``, as
     :func:`explore_chor` gives configurations."""
-    nets, end = _search(store, normalize_network(n), mode, depth)
+    nets, end = (store or SuccessorStore()).explored(normalize_network(n),
+                                                     mode, depth)
     return nets, end == "cap"
 
 
 def _report(theorem, program, states, failures, capped=False):
-    if failures:
-        return TheoremReport(theorem, program, states, "fail",
-                             tuple(failures[:5]))
-    if capped:
-        return TheoremReport(theorem, program, states, "budget-exceeded")
-    return TheoremReport(theorem, program, states, "pass")
+    verdict = "fail" if failures else "budget-exceeded" if capped else "pass"
+    return TheoremReport(theorem, program, states, verdict,
+                         tuple(failures[:5]))
 
 
 def _sig(label):
     return (label.rule, label.subjects, label.value)
+
+
+def _opening(start, mode, depth, store):
+    """What a check starts from: ``store``, or a new one; the text of the
+    program or network it checks; and the states reachable from
+    ``start``, a configuration or a network, in ``mode`` up to ``depth``,
+    with the capped flag."""
+    store = SuccessorStore() if store is None else store
+    if type(start) is Configuration:
+        return (store, render_choreography(start.chor),
+                *explore_chor(start, mode, depth, store))
+    return (store, network_key(start),
+            *explore_network(start, mode, depth, store))
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +307,8 @@ def check_deadlock_freedom(program, sigma, depth, mode,
     """Progress: every reachable configuration is terminated or can step;
     for projectable programs, the projected network likewise never gets
     stuck or strands messages."""
-    store = SuccessorStore() if store is None else store
-    name = f"deadlock-freedom[{mode}]"
-    text = render_choreography(program)
-    configs, capped = explore_chor(Configuration(program, sigma), mode,
-                                   depth, store=store)
+    store, text, configs, capped = _opening(Configuration(program, sigma),
+                                            mode, depth, store)
     failures = []
     for cfg in configs:
         if not store.steps(cfg, mode) and not terminated(cfg.chor):
@@ -310,7 +325,8 @@ def check_deadlock_freedom(program, sigma, depth, mode,
             verdict = classify(n, mode)
             if verdict in ("deadlocked", "orphaned-messages"):
                 failures.append(f"{verdict} network: {network_key(n)}")
-    return _report(name, text, states, failures, capped)
+    return _report(f"deadlock-freedom[{mode}]", text, states, failures,
+                   capped)
 
 
 def _lockstep(cfg, net, mode, store, failures) -> None:
@@ -355,10 +371,8 @@ def _check_epp(theorem, program, sigma, depth, mode, store):
     projection must also hold the configuration's state.  Configurations
     that are not well-formed, which only asynchronous runs reach, are
     reported as such and not projected."""
-    store = SuccessorStore() if store is None else store
-    text = render_choreography(program)
-    configs, capped = explore_chor(Configuration(program, sigma), mode,
-                                   depth, store=store)
+    store, text, configs, capped = _opening(Configuration(program, sigma),
+                                            mode, depth, store)
     failures = []
     for cfg in configs:
         if not store.well_formed(cfg.chor)[0]:
@@ -412,9 +426,6 @@ def check_async_equivalence(program, sigma, depth,
     """Both clauses of asynchronous equivalence: every synchronous step is
     a two-step (send; receive) asynchronous path, and every asynchronous
     run can rejoin a synchronously reachable configuration."""
-    store = SuccessorStore() if store is None else store
-    text = render_choreography(program)
-    start = Configuration(program, sigma)
     # Draining one pending message can take several steps (its receive
     # plus the send/receive pairs of every communication blocking it), so
     # join paths scale with a multiple of the exploration depth, and the
@@ -422,8 +433,9 @@ def check_async_equivalence(program, sigma, depth,
     # drain is linear in this budget and synchronous state sets saturate,
     # so a generous bound is cheap.
     join_depth = 10 * depth + 20
-    sync_configs, capped1 = explore_chor(start, "sync", depth + join_depth,
-                                         store=store)
+    start = Configuration(program, sigma)
+    store, text, sync_configs, capped1 = _opening(
+        start, "sync", depth + join_depth, store)
     sync_set = set(sync_configs)
     # ``is_`` suffices: the store builds every successor in the scope of
     # its intern table, so equal configurations are one object.
@@ -433,8 +445,7 @@ def check_async_equivalence(program, sigma, depth,
         f"communication {label.subjects} has no send;receive realization "
         f"at {cfg.key()[0]}"
         for cfg, label in _unsimulated(store, sync_configs, is_)]
-    async_configs, capped2 = explore_chor(start, "async", depth,
-                                          store=store)
+    async_configs, capped2 = explore_chor(start, "async", depth, store)
     budget_hit = False
     for cfg in async_configs:
         if _greedy_join(cfg, sync_set, join_depth, store):
@@ -475,10 +486,8 @@ def _join_search(cfg, sync_set, depth, store):
 
 
 def check_diamond(program, sigma, depth, store=None) -> TheoremReport:
-    store = SuccessorStore() if store is None else store
-    text = render_choreography(program)
-    configs, capped = explore_chor(Configuration(program, sigma), "async",
-                                   depth, store=store)
+    store, text, configs, capped = _opening(Configuration(program, sigma),
+                                            "async", depth, store)
     failures = []
     for cfg in configs:
         uniq = list(dict.fromkeys(s for _, s in store.steps(cfg, "async")))
@@ -495,9 +504,7 @@ def check_diamond(program, sigma, depth, store=None) -> TheoremReport:
 def check_sp_asp_simulation(net, depth, store=None) -> TheoremReport:
     """Every synchronous network step is simulated from the queue-equipped
     network in at most two steps, landing on the lifted successor."""
-    store = SuccessorStore() if store is None else store
-    text = network_key(net)
-    nets, capped = explore_network(net, "sync", depth, store=store)
+    store, text, nets, capped = _opening(net, "sync", depth, store)
     failures = [
         f"conditional step unmatched at {network_key(n)}"
         if label.rule in ("Then", "Else") else
@@ -508,10 +515,8 @@ def check_sp_asp_simulation(net, depth, store=None) -> TheoremReport:
 
 def check_well_formedness_preservation(program, sigma, depth,
                                        store=None) -> TheoremReport:
-    store = SuccessorStore() if store is None else store
-    text = render_choreography(program)
-    configs, capped = explore_chor(Configuration(program, sigma), "async",
-                                   depth, store=store)
+    store, text, configs, capped = _opening(Configuration(program, sigma),
+                                            "async", depth, store)
     failures = [f"ill-formed reachable term: {cfg.key()[0]}"
                 for cfg in configs if not store.well_formed(cfg.chor)[0]]
     return _report("well-formedness-preservation", text, len(configs),
@@ -530,42 +535,36 @@ def check_abstract_asynchrony(corpus) -> TheoremReport:
 # Whole-corpus driver
 
 
-THEOREMS = ("t1", "t2", "t5", "t6", "t7", "t8", "diamond", "abstract-async")
+# The check of each theorem on one program, in report order.  Each call
+# looks its check up in this module, so a wrapper set here sees every call.
+_CHECKS = {
+    "t1": lambda p, s, d, st: check_deadlock_freedom(p, s, d, "sync", st),
+    "t5": lambda p, s, d, st: check_deadlock_freedom(p, s, d, "async", st),
+    "t2": lambda *args: check_epp_sync(*args),
+    "t8": lambda *args: check_epp_async(*args),
+    "t6": lambda *args: check_async_equivalence(*args),
+    "diamond": lambda *args: check_diamond(*args),
+    "t7": lambda p, s, d, st: check_sp_asp_simulation(epp_sync(p, s), d, st),
+    "wf": lambda *args: check_well_formedness_preservation(*args),
+}
+THEOREMS = (*_CHECKS, "abstract-async")
 
 
 def verify_corpus(theorems, spec: CorpusSpec, depth: int = 12):
     """Run the selected checks over the generated corpus; reports are
-    ordered by program id.  The checks of one program share one
-    :class:`SuccessorStore`, dropped before the next program."""
+    ordered by program id, and ``t8`` also runs ``wf``.  The checks of one
+    program share one :class:`SuccessorStore`, dropped before the next
+    program, so each exploration runs once per program."""
     corpus = generate_corpus(spec)
+    if "t8" in theorems:
+        theorems = {*theorems, "wf"}
+    checks = [check for name, check in _CHECKS.items() if name in theorems]
     reports = []
     for idx, program in enumerate(corpus):
         sigma = default_state(program)
-        pid = f"prog{idx:03d}"
         store = SuccessorStore()
-        per = []
-        if "t1" in theorems:
-            per.append(check_deadlock_freedom(program, sigma, depth, "sync",
-                                              store=store))
-        if "t5" in theorems:
-            per.append(check_deadlock_freedom(program, sigma, depth,
-                                              "async", store=store))
-        if "t2" in theorems:
-            per.append(check_epp_sync(program, sigma, depth, store=store))
-        if "t8" in theorems:
-            per.append(check_epp_async(program, sigma, depth, store=store))
-        if "t6" in theorems:
-            per.append(check_async_equivalence(program, sigma, depth,
-                                               store=store))
-        if "diamond" in theorems:
-            per.append(check_diamond(program, sigma, depth, store=store))
-        if "t7" in theorems:
-            net = epp_sync(program, sigma)
-            per.append(check_sp_asp_simulation(net, depth, store=store))
-        if "wf" in theorems or "t8" in theorems:
-            per.append(check_well_formedness_preservation(
-                program, sigma, depth, store=store))
-        reports.extend((pid, r) for r in per)
+        reports += [(f"prog{idx:03d}", check(program, sigma, depth, store))
+                    for check in checks]
     if "abstract-async" in theorems:
         reports.append(("corpus", check_abstract_asynchrony(corpus)))
     return reports

@@ -32,8 +32,8 @@ from chorkit import (
     Queue,
     BoolV,
     classify,
+    enabled,
     enabled_asp,
-    enabled_async,
     epp_async,
     generate_corpus,
     parse_choreography,
@@ -127,10 +127,10 @@ def test_criterion_08_reference_fixtures(tmp_path):
     assert ok and canonical_form == program
     sigma = GlobalState.uniform(["p", "q", "r"])
     cfg = Configuration(program, sigma)
-    cfg = [s for l, s in enabled_async(cfg) if l.subjects == ("p", "q")][0]
-    cfg = [s for l, s in enabled_async(cfg)
+    cfg = [s for l, s in enabled(cfg, "async") if l.subjects == ("p", "q")][0]
+    cfg = [s for l, s in enabled(cfg, "async")
            if l.rule == "ComS" and l.subjects == ("p", "r")][0]
-    cfg = [s for l, s in enabled_async(cfg)
+    cfg = [s for l, s in enabled(cfg, "async")
            if l.rule == "ComR" and l.subjects == ("p", "r")][0]
     assert cfg.state.get("r") == IntV(2) and cfg.state.get("q") == IntV(0)
 
@@ -139,11 +139,11 @@ def test_criterion_08_reference_fixtures(tmp_path):
     # after p's first send has detached: no single step from the start
     # updates r, and every configuration with r updated has the first
     # communication already split.
-    for label, succ in enabled_async(Configuration(program, sigma)):
+    for label, succ in enabled(Configuration(program, sigma), "async"):
         assert succ.state.get("r") == IntV(0)
     frontier = [Configuration(program, sigma)]
     for _ in range(4):
-        nxt = [s for c in frontier for _, s in enabled_async(c)]
+        nxt = [s for c in frontier for _, s in enabled(c, "async")]
         for s in nxt:
             if s.state.get("r") == IntV(2):
                 assert not _contains_com(s.chor, "p", "q"), \

@@ -16,7 +16,7 @@ from chorkit import (
     RtRecv,
     TagSupply,
     check_abstract_async,
-    enabled_async,
+    enabled,
     harvest_contexts,
     next_action,
     parse_choreography,
@@ -42,17 +42,17 @@ def cfg_of(text, **cells):
 
 
 def sigs(cfg):
-    return sorted((l.rule, l.subjects) for l, _ in enabled_async(cfg))
+    return sorted((l.rule, l.subjects) for l, _ in enabled(cfg, "async"))
 
 
 class TestTwoPhaseCommunication:
     def test_send_then_receive(self):
         cfg = cfg_of("p.1 -> q; 0")
-        [(label, mid)] = enabled_async(cfg)
+        [(label, mid)] = enabled(cfg, "async")
         assert (label.rule, label.subjects) == ("ComS", ("p", "q"))
         assert render_choreography(mid.chor) == "q <~ (p, 1); 0"
         assert mid.state.get("q") == IntV(0)  # not yet delivered
-        [(label2, end)] = enabled_async(mid)
+        [(label2, end)] = enabled(mid, "async")
         assert (label2.rule, label2.subjects) == ("ComR", ("p", "q"))
         assert end.state.get("q") == IntV(1)
         assert terminated(end.chor)
@@ -60,28 +60,28 @@ class TestTwoPhaseCommunication:
     def test_value_captured_at_send_time(self):
         # p's cell changes after the send; the in-transit value must not.
         cfg = cfg_of("p.@ -> q; r.5 -> p; 0", p=7)
-        mid = [s for l, s in enabled_async(cfg)
+        mid = [s for l, s in enabled(cfg, "async")
                if l.rule == "ComS" and l.subjects == ("p", "q")][0]
-        mid = [s for l, s in enabled_async(mid)
+        mid = [s for l, s in enabled(mid, "async")
                if l.rule == "ComS" and l.subjects == ("r", "p")][0]
-        mid = [s for l, s in enabled_async(mid)
+        mid = [s for l, s in enabled(mid, "async")
                if l.rule == "ComR" and l.subjects == ("r", "p")][0]
         assert mid.state.get("p") == IntV(5)  # p overwritten...
-        final = [s for l, s in enabled_async(mid) if l.rule == "ComR"][0]
+        final = [s for l, s in enabled(mid, "async") if l.rule == "ComR"][0]
         assert final.state.get("q") == IntV(7)  # ...but q gets the old 7
 
     def test_sender_freed_receiver_still_blocked(self):
         # After p's first send detaches, p may send to r, but q's second
         # action stays behind the pending receive.
         cfg = cfg_of("p.1 -> q; p.2 -> r; q.3 -> s; 0")
-        mid = [s for l, s in enabled_async(cfg)
+        mid = [s for l, s in enabled(cfg, "async")
                if l.subjects == ("p", "q")][0]
         assert ("ComS", ("p", "r")) in sigs(mid)
         assert ("ComS", ("q", "s")) not in sigs(mid)
 
     def test_explicit_runtime_pair_execution(self):
         cfg = cfg_of("p.1 ~> [#0]; q <~ (p, #0); 0")
-        [(label, mid)] = enabled_async(cfg)
+        [(label, mid)] = enabled(cfg, "async")
         assert label.rule == "ComS"
         assert label.tag_id == 0
         assert render_choreography(mid.chor) == "q <~ (p, 1); 0"
@@ -91,7 +91,7 @@ class TestTwoPhaseCommunication:
         # send; filling it in must not recurse along the chain.
         cfg = cfg_of("p.1 ~> [#0]; " + "s.2 -> q; " * 5_998
                      + "s <~ (p, #0); 0")
-        steps = shallow(enabled_async, cfg)
+        steps = shallow(enabled, cfg, "async")
         assert sorted((l.subjects, l.tag_id) for l, _ in steps) == [
             (("p",), 0), (("s", "q"), None)]
         [end] = [s.chor for l, s in steps if l.tag_id == 0]
@@ -103,11 +103,11 @@ class TestOutOfOrderDelivery:
     def test_second_message_receivable_first(self):
         # Both sends fire; r may consume its message before q does.
         cfg = cfg_of("p.1 -> q; p.2 -> r; 0")
-        mid = [s for l, s in enabled_async(cfg)
+        mid = [s for l, s in enabled(cfg, "async")
                if l.subjects == ("p", "q")][0]
-        mid = [s for l, s in enabled_async(mid)
+        mid = [s for l, s in enabled(mid, "async")
                if l.rule == "ComS" and l.subjects == ("p", "r")][0]
-        receives = [(l.subjects, s) for l, s in enabled_async(mid)
+        receives = [(l.subjects, s) for l, s in enabled(mid, "async")
                     if l.rule == "ComR"]
         assert sorted(x for x, _ in receives) == [("p", "q"), ("p", "r")]
         r_first = dict(receives)[("p", "r")]
@@ -122,9 +122,9 @@ class TestOutOfOrderDelivery:
     def test_fifo_per_lane(self):
         # Two messages on the same lane are received in send order.
         cfg = cfg_of("p.1 -> q; p.2 -> q; 0")
-        mid = enabled_async(cfg)[0][1]
+        mid = enabled(cfg, "async")[0][1]
         # second send is enabled only as ComS; the only ComR takes value 1
-        receives = [l for l, _ in enabled_async(mid) if l.rule == "ComR"]
+        receives = [l for l, _ in enabled(mid, "async") if l.rule == "ComR"]
         assert [l.value for l in receives] == [IntV(1)]
 
 
@@ -216,7 +216,7 @@ class TestWellFormedness:
         for _ in range(6):
             nxt = []
             for c in frontier:
-                for _, succ in enabled_async(c):
+                for _, succ in enabled(c, "async"):
                     assert well_formed(succ.chor)[0], \
                         render_choreography(succ.chor)
                     nxt.append(succ)
@@ -294,7 +294,7 @@ def test_abstract_async_holds_on_sample_programs():
 
 
 def test_abstract_async_reports_each_missing_step(monkeypatch):
-    monkeypatch.setattr(chor_async, "enabled_async", lambda cfg: [])
+    monkeypatch.setattr(chor_async, "enabled", lambda cfg, mode: [])
     c = parse_choreography("p.1 -> q; 0")
     contexts, violations = check_abstract_async(
         [c], lambda c: GlobalState.uniform(["p", "q"]))

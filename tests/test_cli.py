@@ -20,6 +20,7 @@ from chorkit.cli import (
     EXIT_USAGE,
     main,
 )
+from chorkit.verify import CorpusSpec, generate_corpus
 from helpers import shallow
 
 
@@ -462,6 +463,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "well-formedness-preservation prog000: pass" in out
         assert "epp-async-lockstep" not in out
+
+    def test_t8_also_checks_well_formedness(self, capsys):
+        assert main(["verify", "--theorem", "t8", "--depth", "1"]) == 0
+        reports = [line.split(":")[0].split()
+                   for line in capsys.readouterr().out.splitlines()
+                   if " prog" in line]
+        programs = len(generate_corpus(CorpusSpec()))
+        assert reports == [
+            [theorem, f"prog{i:03d}"] for i in range(programs)
+            for theorem in ("epp-async-lockstep",
+                            "well-formedness-preservation")]
 
 
 class TestInitialState:

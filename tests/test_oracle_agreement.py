@@ -43,11 +43,11 @@ from chorkit import (
     Message,
     NIL,
     Queue,
+    enabled,
     parse_choreography,
     pn,
     render_choreography,
 )
-from chorkit.chor_async import enabled_async
 
 
 def chains(names, n):
@@ -113,7 +113,7 @@ def test_async_reachable_runtime_configurations():
         for _ in range(2):
             nxt = []
             for cfg in frontier:
-                for _, succ in enabled_async(cfg):
+                for _, succ in enabled(cfg, "async"):
                     if succ.key() not in seen:
                         seen.add(succ.key())
                         nxt.append(succ)

@@ -25,6 +25,8 @@ from chorkit import (
 )
 import chorkit.network as network
 import chorkit.sync as sync
+from chorkit.cli import InteractiveScheduler
+from chorkit.run import step_order
 from chorkit.terms import head
 from chorkit.verify import check_diamond, explore_network
 from helpers import shallow
@@ -73,6 +75,20 @@ class TestSchedulers:
                                           budget)):
                     assert trace.outcome == "deadlocked"
                     assert trace.steps == ()
+
+    def test_schedulers_share_one_step_order(self, monkeypatch):
+        steps = sync.enabled(cfg_of("p.1 -> q; r.2 -> s; p.3 -> r; 0"),
+                             "async")
+        ordered = sorted(steps, key=step_order)
+        shuffled = steps[::-1]
+        assert ordered != shuffled
+        assert make_scheduler("leftmost").pick(shuffled) == ordered[0]
+        for seed in range(5):
+            index = random.Random(seed).randrange(len(ordered))
+            assert make_scheduler("random", seed).pick(shuffled) == \
+                ordered[index]
+        monkeypatch.setattr("builtins.input", lambda prompt="": "2")
+        assert InteractiveScheduler().pick(shuffled) == ordered[1]
 
     def test_a_scheduler_that_picks_nothing_interrupts(self):
         class Quit:

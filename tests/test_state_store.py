@@ -477,6 +477,31 @@ def _entries(steps, kind):
     return [state for state in steps if type(state) is kind]
 
 
+def test_each_exploration_runs_once_per_store(monkeypatch):
+    """Over every check of one program, each (interned start, mode,
+    depth) reaches the search once: t5, t8, t6, diamond and wf share one
+    asynchronous search, t1 and t2 one synchronous search, and t1 and t7
+    one synchronous search of the projection."""
+    searches = collections.Counter()
+    search = verify._search
+
+    def counted(store, start, mode, depth, *rest):
+        searches[store, start, mode, depth] += 1
+        return search(store, start, mode, depth, *rest)
+
+    monkeypatch.setattr(verify, "_search", counted)
+    theorems = set(THEOREMS) - {"abstract-async"}
+    spec = CorpusSpec(count=20)
+    verify_corpus(theorems, spec, depth=DEPTH)
+    assert set(searches.values()) == {1}
+    explorations = collections.Counter(
+        (type(start), mode) for _, start, mode, depth in searches
+        if depth == DEPTH)
+    assert explorations == {
+        (kind, mode): len(generate_corpus(spec))
+        for kind in (Configuration, Network) for mode in ("sync", "async")}
+
+
 def test_each_store_table_computes_each_key_once(monkeypatch):
     calls = collections.Counter()
 
@@ -488,9 +513,8 @@ def test_each_store_table_computes_each_key_once(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("enabled_sync", "enabled_async", "enabled_sp",
-                 "enabled_asp", "well_formed", "project_network",
-                 "network_equiv"):
+    for name in ("enabled", "enabled_sp", "enabled_asp", "well_formed",
+                 "project_network", "network_equiv"):
         counted(verify, name)
     counted(congruence, "behaviour_equiv")
     for program in generate_corpus(CorpusSpec(count=20)):
@@ -508,8 +532,8 @@ def test_each_store_table_computes_each_key_once(monkeypatch):
         check_well_formedness_preservation(program, sigma, DEPTH,
                                            store=store)
         computed = {
-            "enabled_sync": _entries(store._steps["sync"], Configuration),
-            "enabled_async": _entries(store._steps["async"], Configuration),
+            "enabled": [*_entries(store._steps["sync"], Configuration),
+                        *_entries(store._steps["async"], Configuration)],
             "enabled_sp": _entries(store._steps["sync"], Network),
             "enabled_asp": _entries(store._steps["async"], Network),
             "well_formed": store._well_formed,

@@ -10,16 +10,13 @@ from chorkit import (
     IntV,
     LeftmostScheduler,
     NIL,
-    NotEnabled,
-    enabled_sync,
+    enabled,
     gc,
     parse_choreography,
     pn,
     project_behaviour,
     render_choreography,
     run_chor,
-    step_com,
-    step_cond,
     terminated,
 )
 from chorkit.network import gc_behaviour
@@ -37,13 +34,13 @@ def cfg_of(text, **cells):
 
 
 def labels(cfg):
-    return sorted((l.rule, l.subjects) for l, _ in enabled_sync(cfg))
+    return sorted((l.rule, l.subjects) for l, _ in enabled(cfg, "sync"))
 
 
 class TestEnabledness:
     def test_head_communication_fires(self):
         cfg = cfg_of("p.1 -> q; 0")
-        steps = enabled_sync(cfg)
+        steps = enabled(cfg, "sync")
         assert len(steps) == 1
         label, succ = steps[0]
         assert (label.rule, label.subjects) == ("Com", ("p", "q"))
@@ -63,14 +60,14 @@ class TestEnabledness:
 
     def test_out_of_order_execution_preserves_the_rest(self):
         cfg = cfg_of("p.1 -> q; r.2 -> s; 0")
-        later = [s for l, s in enabled_sync(cfg)
+        later = [s for l, s in enabled(cfg, "sync")
                  if l.subjects == ("r", "s")][0]
         assert render_choreography(later.chor) == "p.1 -> q; 0"
         assert later.state.get("s") == IntV(2)
 
     def test_expression_evaluated_at_the_sender(self):
         cfg = cfg_of("p.@ + 1 -> q; 0", p=41)
-        [(label, succ)] = enabled_sync(cfg)
+        [(label, succ)] = enabled(cfg, "sync")
         assert label.value == IntV(42)
         assert succ.state.get("q") == IntV(42)
 
@@ -79,12 +76,12 @@ class TestConditionals:
     def test_guard_picks_a_branch(self):
         cfg = cfg_of("if p.@ < 5 then { p.1 -> q; 0 } else { p.2 -> q; 0 }",
                      p=3)
-        steps = enabled_sync(cfg)
+        steps = enabled(cfg, "sync")
         assert [l.rule for l, _ in steps] == ["Then"]
         assert render_choreography(steps[0][1].chor) == "p.1 -> q; 0"
         cfg = cfg_of("if p.@ < 5 then { p.1 -> q; 0 } else { p.2 -> q; 0 }",
                      p=9)
-        assert [l.rule for l, _ in enabled_sync(cfg)] == ["Else"]
+        assert [l.rule for l, _ in enabled(cfg, "sync")] == ["Else"]
 
     def test_action_common_to_both_branches_fires_early(self):
         # q -> r appears identically in both branches and does not involve
@@ -93,7 +90,7 @@ class TestConditionals:
                      " else { q.1 -> r; p.3 -> q; 0 }")
         rules = labels(cfg)
         assert ("Com", ("q", "r")) in rules
-        early = [s for l, s in enabled_sync(cfg)
+        early = [s for l, s in enabled(cfg, "sync")
                  if l.subjects == ("q", "r")][0]
         # The conditional is still pending afterwards.
         assert render_choreography(early.chor).startswith("if p.true")
@@ -110,23 +107,23 @@ class TestConditionals:
     def test_non_boolean_guard_raises(self):
         cfg = cfg_of("if p.@ + 1 then { 0 } else { 0 }")
         with pytest.raises(GuardNotBoolean):
-            enabled_sync(cfg)
+            enabled(cfg, "sync")
 
     def test_guard_is_evaluated_only_when_its_conditional_can_step(self):
         # The inner conditional is in one branch only, so it cannot step
         # before the outer one fires; its guard raises after that.
         cfg = cfg_of("if p.true then { if q.@ + 1 then { 0 } else { 0 } }"
                      " else { 0 }")
-        [(label, succ)] = enabled_sync(cfg)
+        [(label, succ)] = enabled(cfg, "sync")
         assert label.rule == "Then"
         with pytest.raises(GuardNotBoolean):
-            enabled_sync(succ)
+            enabled(succ, "sync")
 
 
 class TestRecursion:
     def test_call_unfolds_once_per_exposure(self):
         cfg = cfg_of("def X = { p.1 -> q; X } in X")
-        [(label, succ)] = enabled_sync(cfg)
+        [(label, succ)] = enabled(cfg, "sync")
         assert (label.rule, label.subjects) == ("Com", ("p", "q"))
         # The loop is still there, one iteration consumed.
         assert render_choreography(succ.chor) == \
@@ -134,7 +131,7 @@ class TestRecursion:
 
     def test_no_infinite_unfolding_when_enumerating(self):
         cfg = cfg_of("def X = { p.1 -> q; X } in X")
-        assert len(enabled_sync(cfg)) == 1
+        assert len(enabled(cfg, "sync")) == 1
 
     def test_loop_does_not_hide_later_independent_action(self):
         cfg = cfg_of("def X = { p.1 -> q; X } in r.2 -> s; X")
@@ -183,7 +180,7 @@ class TestLexicalScope:
         # Every process but r and s is blocked within two steps, so the
         # walk goes down 2,000 prefixes to the last one.
         cfg = cfg_of("p.1 -> q; q.2 -> p; " * 1000 + "r.3 -> s; 0")
-        steps = shallow(enabled_sync, cfg)
+        steps = shallow(enabled, cfg, "sync")
         assert sorted((l.rule, l.subjects) for l, _ in steps) == \
             [("Com", ("p", "q")), ("Com", ("r", "s"))]
         [(label, succ)] = [s for s in steps if s[0].subjects == ("r", "s")]
@@ -245,33 +242,10 @@ class TestGcAndTermination:
             project_behaviour(loop, "b")
 
 
-class TestExplicitSteps:
-    def test_step_com_applies_the_chosen_redex(self):
-        cfg = cfg_of("p.1 -> q; r.2 -> s; 0")
-        label = [l for l, _ in enabled_sync(cfg)
-                 if l.subjects == ("r", "s")][0]
-        succ = step_com(cfg, label)
-        assert render_choreography(succ.chor) == "p.1 -> q; 0"
-
-    def test_step_com_rejects_conditional_redexes(self):
-        cfg = cfg_of("if p.true then { 0 } else { 0 }")
-        label = enabled_sync(cfg)[0][0]
-        with pytest.raises(NotEnabled):
-            step_com(cfg, label)
-        assert terminated(step_cond(cfg, label).chor)
-
-    def test_stale_redex_rejected(self):
-        cfg = cfg_of("p.1 -> q; 0")
-        label = enabled_sync(cfg)[0][0]
-        _, succ = enabled_sync(cfg)[0]
-        with pytest.raises(NotEnabled):
-            step_com(succ, label)
-
-
 def test_deterministic_program_runs_to_completion():
     cfg = cfg_of("p.1 -> q; q.@ + 1 -> r; r.@ + 1 -> s; 0")
     for _ in range(3):
-        steps = enabled_sync(cfg)
+        steps = enabled(cfg, "sync")
         cfg = steps[0][1]
     assert terminated(cfg.chor)
     assert cfg.state.get("s") == IntV(3)
