@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import NotACom
 from .terms import (
     ACTIONS,
-    CHAIN,
     NIL,
     Com,
     Cond,
@@ -25,14 +24,13 @@ from .terms import (
     RtSend,
     Tag,
     TagSupply,
+    fold,
     head,
     head_pn,
     kids,
     replace_cont,
     replace_kid,
-    resume,
-    rewrite_all,
-    runtime_free,
+    rewrite_first,
     transform,
 )
 from .render import render_choreography
@@ -46,16 +44,23 @@ _PATH_STEPS = {("cont", Com): 0, ("cont", RtSend): 0, ("cont", RtRecv): 0,
 
 def unfold_com(c, at: tuple, supply: TagSupply):
     """Expand the communication at path ``at`` into an explicit detached
-    send/receive pair with a fresh tag."""
-    if not at:
-        if not isinstance(c, Com):
-            raise NotACom(f"no communication at this position: {c!r}")
-        x = supply.fresh()
-        return RtSend(c.src, c.expr, x, RtRecv(c.src, x, c.dst, c.cont))
-    i = _PATH_STEPS.get((at[0], type(c)))
-    if i is None:
-        raise NotACom(f"path step {at[0]!r} does not fit {type(c).__name__}")
-    return replace_kid(c, i, unfold_com(kids(c)[i], at[1:], supply))
+    send/receive pair with a fresh tag.  The walk loops down the path and
+    puts the pair back in place along the nodes it passed."""
+    above = []
+    for step in at:
+        i = _PATH_STEPS.get((step, type(c)))
+        if i is None:
+            raise NotACom(f"path step {step!r} does not fit "
+                          f"{type(c).__name__}")
+        above.append((c, i))
+        c = kids(c)[i]
+    if not isinstance(c, Com):
+        raise NotACom(f"no communication at this position: {c!r}")
+    x = supply.fresh()
+    c = RtSend(c.src, c.expr, x, RtRecv(c.src, x, c.dst, c.cont))
+    for node, i in reversed(above):
+        c = replace_kid(node, i, c)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -128,34 +133,45 @@ def well_formed(c):
     sitting behind one would be delivered out of FIFO order by any queue
     implementation.  Returns ``(True, canonical_form)`` or ``(False, None)``.
     """
-    term = rewrite_all(gc(c), _fold_here)
-    if not _settled(term, frozenset()):
+    term = gc(c)
+    # Folding ends, by the measure in the docstring of _fold_here.
+    while (new := rewrite_first(term, _fold_here)) is not None:
+        term = new
+    if fold(term, _settled_end, _settled_chain) is None:
         return False, None
     return True, term
 
 
-def _settled(c, closed: frozenset) -> bool:
-    """No detached send, no tag-carrying receive, no runtime term inside a
-    recursion body (execution never puts one there), and no in-transit
-    message on a lane that an earlier communication on the same lane has
-    already closed, along any branch."""
-    while True:
-        kind = type(c)
-        if kind is Com:
-            closed = closed | {(c.src, c.dst)}
-        elif kind is RtRecv:
-            if type(c.payload) is Tag or (c.src, c.dst) in closed:
-                return False
-        elif kind is Cond:
-            return _settled(c.then, closed) and _settled(c.orelse, closed)
-        elif kind is Def:
-            # A runtime-free body runs only after a call, which nothing
-            # follows, so only the continuation needs the lane scan.
-            if not runtime_free(c.body):
-                return False
-        else:
-            return kind is not RtSend
-        c = c.cont
+def _settled_end(c, done):
+    """The lanes (sender, receiver) that still hold a message in transit
+    in ``c``, not a prefix, from those of its subterms, ``done``; None
+    when ``c`` is not settled.  A settled term holds no detached send, no
+    tag-carrying receive, no runtime term inside a recursion body
+    (execution never puts one there), and, along any branch, no message
+    in transit behind a communication on its lane, which has closed it."""
+    if type(c) is Cond:
+        then, orelse = done
+        return None if then is None or orelse is None else then | orelse
+    if type(c) is Def:
+        # A runtime-free body (no lanes, and settled) runs only after a
+        # call, which nothing follows, so only the continuation counts.
+        body, cont = done
+        return cont if body == frozenset() else None
+    return frozenset()
+
+
+def _settled_chain(run, lanes):
+    """:func:`_settled_end` of the prefixes ``run`` above ``lanes``."""
+    for c in reversed(run):
+        if lanes is None or type(c) is RtSend:
+            return None
+        if type(c) is Com and (c.src, c.dst) in lanes:
+            return None
+        if type(c) is RtRecv:
+            if type(c.payload) is Tag:
+                return None
+            lanes = lanes | {(c.src, c.dst)}
+    return lanes
 
 
 def _fold_here(c):
@@ -220,24 +236,27 @@ class Violation:
 
 
 def harvest_contexts(c):
-    """All contexts obtained by carving one communication out of ``c``;
-    under a conditional the same communication must be carved from the
-    matching position of both branches.  The walk loops down the chain
-    and recurses only into the branches of a conditional."""
-    found = []  # (spine there, context there, communication)
-    spine = ()
-    while type(c) in CHAIN:
-        if type(c) is Com:
-            found.append((spine, Hole(c.cont), replace_cont(c, NIL)))
-        spine = (c, spine)
-        c = c.cont
-    if type(c) is Cond:
-        left, right = harvest_contexts(c.then), harvest_contexts(c.orelse)
-        for (ctx_a, com_a), (ctx_b, com_b) in zip(left, right):
-            if com_a == com_b:
-                found.append((spine, Cond(c.decider, c.expr, ctx_a, ctx_b),
-                              com_a))
-    return [(resume(ctx, spine), com) for spine, ctx, com in found]
+    """All contexts obtained by carving one communication out of ``c``,
+    as (context, communication) pairs, by :func:`terms.fold`; under a
+    conditional the same communication must be carved from the matching
+    position of both branches, and a definition's body holds none."""
+    def chain(run, found):
+        for node in reversed(run):
+            found = [(replace_cont(node, ctx), com) for ctx, com in found]
+            if type(node) is Com:
+                found.insert(0, (Hole(node.cont), replace_cont(node, NIL)))
+        return found
+
+    def end(t, done):
+        if type(t) is Cond:
+            return [(Cond(t.decider, t.expr, ctx_a, ctx_b), com_a)
+                    for (ctx_a, com_a), (ctx_b, com_b) in zip(*done)
+                    if com_a == com_b]
+        if type(t) is Def:
+            return [(replace_cont(t, ctx), com) for ctx, com in done[1]]
+        return []
+
+    return fold(c, end, chain)
 
 
 def check_abstract_async(corpus, sigma_for) -> tuple:

@@ -4,11 +4,11 @@ Exit codes: 0 success, 1 parse error, 2 not projectable, 3 ill-formed,
 4 verification failure, 5 runtime error (a guard that is not boolean, a
 state lookup outside the program, queued messages under the synchronous
 network semantics, an asynchronous run that needs a fresh tag past
-2^63-1, or a term nested too deeply for the engines to walk within
-Python's recursion limit), 64 usage error (a bad flag, a negative
-``--steps`` or ``--depth``, a file that cannot be read or written, or a
-``--state`` that is not a JSON object mapping the program's process names
-to storable values).
+2^63-1, or an expression nested too deeply to parse or evaluate within
+Python's recursion limit; terms nest to any depth), 64 usage error (a
+bad flag, a negative ``--steps`` or ``--depth``, a file that cannot be
+read or written, or a ``--state`` that is not a JSON object mapping the
+program's process names to storable values).
 """
 
 from __future__ import annotations

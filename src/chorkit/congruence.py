@@ -23,6 +23,7 @@ from .terms import (
     RtSend,
     Tag,
     fixed,
+    fold,
     gc,
     head,
     head_pn,
@@ -66,15 +67,14 @@ def canonical(c):
 
 def _sort_chains(t):
     """``t`` with each maximal chain of actions in lexicographic normal
-    form; ``t`` itself when every chain already is."""
-    chain = []
-    while type(t) in ACTIONS:
-        chain.append(t)
-        t = t.cont
-    t = rebuild(t, [_sort_chains(k) for k in kids(t)])
-    for node in reversed(_lex_normal(chain)):
-        t = replace_cont(node, t)
-    return t
+    form, by :func:`terms.fold`; ``t`` itself when every chain already
+    is."""
+    def chain(run, done):
+        for node in reversed(_lex_normal(run)):
+            done = replace_cont(node, done)
+        return done
+
+    return fold(t, rebuild, chain)
 
 
 def _lex_normal(chain):

@@ -27,6 +27,7 @@ from .terms import (
     RtSend,
     Tag,
     gc,
+    kids,
     pn,
     rebuild,
     runtime_free,
@@ -43,44 +44,56 @@ def _project(c, r: str, memo) -> tuple:
     for it so far to that pair, so a subterm shared between choreographies
     projects once, to the same behaviour object."""
     # Actions of ``r`` along the prefix chain are collected in a loop and
-    # wrapped around the projection of the chain's end, so chains of any
-    # length project without deep recursion.
+    # wrapped around the projection of the chain's end.  The subterms of a
+    # conditional or a definition wait on an explicit stack, with the
+    # chain above them, and their projections on another.
     seen = None if memo is None else memo.setdefault(r, {})
-    chain = []
-    while True:
-        found = seen.get(c) if seen else None
-        if found is not None:
-            break
-        kind = type(c)
-        if kind is not Com and kind is not RtRecv:
-            found = _project_end(c, r, memo)
-            break
-        if kind is RtRecv and isinstance(c.payload, Tag):
-            raise IllFormed(_PENDING)
-        chain.append(c)
-        c = c.cont
-    if seen is not None:
-        seen[c] = found
-    b, queue = found
-    for node in reversed(chain):
-        if type(node) is Com and r == node.src:
-            b = BSend(node.dst, node.expr, b)
-        elif r == node.dst:
-            b = BRecv(node.src, b)
-            if type(node) is RtRecv:
-                queue = (Message(node.src, node.payload),) + queue
+    done, todo = [], [c]
+    while todo:
+        c, chain = todo.pop(), []
+        if type(c) is list:  # [chain, node, n]: node's n subterms are done
+            chain, c, n = c
+            found = _project_end(c, r, done[-n:])
+            del done[-n:]
+        else:
+            while (found := seen.get(c) if seen else None) is None:
+                kind = type(c)
+                if kind is not Com and kind is not RtRecv:
+                    break
+                if kind is RtRecv and isinstance(c.payload, Tag):
+                    raise IllFormed(_PENDING)
+                chain.append(c)
+                c = c.cont
+            if found is None and (type(c) is Cond or type(c) is Def):
+                ks = kids(c)
+                todo.append([chain, c, len(ks)])
+                todo += reversed(ks)  # the then branch, or the body, first
+                continue
+            if found is None:
+                found = _project_end(c, r, ())
         if seen is not None:
-            seen[node] = b, queue
-    return b, queue
+            seen[c] = found
+        b, queue = found
+        for node in reversed(chain):
+            if type(node) is Com and r == node.src:
+                b = BSend(node.dst, node.expr, b)
+            elif r == node.dst:
+                b = BRecv(node.src, b)
+                if type(node) is RtRecv:
+                    queue = (Message(node.src, node.payload),) + queue
+            if seen is not None:
+                seen[node] = b, queue
+        done.append((b, queue))
+    return done.pop()
 
 
-def _project_end(c, r: str, memo) -> tuple:
-    """:func:`_project` of ``c``, which is not an action of a chain."""
+def _project_end(c, r: str, done) -> tuple:
+    """:func:`_project` of ``c``, which is not an action of a chain, from
+    ``done``, the projections of its subterms."""
     if isinstance(c, RtSend):
         raise IllFormed("cannot project a detached send")
     if isinstance(c, Cond):
-        then, queue = _project(c.then, r, memo)
-        orelse, other = _project(c.orelse, r, memo)
+        (then, queue), (orelse, other) = done
         if r == c.decider:
             return BCond(c.expr, then, orelse, NIL), queue
         if queue != other:
@@ -91,8 +104,7 @@ def _project_end(c, r: str, memo) -> tuple:
                 f"conditional branches disagree at process {r!r}")
         return then, queue
     if isinstance(c, Def):
-        body = _project(c.body, r, memo)[0]
-        cont, queue = _project(c.cont, r, memo)
+        (body, _), (cont, queue) = done
         return rebuild(c, (body, cont)), queue
     return c, ()  # a call or 0 projects to itself
 

@@ -26,6 +26,7 @@ from .terms import (
     Cond,
     Def,
     Expr,
+    Hole,
     Nil,
     RtRecv,
     Tag,
@@ -71,87 +72,118 @@ class StepLabel(Term):
                          tag_id, self.expr)
 
 
-def _walk(c, mode, env, entered, blocked, path, everyone):
-    """The moves of ``c`` in ``mode`` and the environment ``env``, as
-    (rule, subjects, path, operand, tag, after, settled) tuples, which the
-    global state does not decide.  ``rule`` is Com, ComR, ComS, or Cond
-    for a conditional, whose guard picks Then or Else; ``operand`` is the
-    expression of the value or guard, or the payload of a receive; ``tag``
-    is the tag of a detached send.  ``after`` holds the successors: one,
-    or the then and else successors of a conditional.  An asynchronous
-    send keeps instead the (spine, continuation) that :func:`_sent` builds
-    its successor from, as the receive it leaves carries the value.
+def _walk(c, mode, everyone):
+    """The moves of ``c`` in ``mode``, as (rule, subjects, path, operand,
+    tag, after, settled) tuples, which the global state does not decide.
+    ``rule`` is Com, ComR, ComS, or Cond for a conditional, whose guard
+    picks Then or Else; ``operand`` is the expression of the value or
+    guard, or the payload of a receive; ``tag`` is the tag of a detached
+    send.  ``after`` holds the successors: one, or the then and else
+    successors of a conditional.  An asynchronous send keeps instead the
+    (spine, term) that :func:`_sent` builds its successor from: the term
+    has a hole where the send was, in each branch for a conditional's.
     ``settled`` says that no definition lies above the move, so that its
     successors are collected when ``c`` is.
 
-    The walk loops down the chain of prefixes, definitions and calls, and
-    recurses only into the branches of a conditional.  A call resolves
-    lexically, as in :func:`terms.head`, and each definition unfolds at
-    most once on a path: ``entered`` holds the environment entries
-    unfolded so far.  Every move needs a process outside ``blocked``, so
-    the walk stops once ``blocked`` holds ``everyone``, a superset of the
-    processes of ``c``.  Successors are rebuilt once from the spine of
-    visited nodes, chained as :func:`terms.resume` reads it."""
-    found = []  # (spine there, fields up to after, after there, settled)
-    spine = ()
-    path = list(path)
-    settled = True
-
-    def move(rule, subjects, after, operand, tag=None):
-        found.append((spine, (rule, subjects, tuple(path), operand, tag),
-                      after, settled))
-
-    while not blocked >= everyone:
-        kind = type(c)
-        if kind is Call:
-            entry = binder(env, c.var)
-            if not entry or entry in entered:
-                break
-            entered = entered | {entry}
-            if entry is not env:
-                for d in _rebound(env, entry):
-                    spine = (d, spine)
-            env, c = entry, entry[0].body
-            path.append("unfold")
-            continue
-        if kind is Cond:
-            if c.decider not in blocked:
-                move("Cond", (c.decider,), (c.then, c.orelse), c.expr)
-            inner = blocked | {c.decider}
-            left = _walk(c.then, mode, env, entered, inner,
-                         (*path, "then"), everyone)
-            right = _walk(c.orelse, mode, env, entered, inner,
-                          (*path, "else"), everyone)
-            for a, b in _match_by_key(left, right):
+    The walk loops down the chain of prefixes, definitions and calls.  A
+    call resolves lexically, as in :func:`terms.head`, and each definition
+    unfolds at most once on a path: ``entered`` holds the environment
+    entries unfolded so far.  Every move needs a process outside
+    ``blocked``, so a walk stops once ``blocked`` holds ``everyone``, a
+    superset of the processes of ``c``.  The branches of a conditional
+    wait on an explicit stack and are walked depth first; an else branch
+    that is the very object of its then branch is walked once.
+    Successors are rebuilt once from the spine of visited nodes, chained
+    as :func:`terms.resume` reads it."""
+    walked = []  # the moves of each walked branch, resumed to its top
+    path = []  # the steps from the top to the walk
+    todo = [(c, (), frozenset(), frozenset(), 0, ())]
+    while todo:
+        item = todo.pop()
+        if type(item) is list:  # both branches of a conditional are walked
+            found, spine, settled, c, shared = item
+            right = walked.pop()
+            left = right if shared else walked.pop()
+            for a, b in (zip(left, left) if shared
+                         else _match_by_key(left, right)):
                 if a[0] == "ComS":
-                    after = (c.decider, c.expr, a[5], b[5])
+                    x = resume(a[5][1], a[5][0])
+                    y = x if b is a else resume(b[5][1], b[5][0])
+                    after = Cond(c.decider, c.expr, x, y)
                 else:
                     after = tuple([Cond(c.decider, c.expr, x, y)
                                    for x, y in zip(a[5], b[5])])
                 found.append((spine, a[:5], after,
                               settled and a[6] and b[6]))
-            break
-        if kind is Def:
-            env = (c, env)
-            settled = False
-        elif kind is Nil:
-            break
-        elif mode == "sync":
-            if kind is Com and c.src not in blocked and c.dst not in blocked:
-                move("Com", (c.src, c.dst), (c.cont,), c.expr)
-        elif kind is RtRecv:
-            if type(c.payload) is not Tag and c.dst not in blocked:
-                move("ComR", (c.src, c.dst), (c.cont,), c.payload)
-        elif c.src not in blocked:  # an async send, attached or detached
-            if kind is Com:
-                move("ComS", (c.src, c.dst), c.cont, c.expr)
-            else:
-                move("ComS", (c.src,), c.cont, c.expr, c.tag)
-        if kind is not Def:
-            blocked = blocked | head_pn(c)
-        spine = (c, spine)
-        c = c.cont
-        path.append("in" if kind is Def else "cont")
+            walked.append(_resumed(found))
+            continue
+        c, env, entered, blocked, depth, step = item
+        del path[depth:]
+        path += step
+        found = []  # (spine there, fields up to after, after there, settled)
+        spine = ()
+        settled = True
+
+        def move(rule, subjects, after, operand, tag=None):
+            found.append((spine, (rule, subjects, tuple(path), operand, tag),
+                          after, settled))
+
+        while not blocked >= everyone:
+            kind = type(c)
+            if kind is Call:
+                entry = binder(env, c.var)
+                if not entry or entry in entered:
+                    break
+                entered = entered | {entry}
+                if entry is not env:
+                    for d in _rebound(env, entry):
+                        spine = (d, spine)
+                env, c = entry, entry[0].body
+                path.append("unfold")
+                continue
+            if kind is Cond:
+                if c.decider not in blocked:
+                    move("Cond", (c.decider,), (c.then, c.orelse), c.expr)
+                inner = blocked | {c.decider}
+                shared = c.orelse is c.then
+                todo.append([found, spine, settled, c, shared])
+                if not shared:
+                    todo.append((c.orelse, env, entered, inner, len(path),
+                                 ("else",)))
+                todo.append((c.then, env, entered, inner, len(path),
+                             ("then",)))
+                found = None  # the conditional's frame resumes them
+                break
+            if kind is Def:
+                env = (c, env)
+                settled = False
+            elif kind is Nil:
+                break
+            elif mode == "sync":
+                if (kind is Com and c.src not in blocked
+                        and c.dst not in blocked):
+                    move("Com", (c.src, c.dst), (c.cont,), c.expr)
+            elif kind is RtRecv:
+                if type(c.payload) is not Tag and c.dst not in blocked:
+                    move("ComR", (c.src, c.dst), (c.cont,), c.payload)
+            elif c.src not in blocked:  # an async send, attached or detached
+                if kind is Com:
+                    move("ComS", (c.src, c.dst), Hole(c.cont), c.expr)
+                else:
+                    move("ComS", (c.src,), Hole(c.cont), c.expr, c.tag)
+            if kind is not Def:
+                blocked = blocked | head_pn(c)
+            spine = (c, spine)
+            c = c.cont
+            path.append("in" if kind is Def else "cont")
+        if found is not None:
+            walked.append(_resumed(found))
+    return walked.pop()
+
+
+def _resumed(found):
+    """The moves ``found`` of a walked chain, each with its successors put
+    back under the spine above the move."""
     return [(*fields, (spine, after) if fields[0] == "ComS"
              else tuple([resume(t, spine) for t in after]), settled)
             for spine, fields, after, settled in found]
@@ -159,17 +191,17 @@ def _walk(c, mode, env, entered, blocked, path, everyone):
 
 def _sent(after, src, value, dst):
     """The successor of an asynchronous send of ``value`` from ``src``,
-    built from its ``after`` (see :func:`_walk`): the send leaves behind
-    the receive at ``dst`` that carries the value, or, when it is detached
-    (``dst`` is None), just its continuation."""
+    built from its ``after`` (see :func:`_walk`): the send leaves behind,
+    at each hole, the receive at ``dst`` that carries the value, or, when
+    it is detached (``dst`` is None), just its continuation."""
+    def fill(n):
+        if type(n) is not Hole:
+            return n
+        return n.cont if dst is None else RtRecv(src, value, dst, n.cont)
+
     spine, inner = after
-    if type(inner) is tuple:  # the send in both branches of a conditional
-        decider, expr, then, orelse = inner
-        inner = Cond(decider, expr, _sent(then, src, value, dst),
-                     _sent(orelse, src, value, dst))
-    elif dst is not None:
-        inner = RtRecv(src, value, dst, inner)
-    return resume(inner, spine)
+    return resume(fill(inner) if type(inner) is Hole
+                  else transform(inner, fill), spine)
 
 
 def _rebound(env, entry):
@@ -240,7 +272,7 @@ def _fill(table, chor, mode, everyone):
     configuration, still needs collecting.  A settled successor of a
     collected term is collected already, and ``table`` knows its own
     successors to be collected."""
-    moves = _walk(chor, mode, (), frozenset(), frozenset(), (), everyone)
+    moves = _walk(chor, mode, everyone)
     made = table.made
     collected = any(m[6] for m in moves) and (id(chor) in made
                                              or gc(chor) is chor)

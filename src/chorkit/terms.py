@@ -22,8 +22,9 @@ from .errors import BindError, DupTagError, TagsExhausted
 class Term:
     """Base of every frozen term: equality is structural, and the
     structural hash is kept in the ``_h`` slot from its first use, or from
-    construction in an intern table's scope.  Both loop along the chain
-    of last fields, so a sequence of any length needs no recursion."""
+    construction in an intern table's scope.  Both keep the fields still
+    to visit on an explicit stack, so terms of any length and nesting need
+    no recursion."""
 
     __slots__ = ("_h",)
 
@@ -32,37 +33,41 @@ class Term:
             return self._h
         except AttributeError:
             pass
-        # First use: cache hash((type, *fields)) down the chain, deepest first.
-        spine, t = [self], self
-        while t._last is not None:
-            t = t._last(t)
-            if not isinstance(t, Term) or hasattr(t, "_h"):
-                break
-            spine.append(t)
-        for t in reversed(spine):
-            h = hash(t._type_and_fields(t))
-            _cache(t, h)
-        return h
+        # First use: cache hash((type, *fields)) of each node that has
+        # none, after those of its fields.
+        todo = [self]
+        while todo:
+            t = todo[-1]
+            fields = t._type_and_fields(t)
+            for f in fields:
+                if isinstance(f, Term) and not hasattr(f, "_h"):
+                    todo.append(f)
+            if todo[-1] is t:
+                _cache(t, hash(fields))
+                todo.pop()
+        return self._h
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
-        h1, h2 = getattr(self, "_h", None), getattr(other, "_h", None)
-        if h1 != h2 and h1 is not None and h2 is not None:
-            return False
-        a, b = self, other
-        while True:
-            init = a._init
-            if init is not None and init(a) != init(b):
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            h1, h2 = getattr(a, "_h", None), getattr(b, "_h", None)
+            if h1 != h2 and h1 is not None and h2 is not None:
                 return False
-            last = a._last
-            if last is None:
-                return True
-            a, b = last(a), last(b)
-            if a is b:
-                return True
-            if type(a) is not type(b) or not isinstance(a, Term):
-                return a == b
+            px = py = None  # the pair before: equal branches compare once
+            for x, y in zip(a._type_and_fields(a), b._type_and_fields(b)):
+                if x is y or x is px and y is py:
+                    continue
+                if type(x) is type(y) and isinstance(x, Term):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+                px, py = x, y
+        return True
 
 
 _cache = Term._h.__set__  # stores a hash past the frozen __setattr__
@@ -86,27 +91,35 @@ def interning(table: dict):
 def intern(t):
     """``t`` as the table in scope keeps it: the equal node the table
     holds, or else ``t`` with each field interned first, stored as it is
-    if its fields are unchanged and rebuilt if not.  It loops along the
-    chain of last fields."""
-    spine = []
-    while isinstance(t, Term) and t._last is not None:
-        found = _table.get(t._type_and_fields(t))
-        if found is not None:
-            t = found
-            break
-        spine.append(t)
-        t = t._last(t)
-    if type(t) is tuple:
-        new = tuple(map(intern, t))
-        t = t if all(map(is_, new, t)) else new
-    for node in reversed(spine):
-        kind, *parts = node._type_and_fields(node)
-        new = (*map(intern, parts[:-1]), t)
-        if all(map(is_, new, parts)):
-            t = _table[(kind, *new)] = node
-        else:
-            t = kind(*new)
-    return t
+    if its fields are unchanged and rebuilt if not; a tuple is interned
+    item by item.  What is still to intern waits on an explicit stack."""
+    done = {}  # id of each node or tuple interned -> its interned form
+    todo = [t]
+    while todo:
+        x = todo[-1]
+        if id(x) in done:
+            todo.pop()
+            continue
+        items = type(x) is tuple
+        key = x if items else x._type_and_fields(x)
+        found = None if items else _table.get(key)
+        if found is None:
+            later = [p for p in key if id(p) not in done
+                     and (type(p) is tuple or isinstance(p, Term))]
+            if later:
+                todo += later
+                continue
+            parts = key if items else key[1:]
+            found = tuple([done.get(id(p), p) for p in parts])
+            if all(map(is_, found, parts)):
+                found = x
+                if not items:
+                    _table[key] = x
+            elif not items:
+                found = type(x)(*found)
+        done[id(x)] = found
+        todo.pop()
+    return done[id(t)]
 
 
 def _constructor(cls, names):
@@ -142,12 +155,10 @@ def make({setters}):
 
 def term(cls):
     """Make ``cls`` (a :class:`Term` subclass) a frozen, slotted dataclass
-    that keeps the cached hash and the looping equality, built by
+    that keeps the cached hash and the structural equality, built by
     :func:`_constructor` (a class without fields has one node).  The
-    class gets the getters these use: ``_type_and_fields`` (the tuple of
-    its class and every field, which the hash is of), ``_last`` (the
-    last field; None if there is none) and ``_init`` (the fields before
-    it; None if there are none)."""
+    class gets the getter these use, ``_type_and_fields``: the tuple of
+    its class and every field, which the hash is of."""
     cls.__hash__ = Term.__hash__  # explicit, so dataclass keeps them
     cls.__eq__ = Term.__eq__
     # With a docstring, dataclass need not parse object's signature.
@@ -161,8 +172,6 @@ def term(cls):
         cls.__new__ = lambda kind: only
     cls._type_and_fields = (attrgetter("__class__", *names) if names
                             else staticmethod(lambda t: (type(t),)))
-    cls._last = attrgetter(names[-1]) if names else None
-    cls._init = attrgetter(*names[:-1]) if len(names) > 1 else None
     return cls
 
 
@@ -484,8 +493,8 @@ SUBTERMS = {
 }
 
 ACTIONS = frozenset({Com, RtSend, RtRecv})  # choreography actions
-CHAIN = ACTIONS | {Def}  # choreography nodes a chain goes on through
-_PREFIXES = ACTIONS | {BSend, BRecv}
+_PREFIXES = frozenset(cls for cls, names in SUBTERMS.items()
+                      if len(names) == 1)  # one subterm: the continuation
 _INERT = frozenset({Def, Call, Nil})  # every other constructor is an action
 _NO_CALLS = frozenset()
 
@@ -535,42 +544,80 @@ def replace_kid(t, i: int, new):
     return rebuild(t, ks[:i] + (new,) + ks[i + 1:])
 
 
+def fold(t, end, chain):
+    """The value of ``t``, computed bottom-up on an explicit stack.  Each
+    maximal run of prefixes (the nodes whose one subterm is their
+    continuation), listed from the top, goes to one ``chain(run, value)``
+    call with the value of the node below it; every other node goes to
+    ``end(node, values)``, with the values of its subterms in field
+    order.  Each subterm of a node with several is folded once per call,
+    however many paths lead to it, so a term whose branches are shared
+    costs its distinct nodes, and equal branches get one value."""
+    done = {}  # id of each subterm of a node with several -> its value
+    values, todo = [], [t]  # subterms' values; what is still to fold
+    while True:
+        top = todo.pop()
+        if type(top) is list:  # [top, run, node, n]: node's n subterms
+            top, run, t, n = top  # are folded
+            value = end(t, values[-n:])
+            del values[-n:]
+        elif id(top) in done:
+            values.append(done[id(top)])
+            continue
+        else:
+            run, t = [], top
+            while type(t) in _PREFIXES:
+                run.append(t)
+                t = t.cont
+            get = _KIDS.get(type(t))
+            if get is None:
+                value = end(t, ())
+            else:
+                ks = get(t)
+                todo.append([top, run, t, len(ks)])
+                todo += reversed(ks)
+                continue
+        if run:
+            value = chain(run, value)
+        if not todo:  # the value of t itself
+            return value
+        done[id(top)] = value  # ids stay valid: the caller holds them
+        values.append(value)
+
+
 def rewrite_first(t, here):
     """``t`` with its first subterm, in preorder, that ``here`` rewrites
     (``here`` answers None where it does not) replaced by the rewrite; None
-    when ``here`` rewrites none.  Like :func:`subterms`, it loops along the
-    last subterm."""
-    spine = []
-    while True:
-        new = here(t)
-        ks = kids(t)
-        if new is None and len(ks) > 1:
-            for i, k in enumerate(ks[:-1]):
-                found = rewrite_first(k, here)
-                if found is not None:
-                    new = replace_kid(t, i, found)
+    when ``here`` rewrites none.  The subterms still to visit wait on an
+    explicit stack, each with the chain of nodes above it.  A node with
+    several subterms is searched once: met again, ``here`` found nothing
+    there.  So an else branch is walked only when it is not the very
+    object of its then branch."""
+    searched = set()  # ids of the nodes with several subterms met so far
+    todo = [(t, ())]
+    while todo:
+        t, above = todo.pop()
+        while True:
+            ks = kids(t)
+            if len(ks) > 1:
+                if id(t) in searched:
                     break
-        if new is not None:
-            break
-        if not ks:
-            return None
-        spine.append(t)
-        t = ks[-1]
-    for node in reversed(spine):
-        new = rebuild(node, (*kids(node)[:-1], new))
-    return new
-
-
-def rewrite_all(t, here):
-    """Rewrite ``t`` with :func:`rewrite_first` until ``here`` rewrites
-    nothing.  This ends only if every rewrite of ``here`` shrinks a
-    well-founded measure of the whole term; the docstring of its user,
-    ``chor_async._fold_here``, gives its measure."""
-    while True:
-        new = rewrite_first(t, here)
-        if new is None:
-            return t
-        t = new
+                searched.add(id(t))
+            new = here(t)
+            if new is not None:
+                while above:  # put the rewrite back in place
+                    node, i, above = above
+                    new = replace_kid(node, i, new)
+                return new
+            if len(ks) > 1:
+                todo += [(ks[i], (t, i, above))
+                         for i in range(len(ks) - 1, 0, -1)
+                         if ks[i] is not ks[i - 1]]
+            elif not ks:
+                break
+            above = (t, 0, above)
+            t = ks[0]
+    return None
 
 
 def subterms(t):
@@ -589,25 +636,15 @@ def subterms(t):
             t = ks[-1]
 
 
-def transform(t, post, enter=None):
-    """Rebuild ``t`` bottom-up: each node is rebuilt from its transformed
-    subterms and then mapped by ``post``.  A node for which ``enter``
-    answers False is kept as it is, subterms included.  Like
-    :func:`subterms`, it loops along the last subterm."""
-    spine = []
-    while True:
-        if enter is not None and not enter(t):
-            done = t
-            break
-        ks = kids(t)
-        if not ks:
-            done = post(t)
-            break
-        spine.append((t, [transform(k, post, enter) for k in ks[:-1]]))
-        t = ks[-1]
-    for node, new in reversed(spine):
-        done = post(rebuild(node, (*new, done)))
-    return done
+def transform(t, post):
+    """Rebuild ``t`` bottom-up, by :func:`fold`: each node is rebuilt from
+    its transformed subterms and then mapped by ``post``."""
+    def chain(run, done):
+        for node in reversed(run):
+            done = post(replace_cont(node, done))
+        return done
+
+    return fold(t, lambda node, done: post(rebuild(node, done)), chain)
 
 
 def check_bound(t) -> None:
@@ -657,31 +694,38 @@ def gc(t):
 
 def _gc(t):
     """:func:`gc` of ``t``, and the variables called free in the result."""
-    spine = []
-    while type(t) in _PREFIXES:
-        spine.append(t)
-        t = t.cont
+    return fold(t, _gc_end, _gc_chain)
+
+
+def _gc_end(t, done):
+    """:func:`_gc` of ``t``, not a prefix, from those of its subterms."""
     kind = type(t)
-    free = _NO_CALLS
-    if kind is Cond or kind is BCond:
-        done = [_gc(k) for k in _KIDS[kind](t)]
-        free = free.union(*[calls for _, calls in done])
-        t = rebuild(t, [k for k, _ in done])
-    elif kind is Def:
-        (body, inner), (cont, free) = _gc(t.body), _gc(t.cont)
-        if t.var not in free:
-            t = cont  # nothing calls the definition
-        else:
-            free = (inner | free) - {t.var}
-            if body is not t.body or cont is not t.cont:
-                t = Def(t.var, body, cont)
-            # A collected subterm that starts with an action keeps ``t``.
-            if (not free and type(body) in _INERT and type(cont) in _INERT
-                    and all(type(s) in _INERT for s in subterms(t))):
-                t = NIL
-    elif kind is Call:
-        free = frozenset((t.var,))
-    for node in reversed(spine):
+    if kind is Nil:
+        return t, _NO_CALLS
+    if kind is Call:
+        return t, frozenset((t.var,))
+    if kind is not Def:
+        return (rebuild(t, [k for k, _ in done]),
+                _NO_CALLS.union(*[calls for _, calls in done]))
+    (body, inner), (cont, free) = done
+    if t.var not in free:
+        return cont, free  # nothing calls the definition
+    free = (inner | free) - {t.var}
+    if body is not t.body or cont is not t.cont:
+        t = Def(t.var, body, cont)
+    # A collected subterm that starts with an action keeps ``t``.
+    if (not free and type(body) in _INERT and type(cont) in _INERT
+            and all(type(s) in _INERT for s in subterms(t))):
+        t = NIL
+    return t, free
+
+
+def _gc_chain(run, done):
+    """:func:`_gc` of the prefixes ``run`` above ``done``'s term."""
+    t, free = done
+    if t is run[-1].cont:  # nothing below changed
+        return run[0], free
+    for node in reversed(run):
         t = node if t is node.cont else replace_cont(node, t)
     return t, free
 
@@ -747,10 +791,9 @@ def pn(term) -> frozenset:
     receiver; tags and payloads contribute nothing.
     """
     names = set()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        while type(t) in SUBTERMS:  # the walk loops along the last subterm
+
+    def chain(run, _):
+        for t in run:
             kind = type(t)
             if kind is Com:
                 names.add(t.src)
@@ -759,13 +802,12 @@ def pn(term) -> frozenset:
                 names.add(t.src)
             elif kind is RtRecv or kind is BSend:
                 names.add(t.dst)
-            else:  # a conditional, a definition or a hole
-                if kind is Cond:
-                    names.add(t.decider)
-                *others, t = _KIDS[kind](t)
-                stack += others
-                continue
-            t = t.cont
+
+    def end(t, _):
+        if type(t) is Cond:
+            names.add(t.decider)
+
+    fold(term, end, chain)
     return frozenset(names)
 
 
@@ -815,18 +857,22 @@ def seq(first, cont):
     """
     if type(cont) is Nil:
         return first
-    spine = []
-    while type(first) in SUBTERMS and type(first) is not Cond:
-        spine.append(first)
-        first = first.cont
-    if type(first) is Cond:
-        t = Cond(first.decider, first.expr, seq(first.then, cont),
-                 seq(first.orelse, cont))
-    else:
-        t = cont if type(first) is Nil else first
-    for node in reversed(spine):
-        t = replace_cont(node, t)
-    return t
+
+    def end(t, done):
+        kind = type(t)
+        if kind is Nil:
+            return cont
+        if kind is Cond:
+            return rebuild(t, done)
+        # A definition or a behaviour conditional goes on in its last field.
+        return replace_cont(t, done[-1]) if done else t
+
+    def chain(run, done):
+        for node in reversed(run):
+            done = replace_cont(node, done)
+        return done
+
+    return fold(first, end, chain)
 
 
 def replace_cont(node, cont):

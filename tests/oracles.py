@@ -55,7 +55,6 @@ from chorkit.terms import (
     resume,
     seq,
     subterms,
-    transform,
 )
 from chorkit.values import eval_expr, eval_with_cell
 
@@ -311,9 +310,11 @@ def subst_call(t, var: str, body):
     """Replace the calls of ``var`` that no inner definition of ``var``
     shadows by ``body`` (one unfolding: calls inside the substituted body
     are left alone)."""
-    return transform(
-        t, lambda n: body if type(n) is Call and n.var == var
-        else n, lambda n: not (type(n) is Def and n.var == var))
+    if type(t) is Call and t.var == var:
+        return body
+    if type(t) is Def and t.var == var:
+        return t
+    return rebuild(t, [subst_call(k, var, body) for k in kids(t)])
 
 
 def unfold_variants(t):

@@ -140,6 +140,14 @@ class TestUnfoldCom:
         assert render_choreography(u) == \
             "p.1 -> q; r.2 ~> [#5]; s <~ (r, #5); 0"
 
+    def test_unfold_along_a_long_path(self):
+        # The walk loops down the path: 1,200 steps need no recursion.
+        c = parse_choreography("p.1 -> q; " * 1500 + "0")
+        u = shallow(unfold_com, c, ("cont",) * 1200, TagSupply(7))
+        assert render_choreography(u) == ("p.1 -> q; " * 1200 +
+                                          "p.1 ~> [#7]; q <~ (p, #7); " +
+                                          "p.1 -> q; " * 299 + "0")
+
     def test_unfold_rejects_non_communications(self):
         c = parse_choreography("if p.true then { 0 } else { 0 }")
         with pytest.raises(NotACom):

@@ -25,7 +25,8 @@ from chorkit import (
 )
 import chorkit.network as network
 import chorkit.sync as sync
-from chorkit.cli import InteractiveScheduler
+import chorkit.verify as verify
+from chorkit.cli import InteractiveScheduler, main
 from chorkit.run import step_order
 from chorkit.terms import head
 from chorkit.verify import check_diamond, explore_network
@@ -281,3 +282,35 @@ def test_ten_thousand_communications_need_no_recursion():
                 assert trace.outcome == "budget"
                 assert len(format_trace(trace).split("\n")) == 6
     shallow(check)
+
+
+def test_ten_thousand_nested_conditionals_need_no_recursion(tmp_path,
+                                                            capsys):
+    # The program of test_cli.TestNesting, 10,000 levels deep: every walk
+    # of every command and check keeps the subterms still to visit on a
+    # stack of its own, so none recurses along the nesting.
+    n = 10_000
+    text = ("if p.true then { " * n + "p.1 -> q; 0" +
+            " } else { p.1 -> q; 0 }" * n)
+    src = tmp_path / "nested.mc"
+    src.write_text(text)
+
+    def check():
+        assert main(["check", str(src)]) == 0
+        assert main(["check", str(src), "--canonical"]) == 0
+        for mode in ("sync", "async"):
+            net = str(tmp_path / f"nested.{mode}")
+            assert main(["project", str(src), "--mode", mode,
+                         "--out", net]) == 0
+            assert main(["run", str(src), "--mode", mode,
+                         "--steps", "1"]) == 0
+            assert main(["simulate", net, "--mode", mode,
+                         "--steps", "1"]) == 0
+        program = parse_choreography(text)
+        sigma, store = GlobalState.uniform(["p", "q"]), verify.SuccessorStore()
+        for name, run_check in verify._CHECKS.items():
+            assert run_check(program, sigma, 1, store).verdict == "pass", name
+    shallow(check)
+    out = capsys.readouterr().out
+    assert out.startswith("ok\nif p.true then { if p.true then {")
+    assert out.count("\n-- budget\n") == 4

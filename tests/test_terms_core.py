@@ -1,7 +1,9 @@
 """The traversal table in ``chorkit.terms``: it lists every constructor
 with subterms, names exactly their trailing fields, and its primitives give
-back the very node when nothing changes.  Terms hash and compare along
-their chains in a loop, and one names scan serves both term families."""
+back the very node when nothing changes.  Terms hash and compare on an
+explicit stack, one names scan serves both term families, and the fold
+agrees with recursive references, folds a shared node once and needs no
+recursion."""
 
 import dataclasses
 
@@ -9,6 +11,7 @@ import pytest
 
 from chorkit import (
     BCond,
+    BoolV,
     BRecv,
     BSend,
     Call,
@@ -25,6 +28,7 @@ from chorkit import (
     Lit,
     TagSupply,
     epp_sync,
+    gc,
     harvest_contexts,
     parse_network,
     pn,
@@ -32,6 +36,7 @@ from chorkit import (
 )
 from chorkit.terms import (
     SUBTERMS,
+    fold,
     kids,
     rebuild,
     replace_cont,
@@ -145,3 +150,86 @@ def test_pn_of_a_behaviour_is_its_partners():
         "def X = { s!2; X } in t?; X } | q[0]{ 0 }")
     assert pn(n.as_dict()["p"].behaviour) == {"q", "r", "s", "t"}
     assert pn(n.as_dict()["q"].behaviour) == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# The fold
+
+
+def gc_reference(t):
+    """``terms.gc`` of ``t`` and its free calls, by plain recursion."""
+    if type(t) is Call:
+        return t, {t.var}
+    done = [gc_reference(k) for k in kids(t)]
+    free = set().union(*[calls for _, calls in done])
+    if type(t) is Def:
+        (body, inner), (cont, outer) = done
+        if t.var not in outer:
+            return cont, outer
+        t, free = Def(t.var, body, cont), (inner | outer) - {t.var}
+        if not free and all(type(s) in (Def, Call, Nil)
+                            for s in subterms(t)):
+            t = NIL
+        return t, free
+    return rebuild(t, [k for k, _ in done]), free
+
+
+def pn_reference(t):
+    """``terms.pn`` of ``t``, by plain recursion."""
+    own = {Com: ("src", "dst"), RtSend: ("src",), BRecv: ("src",),
+           RtRecv: ("dst",), BSend: ("dst",), Cond: ("decider",)}
+    names = {getattr(t, f) for f in own.get(type(t), ())}
+    return names.union(*map(pn_reference, kids(t)))
+
+
+def transform_reference(t, post):
+    """``terms.transform`` of ``t``, by plain recursion."""
+    return post(rebuild(t, [transform_reference(k, post) for k in kids(t)]))
+
+
+def swap_ends(n):
+    """Each communication the other way round."""
+    return Com(n.dst, n.expr, n.src, n.cont) if type(n) is Com else n
+
+
+def test_fold_agrees_with_recursive_references(corpus):
+    for t in corpus:
+        assert gc(t) == gc_reference(t)[0]
+        assert pn(t) == pn_reference(t)
+        assert transform(t, swap_ends) == transform_reference(t, swap_ends)
+
+
+def tower(n, shared=True):
+    """``n`` conditionals on ``r``, each a communication above the next;
+    the else branch is the then branch, or else ``p.1 -> q; 0``."""
+    t = NIL
+    for _ in range(n):
+        then = Com("p", Lit(IntV(1)), "q", t)
+        t = Cond("r", Lit(BoolV(True)), then,
+                 then if shared else Com("p", Lit(IntV(1)), "q", NIL))
+    return t
+
+
+def test_equal_branches_are_folded_once():
+    def ends(n):
+        calls = []
+        fold(tower(n), lambda t, done: calls.append(t), lambda run, v: v)
+        return len(calls)
+
+    # One end call per conditional, and one for 0 at the bottom; walked as
+    # a tree, 40 levels would take about a million times 20 levels' calls.
+    assert ends(20) == 21 and ends(40) == 41
+    t = tower(40)
+    assert gc(t) is t and pn(t) == {"p", "q", "r"}
+    swapped = transform(t, swap_ends)
+    assert swapped.then is swapped.orelse and swapped.then.src == "q"
+    assert transform(swapped, swap_ends) == t
+
+
+def test_ten_thousand_levels_fold_without_recursion():
+    def check():
+        for t in (tower(10_000), tower(10_000, shared=False)):
+            assert gc(t) is t and pn(t) == {"p", "q", "r"}
+            back = transform(transform(t, swap_ends), swap_ends)
+            assert back == t and back is not t
+    shallow(check)

@@ -30,6 +30,8 @@ import chorkit.verify as verify
 from chorkit.terms import NIL, Call, Def, Process, RtRecv
 from chorkit.verify import (
     CorpusSpec,
+    SuccessorStore,
+    check_abstract_asynchrony,
     check_async_equivalence,
     check_diamond,
     check_well_formedness_preservation,
@@ -322,3 +324,19 @@ class TestUnknownEquivalence:
                             lambda *args: answer)
         n = parse_network("p[0]{ q!1; 0 } | q[0]{ p?; 0 }")
         assert check_sp_asp_simulation(n, 4).verdict == verdict
+
+
+@pytest.mark.parametrize("value", ["0", "1", "@"])
+def test_loop_that_nests_equal_branches(value):
+    # p and q run ahead of r, so each of their steps nests one more
+    # conditional whose two branches are one shared term.  The checks walk
+    # each shared node once, so depth 16 ends in about a second; walked as
+    # trees, each level doubled the work.
+    program = parse_choreography(
+        f"def X = {{ p.{value} -> q; if r.@ < 1 then {{ X }} else {{ X }} }}"
+        f" in X")
+    sigma, store = default_state(program), SuccessorStore()
+    reports = [check(program, sigma, 16, store)
+               for check in verify._CHECKS.values()]
+    reports.append(check_abstract_asynchrony([program]))
+    assert {r.verdict for r in reports} == {"pass"}
