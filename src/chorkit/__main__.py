@@ -2,7 +2,11 @@
 
 import sys
 
-from .cli import main
+from .cli import main, pipe_closed
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+    except BrokenPipeError:  # a message to a closed standard error
+        code = pipe_closed()
+    sys.exit(code)

@@ -8,13 +8,17 @@ network semantics, an asynchronous run that needs a fresh tag past
 Python's recursion limit; terms nest to any depth), 64 usage error (a
 bad flag, a negative ``--steps`` or ``--depth``, a file that cannot be
 read or written, or a ``--state`` that is not a JSON object mapping the
-program's process names to storable values).
+program's process names to storable values), 141 standard output closed
+before the command wrote all of it (a broken pipe, as in ``| head``:
+the rest of the output is dropped, with no message, and 141 is the
+status a shell reports for a process that SIGPIPE ends).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chor_async import well_formed
@@ -37,6 +41,7 @@ EXIT_ILL_FORMED = 3
 EXIT_VERIFY = 4
 EXIT_RUNTIME = 5
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 RUNTIME_ERRORS = (GuardNotBoolean, UnknownProcess, NonEmptyQueue,
                   TagsExhausted)
@@ -237,6 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = None  # built by the first call of main, not at import
 
 
+def pipe_closed() -> int:
+    """The exit code of a command whose reader closed its output: standard
+    output goes to ``os.devnull`` from here on, so the interpreter's last
+    flush of what is still buffered does not raise again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return EXIT_BROKEN_PIPE  # not a file: nothing flushes at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return EXIT_BROKEN_PIPE
+
+
 def main(argv=None) -> int:
     """Run the command ``argv`` names.  The parser is built once per
     process, and the command's ``cmd_*`` function is looked up in this
@@ -252,7 +271,11 @@ def main(argv=None) -> int:
         for budget in ("steps", "depth"):
             if getattr(args, budget, 0) < 0:
                 raise UsageError(f"--{budget} must not be negative")
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        return pipe_closed()
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -53,22 +53,22 @@ def normalize_network(n: Network) -> Network:
             procs[k] = name, Process(p.state, p.queue, b)
             collected = False
     _drop(procs, _drops([p.behaviour for _, p in procs],
-                        [name for name, _ in procs], {}))
+                        [name for name, _ in procs], {}, pn))
     if collected and len(procs) == len(n.procs):
         return n
     return Network(tuple(procs))
 
 
-def _drops(behaviours, names, changed):
+def _drops(behaviours, names, changed, partners):
     """The indices, last first, of the processes whose behaviour is 0 once
     the behaviours ``changed`` (by index) replace theirs, and whose name no
-    behaviour then holds as a partner; partners are only scanned when
-    some behaviour is 0."""
+    behaviour then holds as a partner; ``partners`` gives the partners of
+    a behaviour, and is only asked when some behaviour is 0."""
     after = [changed.get(i, b) for i, b in enumerate(behaviours)]
     done = [i for i, b in enumerate(after) if type(b) is Nil]
     if not done:
         return ()
-    named = set().union(*map(pn, after))
+    named = set().union(*map(partners, after))
     return tuple([i for i in reversed(done) if names[i] not in named])
 
 
@@ -116,14 +116,24 @@ class ControlTable(dict):
     and of every move's successors to the behaviour object the table
     keeps for that process, so a process whose loop comes back to an
     equal behaviour comes back to the same object, and the control state
-    is found by identity."""
+    is found by identity.  ``partners``, a :class:`PartnerTable`, keeps
+    the partners of the behaviours whose processes a fill might drop."""
 
-    __slots__ = ("heads", "canon")
+    __slots__ = ("heads", "canon", "partners")
 
     def __init__(self):
         super().__init__()
         self.heads = StepTable()
         self.canon = {}
+        self.partners = PartnerTable()
+
+
+class PartnerTable(dict):
+    """Per behaviour, its partners (:func:`pn`), computed on first use."""
+
+    def __missing__(self, b):
+        found = self[b] = pn(b)
+        return found
 
 
 def control_state(procs, mode):
@@ -144,6 +154,7 @@ def _fill(table, procs, mode):
     last first, the processes that are 0 after the move and that no
     process names then; each goes if its queue is empty."""
     heads, canon = table.heads, table.canon
+    partners = table.partners.__getitem__
     names = [name for name, _ in procs]
     behaviours = [p.behaviour for _, p in procs]
     if not table:  # later networks hold these or the table's successors
@@ -156,7 +167,7 @@ def _fill(table, procs, mode):
         kind = type(node)
         if kind is BCond:
             after = tuple([canon.setdefault((name, b), b) for b in after])
-            drops = tuple([_drops(behaviours, names, {i: b})
+            drops = tuple([_drops(behaviours, names, {i: b}, partners)
                            if idle or type(b) is Nil else () for b in after])
             moves.append(("Cond", i, None, node.expr, (name,), after, drops))
             continue
@@ -178,7 +189,8 @@ def _fill(table, procs, mode):
         if rule == "Com":  # the receive steps too
             b = other_after[0]
             after += (canon.setdefault((node.dst, b), b),)
-        drops = (_drops(behaviours, names, dict(zip((i, j), after)))
+        drops = (_drops(behaviours, names, dict(zip((i, j), after)),
+                        partners)
                  if idle or Nil in map(type, after) else ())
         moves.append((rule, i, j, operand, subjects, after, drops))
     return tuple(moves)

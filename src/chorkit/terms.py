@@ -11,7 +11,6 @@ module are the tables and :class:`TagSupply`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter, is_
 from typing import Optional, Union
@@ -24,7 +23,8 @@ class Term:
     structural hash is kept in the ``_h`` slot from its first use, or from
     construction in an intern table's scope.  Both keep the fields still
     to visit on an explicit stack, so terms of any length and nesting need
-    no recursion."""
+    no recursion; equality compares each pair of nodes with several
+    subterms once, so shared branches cost their distinct pairs."""
 
     __slots__ = ("_h",)
 
@@ -52,12 +52,18 @@ class Term:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        todo = [(self, other)]
+        # The id pairs of the nodes with several subterms compared so far.
+        compared, todo = set(), [(self, other)]
         while todo:
             a, b = todo.pop()
             h1, h2 = getattr(a, "_h", None), getattr(b, "_h", None)
             if h1 != h2 and h1 is not None and h2 is not None:
                 return False
+            if type(a) in _BRANCHING:
+                pair = id(a), id(b)
+                if pair in compared:  # reached again by another path
+                    continue
+                compared.add(pair)
             px = py = None  # the pair before: equal branches compare once
             for x, y in zip(a._type_and_fields(a), b._type_and_fields(b)):
                 if x is y or x is px and y is py:
@@ -73,19 +79,32 @@ class Term:
 _cache = Term._h.__set__  # stores a hash past the frozen __setattr__
 _alloc = object.__new__
 _table = None  # the intern table in scope, if any
+_memo = None  # the gc memo in scope, if any
 
 
-@contextmanager
-def interning(table: dict):
-    """Make ``table``, a dict from ``(class, *fields)`` to the term built
-    with them, the intern table in scope, for every thread, until the scope
-    ends.  Its terms live as long as the table."""
-    global _table
-    previous, _table = _table, table
-    try:
-        yield
-    finally:
-        _table = previous
+class interning:
+    """A scope that makes ``table``, a dict from ``(class, *fields)`` to
+    the term built with them, the intern table in scope, and ``memo``,
+    None or a dict from nodes to their :func:`_gc` values, the gc memo in
+    scope, for every thread, while it is entered.  Its terms live as long
+    as the table.  A scope may be entered again while it is entered: each
+    exit restores the scope its entry found.  It is a class, not a
+    generator context manager, because a store enters its scope on every
+    table miss."""
+
+    __slots__ = ("table", "memo", "saved")
+
+    def __init__(self, table: dict, memo: Optional[dict] = None):
+        self.table, self.memo, self.saved = table, memo, []
+
+    def __enter__(self):
+        global _table, _memo
+        self.saved.append((_table, _memo))
+        _table, _memo = self.table, self.memo
+
+    def __exit__(self, *exc):
+        global _table, _memo
+        _table, _memo = self.saved.pop()
 
 
 def intern(t):
@@ -408,10 +427,13 @@ class Queue(Term):
 
     @staticmethod
     def of(messages) -> "Queue":
-        q = Queue.empty()
+        """The queue that enqueues ``messages`` in order, lanes grouped in
+        one pass."""
+        lanes = {}
         for m in messages:
-            q = q.enqueue(m)
-        return q
+            lanes.setdefault(m.sender, []).append(m.payload)
+        return Queue(tuple(sorted((s, tuple(lane))
+                                  for s, lane in lanes.items())))
 
     def is_empty(self) -> bool:
         return not self.lanes
@@ -495,6 +517,8 @@ SUBTERMS = {
 ACTIONS = frozenset({Com, RtSend, RtRecv})  # choreography actions
 _PREFIXES = frozenset(cls for cls, names in SUBTERMS.items()
                       if len(names) == 1)  # one subterm: the continuation
+_BRANCHING = frozenset(cls for cls, names in SUBTERMS.items()
+                       if len(names) > 1)  # several subterms
 _INERT = frozenset({Def, Call, Nil})  # every other constructor is an action
 _NO_CALLS = frozenset()
 
@@ -544,7 +568,7 @@ def replace_kid(t, i: int, new):
     return rebuild(t, ks[:i] + (new,) + ks[i + 1:])
 
 
-def fold(t, end, chain):
+def fold(t, end, chain, memo=None):
     """The value of ``t``, computed bottom-up on an explicit stack.  Each
     maximal run of prefixes (the nodes whose one subterm is their
     continuation), listed from the top, goes to one ``chain(run, value)``
@@ -552,7 +576,16 @@ def fold(t, end, chain):
     ``end(node, values)``, with the values of its subterms in field
     order.  Each subterm of a node with several is folded once per call,
     however many paths lead to it, so a term whose branches are shared
-    costs its distinct nodes, and equal branches get one value."""
+    costs its distinct nodes, and equal branches get one value.
+
+    ``memo``, a dict that the caller keeps across calls, maps nodes to
+    their values: the fold looks up every node it meets there, prefixes
+    included, stops at the first one it finds, and stores the value of
+    each node it folds, so a term costs only its nodes that no earlier
+    fold met.  A run then goes to ``chain`` one node at a time, and a
+    node whose value is None is folded again when met again."""
+    if memo is not None:
+        return _fold_memo(t, end, chain, memo)
     done = {}  # id of each subterm of a node with several -> its value
     values, todo = [], [t]  # subterms' values; what is still to fold
     while True:
@@ -582,6 +615,40 @@ def fold(t, end, chain):
         if not todo:  # the value of t itself
             return value
         done[id(top)] = value  # ids stay valid: the caller holds them
+        values.append(value)
+
+
+def _fold_memo(t, end, chain, memo):
+    """:func:`fold` of ``t`` with the memo ``memo``."""
+    values, todo = [], [t]
+    while True:
+        top = todo.pop()
+        if type(top) is list:  # [run, node, n]: node's n subterms are folded
+            run, t, n = top
+            value = memo[t] = end(t, values[-n:])
+            del values[-n:]
+        elif (value := memo.get(top)) is not None:
+            run = ()
+        else:
+            run, t = [], top
+            while type(t) in _PREFIXES:
+                run.append(t)
+                t = t.cont
+                if (value := memo.get(t)) is not None:
+                    break
+            else:
+                get = _KIDS.get(type(t))
+                if get is None:
+                    value = memo[t] = end(t, ())
+                else:
+                    ks = get(t)
+                    todo.append([run, t, len(ks)])
+                    todo += reversed(ks)
+                    continue
+        for node in reversed(run):
+            value = memo[node] = chain((node,), value)
+        if not todo:
+            return value
         values.append(value)
 
 
@@ -693,8 +760,9 @@ def gc(t):
 
 
 def _gc(t):
-    """:func:`gc` of ``t``, and the variables called free in the result."""
-    return fold(t, _gc_end, _gc_chain)
+    """:func:`gc` of ``t``, and the variables called free in the result;
+    in the scope of a gc memo, each node is collected once per memo."""
+    return fold(t, _gc_end, _gc_chain, _memo)
 
 
 def _gc_end(t, done):

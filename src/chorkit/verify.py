@@ -152,13 +152,20 @@ class SuccessorStore:
       in transit to the process, so a successor projects only the part
       its step changed;
     - per control state of a network, its moves (a
-      :class:`ControlTable`), so a network step does not walk behaviours.
+      :class:`ControlTable`), so a network step does not walk behaviours;
+    - per node, its collected form and the variables called free in it
+      (the gc memo), so collecting a successor costs the nodes its step
+      rebuilt;
+    - per synchronous set that t6 rejoins, the configurations on a
+      successful greedy drain and their distance to that set (the drain
+      memo), so a later drain stops where an earlier one succeeded.
 
-    The store owns an intern table (:func:`chorkit.terms.interning`), in
-    scope while it computes steps, projections and well-formedness: each
-    label, configuration, network and subterm it reaches exists once, and
-    the start of an exploration is interned on entry.  Terms built
-    outside the scope still compare structurally.
+    The store owns an intern table and its gc memo, in one scope
+    (:class:`chorkit.terms.interning`) that it enters while it computes
+    steps, projections and well-formedness: each label, configuration,
+    network and subterm it reaches exists once, which makes the per-node
+    memos sound, and the start of an exploration is interned on entry.
+    Terms built outside the scope still compare structurally.
     """
 
     def __init__(self):
@@ -169,6 +176,9 @@ class SuccessorStore:
         self._equiv = {}
         self._behaviour_equiv = {}
         self._table = {}
+        self._collected = {}
+        self._scope = interning(self._table, self._collected)
+        self._drained = {}
         self._projected = {}
         self._moves = ControlTable()
 
@@ -180,7 +190,7 @@ class SuccessorStore:
         table = self._steps[mode]
         found = table.get(state)
         if found is None:
-            with interning(self._table):
+            with self._scope:
                 if type(state) is Configuration:
                     raw = enabled(state, mode)
                 else:
@@ -193,7 +203,7 @@ class SuccessorStore:
         """The states reachable from ``start``, interned first, along the
         steps of ``mode`` up to ``depth``, and how the search ended, as
         :func:`_search` gives them; each search runs once per store."""
-        with interning(self._table):
+        with self._scope:
             start = intern(start)
         key = start, mode, depth
         found = self._explored.get(key)
@@ -204,7 +214,7 @@ class SuccessorStore:
     def well_formed(self, chor) -> tuple:
         found = self._well_formed.get(chor)
         if found is None:
-            with interning(self._table):
+            with self._scope:
                 found = self._well_formed[chor] = well_formed(chor)
         return found
 
@@ -214,7 +224,7 @@ class SuccessorStore:
         found = self._projections.get(cfg)
         if found is None:
             try:
-                with interning(self._table):
+                with self._scope:
                     net = project_network(self.well_formed(cfg.chor)[1],
                                           cfg.state, self._projected)
                     found = normalize_network(net)
@@ -446,9 +456,13 @@ def check_async_equivalence(program, sigma, depth,
         f"at {cfg.key()[0]}"
         for cfg, label in _unsimulated(store, sync_configs, is_)]
     async_configs, capped2 = explore_chor(start, "async", depth, store)
+    # A drain's length holds for one synchronous set: the one reached
+    # from this start, as the store interned it, within this depth.
+    drained = store._drained.setdefault(
+        (sync_configs[0], depth + join_depth), {})
     budget_hit = False
     for cfg in async_configs:
-        if _greedy_join(cfg, sync_set, join_depth, store):
+        if _greedy_join(cfg, sync_set, join_depth, store, drained):
             continue
         joined, exhausted = _join_search(cfg, sync_set, join_depth, store)
         if not joined:
@@ -462,20 +476,31 @@ def check_async_equivalence(program, sigma, depth,
                    capped1 or capped2 or budget_hit)
 
 
-def _greedy_join(cfg, sync_set, budget, store) -> bool:
+def _greedy_join(cfg, sync_set, budget, store, drained) -> bool:
     """Drain pending messages along one deterministic path: receives first,
     then conditionals, then sends.  Usually finds the rejoin without the
-    breadth-first fallback."""
+    breadth-first fallback.  ``drained`` maps each configuration on an
+    earlier successful drain toward ``sync_set`` to its number of steps
+    from there; the path from it is the same, so a drain that meets one
+    after ``i`` steps rejoins iff ``i`` plus that number is within
+    ``budget``.  A success adds the configurations of its path."""
     rank = {"ComR": 0, "Then": 1, "Else": 1, "ComS": 2, "Com": 2}
-    for _ in range(budget + 1):
-        if cfg in sync_set:
-            return True
+    path, left = [], 0
+    while cfg not in sync_set and not (left := drained.get(cfg, 0)):
+        if len(path) == budget:
+            return False
         options = store.steps(cfg, "async")
         if not options:
             return False
+        path.append(cfg)
         _, cfg = min(options,
                      key=lambda s: (rank[s[0].rule], s[0].path, s[0].key()))
-    return False
+    steps = len(path) + left
+    if steps > budget:
+        return False
+    for i, c in enumerate(path):
+        drained[c] = steps - i
+    return True
 
 
 def _join_search(cfg, sync_set, depth, store):

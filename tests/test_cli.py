@@ -13,6 +13,7 @@ import pytest
 import chorkit
 from chorkit import cli, project, well_formed
 from chorkit.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_ILL_FORMED,
     EXIT_NOT_PROJECTABLE,
     EXIT_PARSE,
@@ -341,6 +342,22 @@ class TestUsage:
                  write("m.mc", text)],
                 capture_output=True, text=True, env=env, timeout=60)
             assert (done.returncode, done.stdout) == (code, out)
+
+    def test_closed_output_is_no_traceback(self, write):
+        # ``python -m chorkit run chain.mc | head -1``: the reader takes one
+        # line of about 1.8 MB of trace and closes the pipe.
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(
+                   chorkit.__file__))}
+        path = write("chain.mc", "p.1 -> q; " * 600 + "0")
+        with subprocess.Popen([sys.executable, "-m", "chorkit", "run", path],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline().startswith(b"#0 Com p,q v=1")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert b"Traceback" not in err and err == b""
 
 
 class TestFilesAndRuntimeErrors:

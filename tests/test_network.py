@@ -3,6 +3,8 @@ per-sender lanes, classification of stuck states, and the table of moves
 a network run reads."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chorkit.network as network
 from chorkit import (
@@ -36,6 +38,15 @@ def sigs(steps):
 
 
 class TestQueueLanes:
+    @given(st.lists(st.tuples(st.sampled_from("pqrs"), st.integers(0, 3))))
+    @settings(max_examples=200, deadline=None)
+    def test_of_is_the_enqueue_fold(self, pairs):
+        messages = [Message(s, IntV(v)) for s, v in pairs]
+        q = Queue.empty()
+        for m in messages:
+            q = q.enqueue(m)
+        assert Queue.of(messages) == q and Queue.of(iter(messages)) == q
+
     def test_same_sender_is_fifo(self):
         q = Queue.of([Message("p", IntV(1)), Message("p", IntV(2))])
         v, rest = q.dequeue_from("p")

@@ -1,11 +1,13 @@
 """The traversal table in ``chorkit.terms``: it lists every constructor
 with subterms, names exactly their trailing fields, and its primitives give
 back the very node when nothing changes.  Terms hash and compare on an
-explicit stack, one names scan serves both term families, and the fold
-agrees with recursive references, folds a shared node once and needs no
-recursion."""
+explicit stack, shared branches compare once, one names scan serves both
+term families, and the fold agrees with recursive references, folds a
+shared node once and needs no recursion.  In a store's scope, collecting
+a term walks only the nodes its gc memo does not hold."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -34,6 +36,7 @@ from chorkit import (
     pn,
     unfold_com,
 )
+from chorkit import terms
 from chorkit.terms import (
     SUBTERMS,
     fold,
@@ -45,6 +48,7 @@ from chorkit.terms import (
 )
 from chorkit.verify import (
     CorpusSpec,
+    SuccessorStore,
     default_state,
     explore_chor,
     generate_corpus,
@@ -233,3 +237,76 @@ def test_ten_thousand_levels_fold_without_recursion():
             back = transform(transform(t, swap_ends), swap_ends)
             assert back == t and back is not t
     shallow(check)
+
+
+def copy_tower(n, leaf=1):
+    """:func:`tower` built again with its two branches distinct objects
+    at every level, both above the same level below; the lowest else
+    branch sends ``leaf``."""
+    t = NIL
+    for i in range(n):
+        then = Com("p", Lit(IntV(1)), "q", t)
+        orelse = Com("p", Lit(IntV(leaf if i == 0 else 1)), "q", t)
+        t = Cond("r", Lit(BoolV(True)), then, orelse)
+    return t
+
+
+def test_shared_branches_compare_once():
+    # Each pair of conditionals is compared once: compared path by path,
+    # 40 levels would take about a million times 20 levels' pairs.
+    start = time.process_time()
+    assert tower(40) == copy_tower(40) and copy_tower(40) == tower(40)
+    a, b = tower(40), copy_tower(40)
+    assert hash(a) == hash(b) and a == b  # with every hash cached
+    assert time.process_time() - start < 1
+    assert tower(40) != copy_tower(40, leaf=2)
+    assert copy_tower(40, leaf=2) != tower(40)
+
+
+# ---------------------------------------------------------------------------
+# The gc memo
+
+
+def test_gc_in_a_store_walks_only_new_nodes(monkeypatch):
+    walked = []
+    end, chain = terms._gc_end, terms._gc_chain
+
+    def counted_end(t, done):
+        walked.append(t)
+        return end(t, done)
+
+    def counted_chain(run, done):
+        walked.extend(run)
+        return chain(run, done)
+
+    monkeypatch.setattr(terms, "_gc_end", counted_end)
+    monkeypatch.setattr(terms, "_gc_chain", counted_chain)
+    store = SuccessorStore()
+
+    def collect(t):
+        """gc of ``t``, and whether it walked exactly the nodes of ``t``
+        that the memo did not hold, each once."""
+        new = {n for n in subterms(t) if n not in store._collected}
+        walked.clear()
+        found = gc(t)
+        return found, len(walked) == len(new) and set(walked) == new
+
+    with store._scope:
+        body = Com("p", Lit(IntV(1)), "q", Call("X"))
+        t = Com("r", Lit(IntV(2)), "s", Def("X", body, Call("X")))
+        t = Cond("r", Lit(BoolV(True)), t, Com("q", Lit(IntV(3)), "p", t))
+        assert collect(t) == (t, True) and len(walked) == 6
+        # A step that put a prefix above one branch: two new nodes.
+        succ = Cond("r", t.expr, t.then, Com("p", Lit(IntV(4)), "q", t.orelse))
+        assert collect(succ) == (succ, True) and len(walked) == 2
+        assert collect(succ) == (succ, True) and walked == []  # met before
+        idle = Def("Y", Call("Y"), succ)  # nothing calls Y
+        assert collect(idle) == (succ, True) and len(walked) == 2
+
+
+def test_gc_memo_agrees_with_the_plain_fold(corpus):
+    store = SuccessorStore()
+    with store._scope:
+        collected = [gc(t) for t in corpus]
+    assert collected == [gc_reference(t)[0] for t in corpus]
+    assert len(store._collected) > 500

@@ -340,3 +340,35 @@ def test_loop_that_nests_equal_branches(value):
                for check in verify._CHECKS.values()]
     reports.append(check_abstract_asynchrony([program]))
     assert {r.verdict for r in reports} == {"pass"}
+
+
+def test_drains_stop_where_an_earlier_drain_rejoined(monkeypatch):
+    # A drain is deterministic, so a configuration on a successful drain
+    # rejoins in a known number of steps; a later drain that meets it
+    # stops there.  Forgetting every drain gives the same reports with
+    # several times the steps.
+    greedy = verify._greedy_join
+
+    def t6(remember):
+        calls = [0]
+
+        def drain(cfg, sync_set, budget, store, drained):
+            def counted(state, mode):
+                calls[0] += 1
+                return SuccessorStore.steps(store, state, mode)
+
+            store.steps = counted
+            try:
+                return greedy(cfg, sync_set, budget, store,
+                              drained if remember else {})
+            finally:
+                del store.steps
+
+        monkeypatch.setattr(verify, "_greedy_join", drain)
+        return verify_corpus({"t6"}, CorpusSpec(), depth=12), calls[0]
+
+    remembered, fewer = t6(True)
+    forgotten, more = t6(False)
+    assert remembered == forgotten
+    assert {r.verdict for _, r in remembered} == {"pass"}
+    assert 0 < 5 * fewer < more
