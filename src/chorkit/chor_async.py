@@ -28,9 +28,9 @@ from .terms import (
     head,
     head_pn,
     kids,
+    rebuild,
     replace_cont,
     replace_kid,
-    rewrite_first,
     transform,
 )
 from .render import render_choreography
@@ -133,49 +133,53 @@ def well_formed(c):
     sitting behind one would be delivered out of FIFO order by any queue
     implementation.  Returns ``(True, canonical_form)`` or ``(False, None)``.
     """
-    term = gc(c)
-    # Folding ends, by the measure in the docstring of _fold_here.
-    while (new := rewrite_first(term, _fold_here)) is not None:
-        term = new
-    if fold(term, _settled_end, _settled_chain) is None:
-        return False, None
-    return True, term
+    term, lanes = fold(gc(c), _well_formed_end, _well_formed_chain)
+    return (False, None) if lanes is None else (True, term)
 
 
-def _settled_end(c, done):
-    """The lanes (sender, receiver) that still hold a message in transit
-    in ``c``, not a prefix, from those of its subterms, ``done``; None
-    when ``c`` is not settled.  A settled term holds no detached send, no
-    tag-carrying receive, no runtime term inside a recursion body
-    (execution never puts one there), and, along any branch, no message
-    in transit behind a communication on its lane, which has closed it."""
+def _well_formed_end(c, done):
+    """:func:`well_formed`'s value of ``c``, not a prefix, from those of
+    its subterms, ``done``.  Its lanes are those (sender, receiver) that
+    still hold a message in transit in ``c``, or None when ``c`` is not
+    settled.  A settled term holds no detached send, no tag-carrying
+    receive, no runtime term inside a recursion body (execution never
+    puts one there), and, along any branch, no message in transit behind
+    a communication on its lane, which has closed it."""
+    lanes = frozenset()
     if type(c) is Cond:
-        then, orelse = done
-        return None if then is None or orelse is None else then | orelse
-    if type(c) is Def:
+        (_, then), (_, orelse) = done
+        lanes = None if then is None or orelse is None else then | orelse
+    elif type(c) is Def:
         # A runtime-free body (no lanes, and settled) runs only after a
         # call, which nothing follows, so only the continuation counts.
-        body, cont = done
-        return cont if body == frozenset() else None
-    return frozenset()
+        (_, body), (_, cont) = done
+        lanes = cont if body == frozenset() else None
+    return rebuild(c, [t for t, _ in done]), lanes
 
 
-def _settled_chain(run, lanes):
-    """:func:`_settled_end` of the prefixes ``run`` above ``lanes``."""
+def _well_formed_chain(run, done):
+    """:func:`well_formed`'s value of the prefixes ``run`` above ``done``'s
+    term.  :func:`_fold_at` rewrites the run at the first position that
+    applies, from the top, until none does, which its docstring shows ends.
+    A rewrite at i can make only i - 1 apply again, as no rule looks past
+    its chain and tags are linear, so the scan resumes there."""
+    term, lanes = done
+    run, i = list(run), 0
+    while i < len(run) - 1:
+        i = max(i - 1, 0) if _fold_at(run, i) else i + 1
     for c in reversed(run):
-        if lanes is None or type(c) is RtSend:
-            return None
-        if type(c) is Com and (c.src, c.dst) in lanes:
-            return None
-        if type(c) is RtRecv:
-            if type(c.payload) is Tag:
-                return None
-            lanes = lanes | {(c.src, c.dst)}
-    return lanes
+        term = replace_cont(c, term)
+        if (lanes is None or _pending_tag(c) is not None
+                or type(c) is Com and (c.src, c.dst) in lanes):
+            lanes = None
+        elif type(c) is RtRecv:  # a message in transit
+            lanes |= {(c.src, c.dst)}
+    return term, lanes
 
 
-def _fold_here(c):
-    """One folding rewrite at the top of ``c``, or None.
+def _fold_at(run, i: int) -> bool:
+    """One folding rewrite of the chain ``run`` at position ``i``, in
+    place; whether one applied.
 
     Only matched send/receive pairs are folded back into communications;
     instantiated receives stay exactly where execution put them, so the
@@ -190,18 +194,21 @@ def _fold_here(c):
     half by one without lengthening any other mover's (the node it passes
     is no mover, and a node's partner stays on the same side of it).
     """
+    c, nxt = run[i], run[i + 1]
     tag = _pending_tag(c)
-    if tag is None or type(c.cont) not in ACTIONS:
-        return None
-    nxt = c.cont
+    if tag is None or type(nxt) not in ACTIONS:
+        return False
     other = _pending_tag(nxt)
     if other == tag and type(nxt) is not type(c):  # the matched pair
         send, recv = (c, nxt) if type(c) is RtSend else (nxt, c)
-        return Com(send.src, send.expr, recv.dst, nxt.cont)
-    if (not (head_pn(c) & head_pn(nxt)) and _tag_ahead(tag, nxt.cont)
-            and (other is None or not _tag_ahead(other, nxt.cont))):
-        return replace_cont(nxt, replace_cont(c, nxt.cont))
-    return None
+        # The run's continuations are set when it is put back in place.
+        run[i:i + 2] = [Com(send.src, send.expr, recv.dst, nxt.cont)]
+        return True
+    if (not (head_pn(c) & head_pn(nxt)) and _tag_ahead(tag, run, i + 2)
+            and (other is None or not _tag_ahead(other, run, i + 2))):
+        run[i], run[i + 1] = nxt, c
+        return True
+    return False
 
 
 def _pending_tag(c):
@@ -214,12 +221,13 @@ def _pending_tag(c):
     return None
 
 
-def _tag_ahead(tag: Tag, c) -> bool:
-    """True if the other half of ``tag``'s pair occurs ahead in this chain."""
-    while type(c) in ACTIONS:
-        if _pending_tag(c) == tag:
+def _tag_ahead(tag: Tag, run, i: int) -> bool:
+    """True if the other half of ``tag``'s pair occurs in the chain
+    ``run`` from position ``i`` on."""
+    while i < len(run) and type(run[i]) in ACTIONS:
+        if _pending_tag(run[i]) == tag:
             return True
-        c = c.cont
+        i += 1
     return False
 
 

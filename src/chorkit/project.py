@@ -26,72 +26,49 @@ from .terms import (
     RtRecv,
     RtSend,
     Tag,
+    fold,
     gc,
-    kids,
     pn,
     rebuild,
     runtime_free,
 )
 from .values import GlobalState
 
-_PENDING = "cannot project a receive whose message is still pending"
-
 
 def _project(c, r: str, memo) -> tuple:
     """The behaviour of ``r`` in ``c`` and the tuple of messages in transit
-    to ``r``, in arrival order.  ``memo``, None or a dict the caller keeps
-    across calls, maps each process to a dict from the subterms projected
-    for it so far to that pair, so a subterm shared between choreographies
-    projects once, to the same behaviour object."""
-    # Actions of ``r`` along the prefix chain are collected in a loop and
-    # wrapped around the projection of the chain's end.  The subterms of a
-    # conditional or a definition wait on an explicit stack, with the
-    # chain above them, and their projections on another.
-    seen = None if memo is None else memo.setdefault(r, {})
-    done, todo = [], [c]
-    while todo:
-        c, chain = todo.pop(), []
-        if type(c) is list:  # [chain, node, n]: node's n subterms are done
-            chain, c, n = c
-            found = _project_end(c, r, done[-n:])
-            del done[-n:]
-        else:
-            while (found := seen.get(c) if seen else None) is None:
-                kind = type(c)
-                if kind is not Com and kind is not RtRecv:
-                    break
-                if kind is RtRecv and isinstance(c.payload, Tag):
-                    raise IllFormed(_PENDING)
-                chain.append(c)
-                c = c.cont
-            if found is None and (type(c) is Cond or type(c) is Def):
-                ks = kids(c)
-                todo.append([chain, c, len(ks)])
-                todo += reversed(ks)  # the then branch, or the body, first
-                continue
-            if found is None:
-                found = _project_end(c, r, ())
-        if seen is not None:
-            seen[c] = found
-        b, queue = found
-        for node in reversed(chain):
-            if type(node) is Com and r == node.src:
+    to ``r``, in arrival order, by one :func:`terms.fold`.  ``memo``, None
+    or a dict the caller keeps across calls, maps each process to its fold
+    memo, so a subterm shared between choreographies projects once, to the
+    same behaviour object.  Of several errors, the first the fold meets
+    wins: it projects subterms, the then branch first, before their node,
+    and each chain from its end up, so of two on one path the lower wins."""
+    def chain(run, done):
+        b, queue = done
+        for node in reversed(run):
+            kind = type(node)
+            if kind is RtSend:
+                raise IllFormed("cannot project a detached send")
+            if kind is RtRecv and type(node.payload) is Tag:
+                raise IllFormed("cannot project a receive whose message "
+                                "is still pending")
+            if kind is Com and r == node.src:
                 b = BSend(node.dst, node.expr, b)
             elif r == node.dst:
                 b = BRecv(node.src, b)
-                if type(node) is RtRecv:
+                if kind is RtRecv:
                     queue = (Message(node.src, node.payload),) + queue
-            if seen is not None:
-                seen[node] = b, queue
-        done.append((b, queue))
-    return done.pop()
+        return b, queue
+
+    # _project_end is looked up at each call, so a wrapper set on this
+    # module sees every call.
+    return fold(c, lambda t, done: _project_end(t, r, done), chain,
+                None if memo is None else memo.setdefault(r, {}))
 
 
 def _project_end(c, r: str, done) -> tuple:
-    """:func:`_project` of ``c``, which is not an action of a chain, from
-    ``done``, the projections of its subterms."""
-    if isinstance(c, RtSend):
-        raise IllFormed("cannot project a detached send")
+    """:func:`_project` of ``c``, which is not a prefix, from ``done``,
+    the projections of its subterms."""
     if isinstance(c, Cond):
         (then, queue), (orelse, other) = done
         if r == c.decider:

@@ -514,6 +514,11 @@ SUBTERMS = {
     BCond: ("then", "orelse", "cont"),
 }
 
+# The fields naming the processes each prefix involves: a detached half
+# involves only the process it runs at, a behaviour's action its partner.
+NAMES = {Com: ("src", "dst"), RtSend: ("src",), RtRecv: ("dst",),
+         BSend: ("dst",), BRecv: ("src",)}
+
 ACTIONS = frozenset({Com, RtSend, RtRecv})  # choreography actions
 _PREFIXES = frozenset(cls for cls, names in SUBTERMS.items()
                       if len(names) == 1)  # one subterm: the continuation
@@ -534,6 +539,7 @@ def _getter(names):
 # Per constructor: its subterms, the fields before them, and the fields
 # before its continuation (for those that end with one).
 _KIDS = {cls: _getter(names) for cls, names in SUBTERMS.items()}
+_NAMED = {cls: _getter(names) for cls, names in NAMES.items()}
 _FIXED = {cls: _getter(cls.__slots__[:len(cls.__slots__)
                                      - len(SUBTERMS.get(cls, ()))])
           for cls in (*SUBTERMS, *_INERT)}
@@ -862,14 +868,8 @@ def pn(term) -> frozenset:
 
     def chain(run, _):
         for t in run:
-            kind = type(t)
-            if kind is Com:
-                names.add(t.src)
-                names.add(t.dst)
-            elif kind is RtSend or kind is BRecv:
-                names.add(t.src)
-            elif kind is RtRecv or kind is BSend:
-                names.add(t.dst)
+            if (get := _NAMED.get(type(t))) is not None:  # a hole names none
+                names.update(get(t))
 
     def end(t, _):
         if type(t) is Cond:
@@ -880,14 +880,12 @@ def pn(term) -> frozenset:
 
 
 def head_pn(term) -> frozenset:
-    """Process names of the head interaction only (not the continuation)."""
-    if isinstance(term, Com):
-        return frozenset((term.src, term.dst))
-    if isinstance(term, RtSend):
-        return frozenset((term.src,))
-    if isinstance(term, RtRecv):
-        return frozenset((term.dst,))
-    raise TypeError(f"not an interaction: {term!r}")
+    """Process names of the head interaction only (not the continuation),
+    as :data:`NAMES` lists them."""
+    get = _NAMED.get(type(term))
+    if get is None:
+        raise TypeError(f"not an interaction: {term!r}")
+    return frozenset(get(term))
 
 
 def iter_tags(term):

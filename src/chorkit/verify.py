@@ -98,8 +98,9 @@ def _random_program(rng, spec: CorpusSpec):
     actions = rng.randrange(1, spec.max_actions + 1)
     if rng.random() < 0.2:
         # A branch-free loop: without process-to-process selections, a loop
-        # whose branches differ is never projectable, so recursive programs
-        # here run forever and are explored up to the depth bound.
+        # whose branches differ is never projectable (one whose branches are
+        # equal projects; this generator just never draws one), so recursive
+        # programs here run forever and are explored up to the depth bound.
         body_budget = max(1, min(3, actions // 2))
         body = NIL
         while isinstance(body, Nil):

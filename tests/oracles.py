@@ -11,7 +11,10 @@ reference for exact behaviour equivalence; the same search over
 canonical forms, with unfolding by substitution, compares choreographies
 up to precongruence and answers None ("unknown") when its budget runs out.
 A walk of its own lists the messages in transit to each process, the
-reference for the queues that projection seeds.  The network steps are
+reference for the queues that projection seeds.  Well-formedness is
+decided by the plain rewrite loop: the folding rewrite applies at the
+first place it applies to from the top of the whole term, again after
+every rewrite, and settledness is a second pass.  The network steps are
 read off the semantics directly, each head found afresh and each
 successor the whole network rebuilt, the reference for the network
 engine's table of moves.
@@ -31,6 +34,7 @@ from chorkit.errors import IllFormed, NotProjectable
 from chorkit.render import render_choreography, render_expr, render_value
 from chorkit.sync import gc, subst_tag
 from chorkit.terms import (
+    ACTIONS,
     NIL,
     BCond,
     BRecv,
@@ -47,12 +51,15 @@ from chorkit.terms import (
     RtRecv,
     RtSend,
     Tag,
+    fold,
     head,
     head_pn,
     kids,
     rebuild,
+    replace_cont,
     replace_kid,
     resume,
+    rewrite_first,
     seq,
     subterms,
 )
@@ -394,6 +401,111 @@ def project_queue(c, r: str) -> list:
         elif kind is not Com and kind is not Def:
             return out  # Nil, Call
         c = c.cont
+
+
+# ---------------------------------------------------------------------------
+# Well-formedness
+
+
+def oracle_well_formed(c):
+    """Decide whether ``c`` can arise from executing a runtime-free program,
+    rewriting from the top of the term again after every rewrite.
+
+    After folding every matched send/receive pair back into a
+    communication, the term must contain no detached send and no receive
+    still waiting on its tag, and every in-transit message must be ahead of
+    any future communication on the same sender-to-receiver lane: a message
+    sitting behind one would be delivered out of FIFO order by any queue
+    implementation.  Returns ``(True, canonical_form)`` or ``(False, None)``.
+    """
+    term = gc(c)
+    # Folding ends, by the measure in the docstring of _fold_here.
+    while (new := rewrite_first(term, _fold_here)) is not None:
+        term = new
+    if fold(term, _settled_end, _settled_chain) is None:
+        return False, None
+    return True, term
+
+
+def _settled_end(c, done):
+    """The lanes (sender, receiver) that still hold a message in transit
+    in ``c``, not a prefix, from those of its subterms, ``done``; None
+    when ``c`` is not settled.  A settled term holds no detached send, no
+    tag-carrying receive, no runtime term inside a recursion body
+    (execution never puts one there), and, along any branch, no message
+    in transit behind a communication on its lane, which has closed it."""
+    if type(c) is Cond:
+        then, orelse = done
+        return None if then is None or orelse is None else then | orelse
+    if type(c) is Def:
+        # A runtime-free body (no lanes, and settled) runs only after a
+        # call, which nothing follows, so only the continuation counts.
+        body, cont = done
+        return cont if body == frozenset() else None
+    return frozenset()
+
+
+def _settled_chain(run, lanes):
+    """:func:`_settled_end` of the prefixes ``run`` above ``lanes``."""
+    for c in reversed(run):
+        if lanes is None or type(c) is RtSend:
+            return None
+        if type(c) is Com and (c.src, c.dst) in lanes:
+            return None
+        if type(c) is RtRecv:
+            if type(c.payload) is Tag:
+                return None
+            lanes = lanes | {(c.src, c.dst)}
+    return lanes
+
+
+def _fold_here(c):
+    """One folding rewrite at the top of ``c``, or None.
+
+    Only matched send/receive pairs are folded back into communications;
+    instantiated receives stay exactly where execution put them, so the
+    canonical form projects to the same structure the network evolves to.
+    A half whose other half lies ahead in the chain (a mover) folds with it
+    when adjacent, and otherwise hops one node toward it over an
+    independent node that is not itself a mover; two movers passing each
+    other would swap back and forth forever.
+
+    Folding ends: a fold removes two pending halves, and a hop keeps their
+    number and shortens the distance from the hopping mover to its other
+    half by one without lengthening any other mover's (the node it passes
+    is no mover, and a node's partner stays on the same side of it).
+    """
+    tag = _pending_tag(c)
+    if tag is None or type(c.cont) not in ACTIONS:
+        return None
+    nxt = c.cont
+    other = _pending_tag(nxt)
+    if other == tag and type(nxt) is not type(c):  # the matched pair
+        send, recv = (c, nxt) if type(c) is RtSend else (nxt, c)
+        return Com(send.src, send.expr, recv.dst, nxt.cont)
+    if (not (head_pn(c) & head_pn(nxt)) and _tag_ahead(tag, nxt.cont)
+            and (other is None or not _tag_ahead(other, nxt.cont))):
+        return replace_cont(nxt, replace_cont(c, nxt.cont))
+    return None
+
+
+def _pending_tag(c):
+    """The tag of a detached send or of a receive still waiting on its
+    send; None for any other node."""
+    if type(c) is RtSend:
+        return c.tag
+    if type(c) is RtRecv and type(c.payload) is Tag:
+        return c.payload
+    return None
+
+
+def _tag_ahead(tag: Tag, c) -> bool:
+    """True if the other half of ``tag``'s pair occurs ahead in this chain."""
+    while type(c) in ACTIONS:
+        if _pending_tag(c) == tag:
+            return True
+        c = c.cont
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from chorkit import (
     unfold_com,
     well_formed,
 )
-from chorkit import chor_async
+from chorkit import chor_async, terms
 from chorkit.terms import Call, Def, subterms, transform
 from chorkit.verify import CorpusSpec, generate_corpus
 from helpers import shallow
@@ -217,6 +217,35 @@ class TestWellFormedness:
         ok, _ = well_formed(
             parse_choreography("p.@ -> s; p <~ (q, 4); q.0 -> s; 0"))
         assert ok
+
+    def test_a_long_chain_of_hopping_pairs_folds_in_one_pass(
+            self, monkeypatch):
+        # Each send must hop over an unrelated communication to reach its
+        # receive.  The chain is folded in one pass: the rewrite attempts
+        # grow linearly with its length, and the term is never searched
+        # again from the top.
+        n = 2000
+        c = parse_choreography("".join(
+            f"p.{i} ~> [#{i}]; r.1 -> s; q <~ (p, #{i}); "
+            for i in range(n)) + "0")
+        attempts = []
+        fold_at = chor_async._fold_at
+
+        def counted(run, i):
+            attempts.append(i)
+            return fold_at(run, i)
+
+        def searched(t, here):
+            raise AssertionError("searched again from the top")
+
+        monkeypatch.setattr(chor_async, "_fold_at", counted)
+        monkeypatch.setattr(terms, "rewrite_first", searched)
+        monkeypatch.setattr(chor_async, "rewrite_first", searched,
+                            raising=False)
+        ok, canon = shallow(well_formed, c)
+        assert ok and len(attempts) <= 4 * 3 * n
+        assert render_choreography(canon) == "".join(
+            f"r.1 -> s; p.{i} -> q; " for i in range(n)) + "0"
 
     def test_preserved_along_every_async_step(self):
         cfg = cfg_of("p.1 -> q; q.2 -> r; r.3 -> p; 0")

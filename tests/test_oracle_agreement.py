@@ -22,6 +22,7 @@ every message sequence of length <= 5 over three senders.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ from oracles import (
     engine_enabled_keys,
     oracle_dequeue,
     oracle_enabled,
+    oracle_well_formed,
     sequence_closure,
 )
 
@@ -43,10 +45,23 @@ from chorkit import (
     Message,
     NIL,
     Queue,
+    RtRecv,
+    RtSend,
+    TagSupply,
     enabled,
     parse_choreography,
     pn,
     render_choreography,
+    unfold_com,
+    well_formed,
+)
+from chorkit.terms import replace_cont
+from chorkit.verify import (
+    CorpusSpec,
+    SuccessorStore,
+    default_state,
+    explore_chor,
+    generate_corpus,
 )
 
 
@@ -181,3 +196,67 @@ def test_dequeue_matches_the_sequence_oracle():
                 assert got is not None
                 assert got[0] == payload
                 assert got[1] == Queue.of(rest_seq)
+
+
+# ---------------------------------------------------------------------------
+# Well-formedness against the rewrite loop
+
+
+def top_chain(c) -> list:
+    """The prefixes from the top of ``c`` down."""
+    run = []
+    while type(c) in (Com, RtSend, RtRecv):
+        run.append(c)
+        c = c.cont
+    return run
+
+
+def unfolded(program, rng):
+    """``program`` with one to four communications of its top chain
+    unfolded into detached pairs, which may then have to hop."""
+    coms = len(top_chain(program))
+    c = program
+    supply = TagSupply.above(c)
+    # From the bottom up, so the paths above stay where they were.
+    for k in sorted(rng.sample(range(coms), min(coms, rng.randint(1, 4))),
+                    reverse=True):
+        c = unfold_com(c, ("cont",) * k, supply)
+    return c
+
+
+def swapped(c, rng):
+    """``c`` with up to three pairs of adjacent nodes of its top chain
+    swapped, so that ill-formed terms occur: a pending half past its
+    partner's process, or a message in transit behind a communication on
+    its lane."""
+    for _ in range(rng.randint(0, 3)):
+        run = top_chain(c)
+        if len(run) < 2:
+            break
+        j = rng.randrange(len(run) - 1)
+        below = replace_cont(run[j], run[j + 1].cont)
+        c = replace_cont(run[j + 1], below)
+        for node in reversed(run[:j]):
+            c = replace_cont(node, c)
+    return c
+
+
+def test_well_formed_agrees_with_the_rewrite_loop():
+    checked = ill_formed = 0
+    for seed in (42, 7):
+        corpus = generate_corpus(CorpusSpec(seed=seed))
+        store = SuccessorStore()
+        rng = random.Random(seed)
+        for i, program in enumerate(corpus):
+            configs, _ = explore_chor(
+                Configuration(program, default_state(program)), "async",
+                4 + i % 3, store)
+            terms = [cfg.chor for cfg in configs]
+            terms += [swapped(c, rng) for c in terms[::4]]
+            terms += [swapped(unfolded(program, rng), rng) for _ in range(16)]
+            for c in terms:
+                found = well_formed(c)
+                assert found == oracle_well_formed(c), render_choreography(c)
+                checked += 1
+                ill_formed += not found[0]
+    assert checked > 3000 and ill_formed > 100

@@ -44,9 +44,23 @@ from chorkit import (
     render_network,
     render_value,
 )
-from chorkit import chor_async, congruence, network, sync, verify
+from chorkit import chor_async, congruence, network, project, sync, verify
 from chorkit.network import gc_behaviour
-from chorkit.terms import Queue, Term, interning, runtime_free
+from chorkit.terms import (
+    BoolV,
+    Call,
+    Com,
+    Cond,
+    Def,
+    IntV,
+    Lit,
+    Queue,
+    RtRecv,
+    Term,
+    interning,
+    runtime_free,
+    subterms,
+)
 from chorkit.verify import (
     THEOREMS,
     CorpusSpec,
@@ -447,6 +461,52 @@ def test_projections_through_a_shared_memo(seed):
                 _check_projection(store, cfg)
                 checked += 1
     assert checked > 500 and store._projected
+
+
+def test_projection_in_a_store_walks_only_new_nodes(monkeypatch):
+    """Projecting a successor for a process calls ``_project_end`` and the
+    chain only on the nodes that the process's memo does not hold."""
+    walked = []
+    end, fold = project._project_end, project.fold
+
+    def counted_end(c, r, done):
+        walked.append(c)
+        return end(c, r, done)
+
+    def counted_fold(t, end, chain, memo=None):
+        def counted_chain(run, done):
+            walked.extend(run)
+            return chain(run, done)
+        return fold(t, end, counted_chain, memo)
+
+    monkeypatch.setattr(project, "_project_end", counted_end)
+    monkeypatch.setattr(project, "fold", counted_fold)
+    store = SuccessorStore()
+
+    def projected(t, r):
+        """The projection of ``t`` for ``r`` through the store's memo, and
+        whether it walked exactly the nodes of ``t`` that the memo did not
+        hold for ``r``, each once."""
+        new = {n for n in subterms(t)
+               if n not in store._projected.get(r, {})}
+        walked.clear()
+        found = project._project(t, r, store._projected)
+        return found, len(walked) == len(new) and set(walked) == new
+
+    with store._scope:
+        body = Com("p", Lit(IntV(1)), "q", Call("X"))
+        t = RtRecv("r", IntV(2), "p", Def("X", body, Call("X")))
+        t = Cond("p", Lit(BoolV(True)), t, Com("q", Lit(IntV(3)), "p", t))
+        found, fresh = projected(t, "p")
+        assert fresh and len(walked) == 6
+        assert found == project._project(t, "p", None)
+        # A step that put a prefix above one branch: two new nodes.
+        succ = Cond("p", t.expr, t.then, Com("q", Lit(IntV(4)), "p", t.orelse))
+        found, fresh = projected(succ, "p")
+        assert fresh and len(walked) == 2
+        assert found == project._project(succ, "p", None)
+        assert projected(succ, "p") == (found, True) and walked == []
+        assert projected(succ, "r")[1] and len(walked) == 7  # a new memo
 
 
 def test_store_queues_match_the_oracle():
