@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import NotACom
 from .terms import (
@@ -159,15 +160,9 @@ def _well_formed_end(c, done):
 
 def _well_formed_chain(run, done):
     """:func:`well_formed`'s value of the prefixes ``run`` above ``done``'s
-    term.  :func:`_fold_at` rewrites the run at the first position that
-    applies, from the top, until none does, which its docstring shows ends.
-    A rewrite at i can make only i - 1 apply again, as no rule looks past
-    its chain and tags are linear, so the scan resumes there."""
+    term: that of ``run`` folded by :func:`_fold_actions`."""
     term, lanes = done
-    run, i = list(run), 0
-    while i < len(run) - 1:
-        i = max(i - 1, 0) if _fold_at(run, i) else i + 1
-    for c in reversed(run):
+    for c in reversed(_fold_actions(run)):
         term = replace_cont(c, term)
         if (lanes is None or _pending_tag(c) is not None
                 or type(c) is Com and (c.src, c.dst) in lanes):
@@ -177,9 +172,48 @@ def _well_formed_chain(run, done):
     return term, lanes
 
 
+def _fold_actions(run):
+    """The prefixes ``run``, folded: :func:`_fold_at` rewrites them at the
+    first position that applies, from the top, until none does, which its
+    docstring shows ends.  A rewrite at i can make only i - 1 apply again,
+    as no rule looks past its chain and tags are linear, so the scan
+    resumes there.  Nothing crosses a prefix that is not an action (a
+    hole), so the stretches between them fold apart, and a stretch where
+    no tag is held twice has no half to fold or hop."""
+    if not ACTIONS.issuperset(map(type, run)):
+        folded = []
+        for actions, part in groupby(run, lambda c: type(c) in ACTIONS):
+            folded += _fold_actions(list(part)) if actions else part
+        return folded
+    held, paired = {}, False
+    for rank, c in enumerate(run):
+        tag = _pending_tag(c)
+        if tag is not None:
+            paired = paired or tag.id in held
+            held.setdefault(tag.id, []).append(rank)
+    if not paired:
+        return run
+    run = _Actions(run)
+    run.ranks, run.held = list(range(len(run))), held
+    i = 0
+    while i < len(run) - 1:
+        i = max(i - 1, 0) if _fold_at(run, i) else i + 1
+    return run
+
+
+class _Actions(list):
+    """A stretch of actions being folded.  ``ranks`` gives each position
+    a rank that grows down the stretch, and ``held`` maps the id of each
+    pending tag to the ranks of the nodes that hold it, so whether a
+    half's other half lies ahead is one comparison: a hop swaps the ranks
+    of the two nodes it moves, and a fold drops the rank of the second."""
+
+    __slots__ = ("ranks", "held")
+
+
 def _fold_at(run, i: int) -> bool:
-    """One folding rewrite of the chain ``run`` at position ``i``, in
-    place; whether one applied.
+    """One folding rewrite of the :class:`_Actions` ``run`` at position
+    ``i``, in place; whether one applied.
 
     Only matched send/receive pairs are folded back into communications;
     instantiated receives stay exactly where execution put them, so the
@@ -196,19 +230,33 @@ def _fold_at(run, i: int) -> bool:
     """
     c, nxt = run[i], run[i + 1]
     tag = _pending_tag(c)
-    if tag is None or type(nxt) not in ACTIONS:
+    if tag is None:
         return False
     other = _pending_tag(nxt)
+    ranks, held = run.ranks, run.held
+    here, below = ranks[i], ranks[i + 1]
     if other == tag and type(nxt) is not type(c):  # the matched pair
         send, recv = (c, nxt) if type(c) is RtSend else (nxt, c)
         # The run's continuations are set when it is put back in place.
         run[i:i + 2] = [Com(send.src, send.expr, recv.dst, nxt.cont)]
+        held[tag.id].remove(here)
+        held[tag.id].remove(below)
+        del ranks[i + 1]
         return True
-    if (not (head_pn(c) & head_pn(nxt)) and _tag_ahead(tag, run, i + 2)
-            and (other is None or not _tag_ahead(other, run, i + 2))):
+    # A half's other half lies ahead iff its tag is held below ``nxt``.
+    if (not (head_pn(c) & head_pn(nxt)) and max(held[tag.id]) > below
+            and (other is None or max(held[other.id]) <= below)):
         run[i], run[i + 1] = nxt, c
+        _rerank(held[tag.id], here, below)
+        if other is not None:
+            _rerank(held[other.id], below, here)
         return True
     return False
+
+
+def _rerank(ranks, old, new):
+    """Give the node of rank ``old`` among ``ranks`` the rank ``new``."""
+    ranks[ranks.index(old)] = new
 
 
 def _pending_tag(c):
@@ -219,16 +267,6 @@ def _pending_tag(c):
     if type(c) is RtRecv and type(c.payload) is Tag:
         return c.payload
     return None
-
-
-def _tag_ahead(tag: Tag, run, i: int) -> bool:
-    """True if the other half of ``tag``'s pair occurs in the chain
-    ``run`` from position ``i`` on."""
-    while i < len(run) and type(run[i]) in ACTIONS:
-        if _pending_tag(run[i]) == tag:
-            return True
-        i += 1
-    return False
 
 
 # ---------------------------------------------------------------------------

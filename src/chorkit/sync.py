@@ -254,15 +254,24 @@ def terminated(c) -> bool:
 
 class MoveTable(dict):
     """The moves of each (choreography, mode) that :func:`enabled` has
-    been asked for, as :func:`_fill` gives them.  ``made`` holds the ids
-    of the successors the moves keep: they are collected, and the table
-    keeps them alive, so their ids stay theirs."""
+    been asked for, as :func:`_fill` gives them.  The table also finds
+    the objects it holds by identity, so that a run comes back to a
+    choreography it has met without comparing whole terms.  ``ids`` maps
+    the (id, mode) of each object it holds, which are its keys, the
+    successors its moves keep and the send successors ``sent`` keeps, to
+    that object's moves, or to None until they are looked up.  Those
+    objects are all collected, and the table keeps them alive, so their
+    ids stay theirs.  ``sent`` maps each asynchronous send move, by the
+    id of its ``after``, and a value, by its type and field, to the
+    collected successor of that send of that value, so a send repeated
+    with the same value is built once."""
 
-    __slots__ = ("made",)
+    __slots__ = ("ids", "sent")
 
     def __init__(self):
         super().__init__()
-        self.made = set()
+        self.ids = {}
+        self.sent = {}
 
 
 def _fill(table, chor, mode, everyone):
@@ -270,11 +279,11 @@ def _fill(table, chor, mode, everyone):
     with collected successors, and with ``settled`` replaced by
     ``collect``: whether an asynchronous send's successor, built in each
     configuration, still needs collecting.  A settled successor of a
-    collected term is collected already, and ``table`` knows its own
-    successors to be collected."""
+    collected term is collected already, and ``table`` knows the objects
+    it holds to be collected."""
     moves = _walk(chor, mode, everyone)
-    made = table.made
-    collected = any(m[6] for m in moves) and (id(chor) in made
+    ids = table.ids
+    collected = any(m[6] for m in moves) and ((id(chor), mode) in ids
                                              or gc(chor) is chor)
     out = []
     for *fields, after, settled in moves:
@@ -282,7 +291,8 @@ def _fill(table, chor, mode, everyone):
         if fields[0] != "ComS":
             if not clean:
                 after = tuple(map(gc, after))
-            made.update(map(id, after))
+            for succ in after:
+                ids.setdefault((id(succ), mode), None)
         out.append((*fields, after, not clean))
     return tuple(out)
 
@@ -297,11 +307,18 @@ def enabled(cfg: Configuration, mode: str, table=None):
     conditional can step."""
     if table is None:
         table = MoveTable()
-    sigma = cfg.state
-    moves = table.get((cfg.chor, mode))
-    if moves is None:
-        moves = table[cfg.chor, mode] = _fill(
-            table, cfg.chor, mode, frozenset(name for name, _ in sigma.cells))
+    sigma, chor, ids = cfg.state, cfg.chor, table.ids
+    key = id(chor), mode
+    moves = ids.get(key, False)
+    if type(moves) is not tuple:  # None if the table holds ``chor``
+        held = moves is None
+        moves = table.get((chor, mode))
+        if moves is None:
+            moves = table[chor, mode] = _fill(
+                table, chor, mode, frozenset(name for name, _ in sigma.cells))
+            held = True
+        if held:
+            ids[key] = moves
     out = []
     for rule, subjects, path, operand, tag, after, collect in moves:
         if rule == "ComR":
@@ -321,16 +338,20 @@ def enabled(cfg: Configuration, mode: str, table=None):
                 label = StepLabel(rule, subjects, path, v, expr=operand)
                 succ, state = after[0], sigma.update(subjects[1], v)
             else:  # an asynchronous send, attached or detached
-                if tag is None:
-                    label = StepLabel(rule, subjects, path, v, expr=operand)
-                    succ = _sent(after, subjects[0], v, subjects[1])
-                else:
-                    label = StepLabel(rule, subjects, path, v, tag.id,
-                                      operand)
-                    succ = subst_tag(_sent(after, subjects[0], v, None),
-                                     tag, v)
+                label = StepLabel(rule, subjects, path, v,
+                                  None if tag is None else tag.id, operand)
+                sent = id(after), v._type_and_fields(v)
+                succ = table.sent.get(sent)
+                if succ is None:
+                    if tag is None:
+                        succ = _sent(after, subjects[0], v, subjects[1])
+                    else:
+                        succ = subst_tag(_sent(after, subjects[0], v, None),
+                                         tag, v)
+                    if collect:
+                        succ = gc(succ)
+                    table.sent[sent] = succ
+                    ids.setdefault((id(succ), mode), None)
                 state = sigma
-                if collect:
-                    succ = gc(succ)
         out.append((label, Configuration(succ, state)))
     return out

@@ -247,6 +247,29 @@ class TestWellFormedness:
         assert render_choreography(canon) == "".join(
             f"r.1 -> s; p.{i} -> q; " for i in range(n)) + "0"
 
+    def test_sends_detached_ahead_of_their_receives_fold_in_square_time(
+            self, monkeypatch):
+        # Each of the n receives hops over the sends above its own, so
+        # the fold makes about n^2 / 2 hops.  Whether a half's other half
+        # lies ahead costs the same at every hop, so the nodes read stay
+        # within a constant times n^2, not n^3.
+        n = 100
+        c = parse_choreography(
+            "".join(f"p.{i} ~> [#{i}]; " for i in range(n))
+            + "".join(f"q <~ (p, #{i}); " for i in range(n)) + "0")
+        calls = []
+        pending_tag = chor_async._pending_tag
+
+        def counted(node):
+            calls.append(node)
+            return pending_tag(node)
+
+        monkeypatch.setattr(chor_async, "_pending_tag", counted)
+        ok, canon = well_formed(c)
+        assert ok and render_choreography(canon) == "".join(
+            f"p.{i} -> q; " for i in range(n)) + "0"
+        assert len(calls) <= 4 * n * n
+
     def test_preserved_along_every_async_step(self):
         cfg = cfg_of("p.1 -> q; q.2 -> r; r.3 -> p; 0")
         frontier = [cfg]

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -24,7 +25,9 @@ from chorkit import (
     well_formed,
 )
 import chorkit.network as network
+import chorkit.run as run_module
 import chorkit.sync as sync
+import chorkit.terms as terms
 import chorkit.verify as verify
 from chorkit.cli import InteractiveScheduler, main
 from chorkit.run import step_order
@@ -206,6 +209,114 @@ class TestChoreographyRuns:
         t = run_chor(cfg, mode, make_scheduler("random", 5), 1000)
         assert t.outcome == "budget" and len(t.steps) == 1000
         assert len(calls) <= 10
+
+    RING = "def X = { p.1 -> q; q.2 -> r; r.3 -> p; X } in X"
+
+    def test_a_sync_run_finds_its_choreographies_by_identity(
+            self, monkeypatch):
+        # The ring comes back to an equal choreography every three steps,
+        # as a successor the table holds, so the table finds its moves by
+        # id and compares a whole term at most once per fill.
+        compared, fills = [], []
+
+        def counted_eq(a, b):
+            compared.append(a)
+            return terms.Term.__eq__(a, b)
+
+        for cls in (*terms.SUBTERMS, terms.Call, terms.Nil):
+            monkeypatch.setattr(cls, "__eq__", counted_eq)
+        fill = sync._fill
+        monkeypatch.setattr(sync, "_fill",
+                            lambda *args: fills.append(args) or fill(*args))
+        t = run_chor(cfg_of(self.RING), "sync", make_scheduler("leftmost"),
+                     1000)
+        assert t.outcome == "budget" and len(t.steps) == 1000
+        assert fills and len(compared) <= len(fills)
+
+    def test_a_send_is_built_once_per_move_and_value(self, monkeypatch):
+        # The values are constant, so each send move of the ring always
+        # sends the same value, and its successor is built and collected
+        # once per run.
+        sent, collected = [], []
+        build, collect = sync._sent, sync.gc
+
+        def counted_sent(after, src, value, dst):
+            sent.append((id(after), value))
+            return build(after, src, value, dst)
+
+        def counted_gc(t):
+            if sys._getframe(1).f_code.co_name == "enabled":
+                collected.append(t)
+            return collect(t)
+
+        monkeypatch.setattr(sync, "_sent", counted_sent)
+        monkeypatch.setattr(sync, "gc", counted_gc)
+        t = run_chor(cfg_of(self.RING), "async",
+                     make_scheduler("random", 5), 1000)
+        assert t.outcome == "budget" and len(t.steps) == 1000
+        assert sent and len(sent) == len(set(sent))
+        assert len(collected) == len(sent)
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_the_table_maps_only_the_ids_of_what_it_holds(self, monkeypatch,
+                                                          mode):
+        tables = []
+
+        def recorded():
+            tables.append(sync.MoveTable())
+            return tables[-1]
+
+        monkeypatch.setattr(run_module, "MoveTable", recorded)
+        for program in (self.RING,
+                        "def X = { p.@ + 1 -> q; q.@ -> p; X } in X"):
+            run_chor(cfg_of(program), mode, make_scheduler("random", 3), 300)
+        for table in tables:
+            held = {id(chor): chor for chor, _ in table}
+            for moves in table.values():
+                for rule, *_, after, _ in moves:
+                    if rule != "ComS":
+                        held.update((id(s), s) for s in after)
+            held.update((id(s), s) for s in table.sent.values())
+            assert table.ids and (mode == "sync" or table.sent)
+            for (i, m), moves in table.ids.items():
+                assert i in held
+                assert moves is None or moves is table[held[i], m]
+
+
+def _loop(shape, n, expr):
+    """A recursive program of one of the benchmark's loop shapes: a ring
+    of ``n`` processes, or a producer sending to ``n`` others, each
+    message the expression ``expr``."""
+    names = "pqrst"
+    if shape == "ring":
+        body = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    else:
+        body = [("p", names[i + 1]) for i in range(n)]
+    return ("def X = { " + "".join(f"{s}.{expr} -> {d}; " for s, d in body)
+            + "X } in X")
+
+
+@pytest.mark.parametrize("text", [
+    *(_loop(shape, n, expr) for shape, n in (("ring", 2), ("ring", 3),
+                                             ("ring", 4), ("producer", 2))
+      for expr in ("@ + 1", "1")),
+    "def X = { p.@ + 1 -> q; q.@ -> p; "
+    "if p.@ < 4 then { X } else { p.0 -> q; X } } in X"])
+@pytest.mark.parametrize("mode", ["sync", "async"])
+@pytest.mark.parametrize("scheduler", ["leftmost", "random"])
+def test_a_run_through_one_table_is_the_run_through_fresh_ones(
+        monkeypatch, text, mode, scheduler):
+    # Values that grow make new choreographies at every lap of an async
+    # run, and values that repeat make the same ones, so both the
+    # table's lookups by identity and its fills are compared.
+    cfg = cfg_of(text)
+    one = format_trace(run_chor(cfg, mode, make_scheduler(scheduler, 4),
+                                200))
+    monkeypatch.setattr(run_module, "enabled",
+                        lambda state, mode, _: sync.enabled(state, mode))
+    fresh = format_trace(run_chor(cfg, mode, make_scheduler(scheduler, 4),
+                                  200))
+    assert one == fresh and one.endswith("-- budget")
 
 
 class TestDeadDefinitions:
